@@ -15,7 +15,7 @@ from .arith import (
     stabilizes,
     sublattice_index,
 )
-from .enumeration import BudgetExceededError, compiled_available
+from .enumeration import BudgetExceededError
 from .euclid import (
     EuclideanLattice,
     MahlerReport,
@@ -45,7 +45,7 @@ from .groups import (
     unipotent_from_isotropic,
     uniformity_verdict,
 )
-from .matrices import ExactMatrix, mat_det, mat_inv, mat_mul
+from .matrices import ExactMatrix
 from .numfield import (
     IntegerRing,
     NumberFieldDesc,

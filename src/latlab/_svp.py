@@ -6,9 +6,6 @@ comparison done by exact ring arithmetic: Python integers for rational
 lattices, quadratic integers for lattices over a real quadratic field.  No
 decision ever touches floating point.
 
-A compiled twin of the integer path lives in ``_svp_c``; the two must visit
-nodes in the same order and return bit-identical results.
-
 Scaled bookkeeping.  With ``d_k`` the leading principal minors of the Gram
 matrix G (d_0 = 1) and ``lam[i][j] = mu[i][j] * d_{j+1}`` the integral
 Gram-Schmidt coefficients, the squared contribution of level i is
@@ -23,6 +20,7 @@ ring inequality  T_i * suf[i+1] <= C * suf[i] - W_i.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -58,32 +56,44 @@ def _to_field(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def _ring_cast(x):
-    """Cast a field value known to be a ring integer back into the ring."""
-    if isinstance(x, QuadScalar):
-        a, b = Fraction(x.a), Fraction(x.b)
-        if a.denominator != 1 or b.denominator != 1:
-            raise ArithmeticError("expected an integral quadratic value: %r" % x)
-        return QuadScalar(a.numerator, b.numerator, x.m)
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise ArithmeticError("expected an integer value: %r" % x)
-    return x.numerator
-
-
 def integral_gso(gram):
-    """Leading minors d (length n+1) and integral coefficients lam = mu*d."""
+    """Leading minors d (length n+1) and integral coefficients lam = mu*d.
+
+    Fraction-free integral Gram-Schmidt (the recurrence of Cohen's integral
+    LLL, Alg. 2.6.7) on a Gram matrix whose entries are all ints or all
+    QuadScalars with integer coordinates: every intermediate value is a minor
+    of the Gram matrix, so each division by d_k is exact in Z or Z[sqrt(m)].
+    Raises ValueError if the matrix is not positive definite.
+    """
     n = len(gram)
-    mu, norms = gso_from_gram(gram)
-    d_field = [_to_field(1)] * (n + 1)
-    for i in range(n):
-        d_field[i + 1] = d_field[i] * norms[i]
-    d = [_ring_cast(v) for v in d_field]
+    quad = any(isinstance(e, QuadScalar) for row in gram for e in row)
+    div = _quad_exact_div if quad else operator.floordiv
+    d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i):
-            lam[i][j] = _ring_cast(mu[i][j] * d_field[j + 1])
+        lam_i = lam[i]
+        for j in range(i + 1):
+            lam_j = lam[j]
+            u = gram[i][j]
+            for k in range(j):
+                u = d[k + 1] * u - lam_i[k] * lam_j[k]
+                if k:
+                    u = div(u, d[k])
+            if j < i:
+                lam_i[j] = u
+            elif not u > 0:
+                raise ValueError("Gram matrix is not positive definite")
+            else:
+                d[i + 1] = u
     return d, lam
+
+
+def _quad_exact_div(x, y):
+    """x / y in Z[sqrt(m)], known to be exact: x * conj(y) / norm(y)."""
+    m = y.m
+    norm = y.a * y.a - m * y.b * y.b
+    return QuadScalar((x.a * y.a - m * x.b * y.b) // norm,
+                      (x.b * y.a - x.a * y.b) // norm, m)
 
 
 # -- ring adapters -------------------------------------------------------------
@@ -148,15 +158,6 @@ class QuadIntRing:
         while not _int_le_sqrt(z * r - p, q, m):
             z -= 1
         return z
-
-
-def ring_for_gram(gram):
-    """IntRing for plain integer entries, QuadIntRing for quadratic ones."""
-    for row in gram:
-        for e in row:
-            if isinstance(e, QuadScalar) and e.b != 0:
-                return QuadIntRing(e.m)
-    return IntRing()
 
 
 # -- witness canonicalization ----------------------------------------------------

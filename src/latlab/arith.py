@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
 from .errors import BudgetExceededError
 from .matrices import ExactMatrix
+from .scalars import denominator_lcm
 
 SUBGROUP_ENUM_BUDGET = 10**6
 
@@ -66,14 +66,6 @@ def stabilizes(g: ExactMatrix, lattice: ZLattice) -> bool:
     return bwd.is_integral()
 
 
-def _denominator_lcm(matrix: ExactMatrix) -> int:
-    out = 1
-    for e in matrix.data:
-        den = Fraction(e).denominator
-        out = out * den // gcd(out, den)
-    return out
-
-
 def commensurability_m(lattice: ZLattice, other: ZLattice) -> int:
     """Smallest m >= 1 with m*L inside L' and L' inside (1/m)*L."""
     if lattice.n != other.n:
@@ -82,9 +74,7 @@ def commensurability_m(lattice: ZLattice, other: ZLattice) -> int:
     b_other = other.basis_matrix()
     into_other = b_other.inv() * b      # m * this inside other
     into_this = b.inv() * b_other       # m * other inside this
-    m1 = _denominator_lcm(into_other)
-    m2 = _denominator_lcm(into_this)
-    return m1 * m2 // gcd(m1, m2)
+    return denominator_lcm(into_other.data + into_this.data)
 
 
 def sublattice_index(sub: ZLattice, sup: ZLattice) -> int:

@@ -4,7 +4,8 @@ Every operation is a subcommand over JSON documents.  Exit codes: 0 success,
 1 input/validation error, 2 inconclusive verdict, 3 budget exhausted.  The
 json output format is versioned ("schema": 1) and byte-stable: keys are
 sorted and exact scalars are printed as strings in the scalar grammar;
-floating point values only appear under keys suffixed _approx.
+floating point values only appear under keys suffixed _approx, and are null
+where the exact value is beyond float range.
 """
 
 from __future__ import annotations
@@ -52,8 +53,12 @@ def _emit(payload: dict, fmt: str, human_lines, out) -> None:
             out.write(line + "\n")
 
 
-def _approx(value) -> float:
-    return float(value)
+def _sqrt_approx(value):
+    """sqrt(value) as a float, or None when value is beyond float range."""
+    try:
+        return math.sqrt(float(value))
+    except OverflowError:
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +191,7 @@ def _cmd_lattice(args, out) -> int:
             {
                 "systole_sq": print_scalar(value),
                 "witness": list(witness),
-                "systole_approx": math.sqrt(_approx(value)),
+                "systole_approx": _sqrt_approx(value),
             },
             args.format,
             [
@@ -212,8 +217,7 @@ def _cmd_lattice(args, out) -> int:
             raise DocumentError("--a must be a rational number like 2 or 5/2")
         reduced = euclid.reduce_bounded(lattice, a, budget)
         bound = euclid.reduction_constant(lattice.rank, float(a))
-        norms = [math.sqrt(_approx(reduced.gram[i][i]))
-                 for i in range(reduced.rank)]
+        norms = [_sqrt_approx(reduced.gram[i][i]) for i in range(reduced.rank)]
         _emit(
             {
                 "basis": [[print_scalar(e) for e in vec] for vec in reduced.basis],

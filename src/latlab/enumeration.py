@@ -1,132 +1,59 @@
-"""Backend selection for the shortest-vector search.
+"""Shortest vectors of exact Gram matrices.
 
-At import time we try to load the compiled kernel (``latlab._svp_c``, a
-Cython module).  Per call, a rational Gram matrix is scaled to integers and
-routed to the compiled kernel whenever a certificate — computed here with
-unbounded Python integers — proves that every intermediate value of the
-search fits comfortably in 128-bit machine arithmetic.  Everything else
-(including Gram matrices over a real quadratic field) runs on the pure
-kernel in :mod:`latlab._svp`.  Both kernels visit nodes in the same order
-and return identical results.
+A Gram matrix over Q or a real quadratic field Q(sqrt(m)) is scaled by the
+lcm of its denominators into Z or Z[sqrt(m)]; one exact search in
+:mod:`latlab._svp` then runs over that ring, and the minimum is scaled back.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import _svp
 from .errors import BudgetExceededError  # re-exported for callers
-from .scalars import QuadScalar, is_rational_scalar, as_fraction
-
-try:
-    from . import _svp_c
-except ImportError:  # pragma: no cover - build without the extension
-    _svp_c = None
+from .scalars import QuadScalar, as_fraction, denominator_lcm
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
-_I62 = 1 << 62
-_I120 = 1 << 120
-
 __all__ = [
     "shortest_vector",
-    "backend_name",
-    "compiled_available",
     "DEFAULT_NODE_BUDGET",
     "BudgetExceededError",
 ]
 
 
 def compiled_available() -> bool:
-    return _svp_c is not None
+    """Always False: the search has one pure-Python kernel.  Kept only because
+    the benchmark harness calls it (``perfbench/run.py`` records it,
+    ``perfbench/workloads.py`` gates a kernel check on it)."""
+    return False
 
 
-def backend_name(gram=None) -> str:
-    """Which kernel would run: 'compiled' or 'pure'."""
-    if _svp_c is None or gram is None:
-        return "compiled" if _svp_c is not None else "pure"
-    try:
-        gint, _ = _scale_rational_gram(gram)
-    except ValueError:
-        return "pure"
-    d, lam = _svp.integral_gso(gint)
-    c0, _ = _svp.initial_bound(gint)
-    return "compiled" if _fits_compiled(gint, d, lam, c0) else "pure"
+def _scale_gram(gram):
+    """Scale a Gram matrix over Q or Q(sqrt(m)) into Z or Z[sqrt(m)].
 
-
-def _scale_rational_gram(gram):
-    """Scale a rational Gram matrix to integers; returns (int_gram, scale)."""
-    scale = 1
+    Returns (ring_gram, scale, m) with m None for a rational matrix.
+    """
+    m = None
     for row in gram:
         for e in row:
-            if not is_rational_scalar(e):
-                raise ValueError("not a rational Gram matrix")
-            den = as_fraction(e).denominator
-            scale = scale * den // math.gcd(scale, den)
-    gint = [[int(as_fraction(e) * scale) for e in row] for row in gram]
-    return gint, scale
-
-
-def _scale_quad_gram(gram, m):
-    """Scale a Q(sqrt(m)) Gram matrix into Z[sqrt(m)]; returns (gram, scale)."""
-    scale = 1
-    for row in gram:
-        for e in row:
-            if isinstance(e, QuadScalar):
-                if e.m != m and e.b != 0:
+            if isinstance(e, QuadScalar) and e.b != 0:
+                if m is None:
+                    if e.m < 0:
+                        raise ValueError(
+                            "no exact ordering over an imaginary quadratic field")
+                    m = e.m
+                elif e.m != m:
                     raise ValueError("mixed quadratic fields in one Gram matrix")
-                dens = (Fraction(e.a).denominator, Fraction(e.b).denominator)
-            else:
-                dens = (Fraction(e).denominator,)
-            for den in dens:
-                scale = scale * den // math.gcd(scale, den)
-    out = []
-    for row in gram:
-        new_row = []
-        for e in row:
-            if isinstance(e, QuadScalar):
-                a = Fraction(e.a) * scale
-                b = Fraction(e.b) * scale
-            else:
-                a = Fraction(e) * scale
-                b = Fraction(0)
-            new_row.append(QuadScalar(a.numerator, b.numerator, m))
-        out.append(new_row)
-    return out, scale
+    scale = denominator_lcm(e for row in gram for e in row)
+    if m is None:
+        return [[int(as_fraction(e) * scale) for e in row] for row in gram], scale, m
+    return [[_scale_quad(e, scale, m) for e in row] for row in gram], scale, m
 
 
-def _fits_compiled(gint, d, lam, c0) -> bool:
-    """Certify that the compiled int128 search cannot overflow on this input."""
-    if _svp_c is None:
-        return False
-    n = len(gint)
-    if n > 8:
-        return False
-    values = [c0] + d + [v for row in gint for v in row] + [v for row in lam for v in row]
-    if any(abs(v) >= _I62 for v in values):
-        return False
-    den = [d[i] * d[i + 1] for i in range(n)]
-    suf = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = den[i] * suf[i + 1]
-    if c0 * suf[0] >= _I120:
-        return False
-    # worst-case sweep values: one step beyond each admissible interval
-    xmax = [0] * n
-    smax = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = sum(abs(lam[j][i]) * xmax[j] for j in range(i + 1, n))
-        smax[i] = s
-        if s >= _I62:
-            return False
-        xmax[i] = (math.isqrt(c0 * den[i]) + s) // d[i + 1] + 2
-        if xmax[i] >= _I62:
-            return False
-        t = d[i + 1] * xmax[i] + s
-        if t >= _I62 or t * t * suf[i + 1] >= _I120:
-            return False
-    return True
+def _scale_quad(e, scale, m):
+    a, b = (e.a, e.b) if isinstance(e, QuadScalar) else (e, 0)
+    return QuadScalar(int(a * scale), int(b * scale), m)
 
 
 def shortest_vector(gram, node_budget=None):
@@ -139,36 +66,12 @@ def shortest_vector(gram, node_budget=None):
     budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     if budget < 1:
         raise ValueError("node budget must be positive")
-    n = len(gram)
-    if n == 0:
+    if len(gram) == 0:
         raise ValueError("empty Gram matrix")
-
-    quad_m = None
-    for row in gram:
-        for e in row:
-            if isinstance(e, QuadScalar) and e.b != 0:
-                quad_m = e.m
-                break
-        if quad_m is not None:
-            break
-
-    if quad_m is None:
-        gint, scale = _scale_rational_gram(gram)
-        d, lam = _svp.integral_gso(gint)
-        c0, seed = _svp.initial_bound(gint)
-        if _fits_compiled(gint, d, lam, c0):
-            value, witness, nodes = _svp_c.search_int(gint, d, lam, c0, seed, budget)
-        else:
-            value, witness, nodes = _svp.search(
-                gint, d, lam, c0, seed, budget, _svp.IntRing
-            )
-        return Fraction(value, scale), witness, nodes
-
-    if quad_m < 0:
-        raise ValueError("no exact ordering over an imaginary quadratic field")
-    gq, scale = _scale_quad_gram(gram, quad_m)
-    ring = _svp.QuadIntRing(quad_m)
-    d, lam = _svp.integral_gso(gq)
-    c0, seed = _svp.initial_bound(gq)
-    value, witness, nodes = _svp.search(gq, d, lam, c0, seed, budget, ring)
-    return value / scale, witness, nodes
+    ring_gram, scale, m = _scale_gram(gram)
+    ring = _svp.IntRing if m is None else _svp.QuadIntRing(m)
+    d, lam = _svp.integral_gso(ring_gram)
+    c0, seed = _svp.initial_bound(ring_gram)
+    value, witness, nodes = _svp.search(ring_gram, d, lam, c0, seed, budget, ring)
+    value = Fraction(value, scale) if m is None else value / scale
+    return value, witness, nodes

@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import gcd
 
 from . import enumeration
-from ._svp import gso_from_gram
+from ._svp import IntRing, QuadIntRing, gso_from_gram
 from .matrices import ExactMatrix
-from .scalars import QuadScalar, sign
+from .scalars import QuadScalar, as_fraction, denominator_lcm, sign
 
 
 class EuclideanLattice:
@@ -148,11 +148,19 @@ def systole_sq(lattice: EuclideanLattice, node_budget=None):
 
 
 def hermite_check(lattice: EuclideanLattice, node_budget=None) -> float:
-    """Margin of the ball-packing bound: 2*(covol/nu_n)^(1/n) - syst, floats."""
+    """Margin of the ball-packing bound: 2*(covol/nu_n)^(1/n) - syst, floats.
+
+    Raises ValueError when the squared covolume or systole is beyond float
+    range.
+    """
     n = lattice.rank
-    covol = math.sqrt(float(covol_sq(lattice)))
     syst_sq, _ = systole_sq(lattice, node_budget)
-    syst = math.sqrt(float(syst_sq))
+    try:
+        covol = math.sqrt(float(covol_sq(lattice)))
+        syst = math.sqrt(float(syst_sq))
+    except OverflowError:
+        raise ValueError("squared covolume or systole beyond float range; the "
+                         "Hermite margin is only computed in floats") from None
     return 2.0 * (covol / ball_volume(n)) ** (1.0 / n) - syst
 
 
@@ -390,17 +398,10 @@ def _apply_gram(gram, x, y):
 
 
 def _nearest_fraction(t) -> int:
-    if isinstance(t, QuadScalar):
-        if t.b == 0:
-            t = Fraction(t.a)
-        else:
-            from ._svp import QuadIntRing
-
-            a, b = Fraction(t.a), Fraction(t.b)
-            den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-            p = int(a * den)
-            q = int(b * den)
-            # nearest = floor(t + 1/2) on the common-denominator form
-            return QuadIntRing(t.m)._floor_ratio(2 * p + den, 2 * q, 2 * den)
-    t = Fraction(t)
-    return (2 * t.numerator + t.denominator) // (2 * t.denominator)
+    """Nearest integer to an exact scalar (ties round up)."""
+    if isinstance(t, QuadScalar) and t.b != 0:
+        den = denominator_lcm([t])
+        num = QuadScalar(int(t.a * den), int(t.b * den), t.m)
+        return QuadIntRing(t.m).nearest(num, QuadScalar(den, 0, t.m))
+    t = as_fraction(t)
+    return IntRing.nearest(t.numerator, t.denominator)

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .matrices import ExactMatrix
 from .numfield import NumberFieldDesc, IntegerRing, ring_of_integers
-from .scalars import QuadScalar, sign, conjugate
+from .scalars import QuadScalar, conjugate, denominator_lcm, sign
 
 
 class DiagForm:
@@ -334,11 +334,8 @@ def isotropic_search(form: DiagForm, height: int):
 
 
 def _isotropic_search_rational(form: DiagForm, height: int):
-    scale = 1
-    for c in form.coeffs:
-        den = Fraction(c).denominator
-        scale = scale * den // _gcd(scale, den)
-    d = [int(Fraction(c) * scale) for c in form.coeffs]
+    scale = denominator_lcm(form.coeffs)
+    d = [int(c * scale) for c in form.coeffs]
     order = _height_order(height)
     d0 = d[0]
     terms = [[di * v * v for v in order] for di in d[1:]]
@@ -363,25 +360,15 @@ def _isotropic_search_rational(form: DiagForm, height: int):
     return None
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _isotropic_search_quadratic(form: DiagForm, height: int, m: int):
     ring = ring_of_integers(form.field)
     half = ring.omega_is_half
     # coefficients as integer pairs e + f*sqrt(m), cleared of denominators
-    scale = 1
-    for c in form.coeffs:
-        c = _as_field(c, m)
-        for den in (Fraction(c.a).denominator, Fraction(c.b).denominator):
-            scale = scale * den // _gcd(scale, den)
+    scale = denominator_lcm(form.coeffs)
     pairs = []
     for c in form.coeffs:
         c = _as_field(c, m)
-        pairs.append((int(Fraction(c.a) * scale), int(Fraction(c.b) * scale)))
+        pairs.append((int(c.a * scale), int(c.b * scale)))
     order = _height_order(height)
     # ring coordinates (p, q) with x = p + q*omega, written (u + w*sqrt(m))/2
     cand = [(p, q) for p in order for q in order]

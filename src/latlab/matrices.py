@@ -254,14 +254,3 @@ class ExactMatrix:
     def __repr__(self):
         return "ExactMatrix(%r)" % (self.to_rows(),)
 
-
-def mat_det(matrix: ExactMatrix):
-    return matrix.det()
-
-
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a * b
-
-
-def mat_inv(matrix: ExactMatrix) -> ExactMatrix:
-    return matrix.inv()

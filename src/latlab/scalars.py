@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 Rational = Fraction
 
@@ -286,6 +286,21 @@ def as_fraction(x) -> Fraction:
 
 def is_rational_scalar(x) -> bool:
     return isinstance(x, (int, Fraction)) or (isinstance(x, QuadScalar) and x.b == 0)
+
+
+def denominator_lcm(values) -> int:
+    """Least common multiple of the denominators of the rational parts of
+    exact scalars (both a and b of a QuadScalar); multiplying every value by
+    it lands in Z or Z[sqrt(m)]."""
+    out = 1
+    for x in values:
+        if isinstance(x, QuadScalar):
+            out = lcm(out, x.a.denominator, x.b.denominator)
+        elif isinstance(x, (int, Fraction)):
+            out = lcm(out, x.denominator)
+        else:
+            raise TypeError("not an exact scalar: %r" % (x,))
+    return out
 
 
 # -- parsing / printing ------------------------------------------------------

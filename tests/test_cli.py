@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,44 @@ def test_lattice_hermite(write_doc):
     code, out, _ = run_cli(["--format", "json", "lattice", "hermite", doc])
     assert code == 0
     assert abs(json.loads(out)["margin_approx"]) < 1e-12
+
+
+HUGE_ENTRY = "7" * 350   # its square is far beyond float range
+
+
+def test_lattice_systole_beyond_float_range(write_doc):
+    doc = write_doc({"dim": 1, "field": None, "basis": [[HUGE_ENTRY]]})
+    exact = str(int(HUGE_ENTRY) ** 2)
+    code, out, err = run_cli(["--format", "json", "lattice", "systole", doc])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"schema": 1, "systole_sq": exact,
+                               "witness": [1], "systole_approx": None}
+    code, out, err = run_cli(["lattice", "systole", doc])
+    assert code == 0 and err == ""
+    assert out == "systole_sq = %s\nwitness coefficients = [1]\n" % exact
+
+
+def test_lattice_hermite_beyond_float_range(write_doc):
+    doc = write_doc({"dim": 1, "field": None, "basis": [[HUGE_ENTRY]]})
+    for fmt in ("human", "json"):
+        code, out, err = run_cli(["--format", fmt, "lattice", "hermite", doc])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "float range" in err
+        assert err.count("\n") == 1
+
+
+def test_python_dash_m_entry_point(write_doc):
+    doc = write_doc({"dim": 3, "field": None,
+                     "basis": [["2", "1", "0"], ["1", "3", "1"], ["0", "1", "4"]]})
+    argv = ["--format", "json", "lattice", "systole", doc]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "latlab"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, out, _ = run_cli(argv)
+    assert (proc.returncode, proc.stdout) == (code, out) and code == 0
 
 
 def test_field_signature_golden(write_doc):

@@ -1,14 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latlab import _svp
-from latlab.enumeration import (
-    BudgetExceededError,
-    shortest_vector,
-    compiled_available,
-    _fits_compiled,
-)
+from latlab.enumeration import BudgetExceededError, shortest_vector
 from latlab.scalars import QuadScalar
 
 from conftest import brute_force_minimum, oracle_witness_key, random_integer_basis
@@ -39,22 +35,6 @@ def test_agrees_with_brute_force(rnd):
         assert value == oracle_value
         canonical = min(oracle_witness_key(v) for v in minimizers)[1]
         assert witness == canonical
-
-
-def test_pure_and_compiled_twins_match(rnd):
-    if not compiled_available():
-        pytest.skip("compiled kernel not built")
-    from latlab import _svp_c
-
-    for _ in range(120):
-        n = rnd.choice([2, 3, 4])
-        gram = _gram_of(random_integer_basis(rnd, n))
-        d, lam = _svp.integral_gso(gram)
-        c0, seed = _svp.initial_bound(gram)
-        assert _fits_compiled(gram, d, lam, c0)
-        pure = _svp.search(gram, d, lam, c0, seed, 10**6, _svp.IntRing)
-        comp = _svp_c.search_int(gram, d, lam, c0, seed, 10**6)
-        assert pure == tuple(comp)
 
 
 def test_rational_gram_scaling():
@@ -112,12 +92,9 @@ def test_nearest_helpers():
 
 
 def test_pure_fallback_on_huge_entries():
-    # entries far beyond the 62-bit certificate: must route to the pure kernel
+    # entries far beyond machine-word range
     big = 1 << 80
     gram = [[big, 1], [1, 2]]
-    d, lam = _svp.integral_gso(gram)
-    c0, _ = _svp.initial_bound(gram)
-    assert not _fits_compiled(gram, d, lam, c0)
     value, witness, _ = shortest_vector(gram)
     assert value == 2 and witness == (0, 1)
 
@@ -133,3 +110,74 @@ def test_quad_floor_helpers_are_exact(rnd):
         # z is certified by z*r <= p + q*sqrt(m) < (z+1)*r, both exact
         assert _svp._int_le_sqrt(z * r - p, q, m)
         assert not _svp._int_le_sqrt((z + 1) * r - p, q, m)
+
+
+# -- integral Gram-Schmidt against the fraction-field oracle ----------------------
+
+
+def _ring_element(m):
+    if m is None:
+        return st.integers(-5, 5)
+    return st.builds(lambda a, b: QuadScalar(a, b, m),
+                     st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def _ring_square(draw, symmetric):
+    """(m, matrix) with entries in Z (m None) or Z[sqrt(m)]: a Gram matrix
+    B B^T of random rows, or a random symmetric matrix."""
+    m = draw(st.sampled_from([None, 2, 5]))
+    n = draw(st.integers(1, 6 if m is None else 4))
+    elem = _ring_element(m)
+    if symmetric:
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = draw(elem)
+        return m, rows
+    basis = [[draw(elem) for _ in range(n)] for _ in range(n)]
+    zero = 0 if m is None else QuadScalar(0, 0, m)
+    gram = [[sum((x * y for x, y in zip(u, v)), start=zero) for v in basis]
+            for u in basis]
+    return m, gram
+
+
+def _oracle_integral_gso(gram):
+    """d and lam derived from the fraction-field Gram-Schmidt data."""
+    mu, norms = _svp.gso_from_gram(gram)
+    n = len(gram)
+    d = [Fraction(1)]
+    for b in norms:
+        d.append(d[-1] * b)
+    lam = [[mu[i][j] * d[j + 1] if j < i else 0 for j in range(n)]
+           for i in range(n)]
+    return d, lam
+
+
+def _check_against_oracle(gram):
+    try:
+        expected = _oracle_integral_gso(gram)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _svp.integral_gso(gram)
+        return False
+    assert _svp.integral_gso(gram) == expected
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_square(symmetric=False))
+def test_integral_gso_matches_fraction_gso(case):
+    _, gram = case
+    if _check_against_oracle(gram):
+        # the negated Gram matrix is negative definite
+        negated = [[-e for e in row] for row in gram]
+        with pytest.raises(ValueError):
+            _svp.integral_gso(negated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_square(symmetric=True))
+def test_integral_gso_on_symmetric_matrices(case):
+    # mostly indefinite: must raise exactly when the oracle does
+    _check_against_oracle(case[1])

@@ -2,25 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from latlab.matrices import ExactMatrix, mat_det, mat_inv, mat_mul
+from latlab.matrices import ExactMatrix
 from latlab.scalars import QuadScalar
 
 
 def test_det_examples():
-    assert mat_det(ExactMatrix.identity(3)) == 1
-    assert mat_det(ExactMatrix.from_rows([[2, 0], [1, 1]])) == 2
-    assert mat_det(ExactMatrix.from_rows([[0, 2], [1, 0]])) == -2
+    assert ExactMatrix.identity(3).det() == 1
+    assert ExactMatrix.from_rows([[2, 0], [1, 1]]).det() == 2
+    assert ExactMatrix.from_rows([[0, 2], [1, 0]]).det() == -2
 
 
 def test_inverse_roundtrip():
     m = ExactMatrix.from_rows([[2, 1], [1, 1]])
-    assert mat_mul(m, mat_inv(m)).is_identity()
+    assert (m * m.inv()).is_identity()
     with pytest.raises(ValueError):
-        mat_inv(ExactMatrix.from_rows([[1, 2], [2, 4]]))
+        ExactMatrix.from_rows([[1, 2], [2, 4]]).inv()
 
 
 def test_singular_det_is_zero():
-    assert mat_det(ExactMatrix.from_rows([[1, 2], [2, 4]])) == 0
+    assert ExactMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
 
 
 def test_det_multiplicative_on_random_4x4(rnd):
@@ -31,14 +31,14 @@ def test_det_multiplicative_on_random_4x4(rnd):
         b = ExactMatrix.from_rows(
             [[Fraction(rnd.randint(-6, 6), rnd.randint(1, 3)) for _ in range(4)]
              for _ in range(4)])
-        assert mat_det(a * b) == mat_det(a) * mat_det(b)
+        assert (a * b).det() == a.det() * b.det()
 
 
 def test_quadratic_entries():
     s = QuadScalar(0, 1, 2)
     m = ExactMatrix.from_rows([[s, 1], [0, s]])
-    assert mat_det(m) == QuadScalar(2, 0, 2)
-    inv = mat_inv(m)
+    assert m.det() == QuadScalar(2, 0, 2)
+    inv = m.inv()
     assert (m * inv).is_identity()
 
 
