@@ -7,14 +7,12 @@ m L <= L' <= (1/m) L, sublattice indices, counting of intermediate lattices
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .errors import BudgetExceededError
 from .matrices import ExactMatrix
-from .scalars import denominator_lcm
+from .scalars import denominator_lcm, factorize
 
-SUBGROUP_ENUM_BUDGET = 10**6
+CONGRUENCE_MAX_N = 16
 
 
 class ZLattice:
@@ -90,50 +88,41 @@ def sublattice_index(sub: ZLattice, sup: ZLattice) -> int:
     return int(index)
 
 
-def intermediate_lattices(lattice: ZLattice, m: int,
-                          budget: int = SUBGROUP_ENUM_BUDGET) -> int:
+def intermediate_lattices(lattice: ZLattice, m: int) -> int:
     """Count of lattices M with m*L <= M <= (1/m)*L.
 
-    These correspond to subgroups of the quotient (1/m)L / mL = (Z/m^2)^n,
-    enumerated as closures of generating tuples of length <= n.
+    These correspond to subgroups of the quotient (1/m)L / mL = (Z/m^2)^n, a
+    product over p^e || m of the subgroup counts of (Z/p^(2e))^n.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    n = lattice.n
-    return _count_subgroups(m * m, n, budget)
+    count = 1
+    for p, e in factorize(m):
+        count *= _p_subgroup_count(p, 2 * e, lattice.n)
+    return count
 
 
-def _count_subgroups(q: int, n: int, budget: int) -> int:
-    """Number of subgroups of (Z/q)^n by generator-closure enumeration."""
-    if q == 1:
-        return 1
-    elements = list(itertools.product(range(q), repeat=n))
-    if len(elements) ** n > budget:
-        raise BudgetExceededError(
-            "subgroup enumeration over (Z/%d)^%d exceeds the %d-step budget"
-            % (q, n, budget),
-            budget=budget,
-        )
-    steps = 0
-    seen = set()
-    for gens in itertools.product(elements, repeat=n):
-        group = {tuple([0] * n)}
-        frontier = [tuple([0] * n)]
-        while frontier:
-            base = frontier.pop()
-            for g in gens:
-                nxt = tuple((a + b) % q for a, b in zip(base, g))
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceededError(
-                        "subgroup enumeration exceeded the %d-step budget" % budget,
-                        budget=budget,
-                    )
-                if nxt not in group:
-                    group.add(nxt)
-                    frontier.append(nxt)
-        seen.add(frozenset(group))
-    return len(seen)
+def _p_subgroup_count(p: int, k: int, n: int) -> int:
+    """Number of subgroups of (Z/p^k)^n by Birkhoff's formula (Butler,
+    Subgroup Lattices and Symmetric Functions, 1994): a subgroup type with
+    conjugate partition n >= a_1 >= ... >= a_k >= a_{k+1} = 0 occurs
+    prod_i p^(a_{i+1} (n - a_i)) [n - a_{i+1}, a_i - a_{i+1}]_p times.  The sum
+    over types is a k-step transfer; ways[a] sums the tails below a_i = a."""
+    ways = [1] + [0] * n
+    for _ in range(k):
+        ways = [sum(p ** (b * (n - a)) * _gaussian_binomial(n - b, a - b, p) * ways[b]
+                    for b in range(a + 1))
+                for a in range(n + 1)]
+    return sum(ways)
+
+
+def _gaussian_binomial(top: int, bottom: int, p: int) -> int:
+    """The number of bottom-dimensional subspaces of F_p^top."""
+    num = den = 1
+    for i in range(bottom):
+        num *= p ** (top - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
 
 def congruence_member(g: ExactMatrix, m: int) -> bool:
@@ -156,16 +145,21 @@ def congruence_member(g: ExactMatrix, m: int) -> bool:
 
 
 def congruence_index(n: int, m: int) -> int:
-    """|SL_n(Z/m)| by direct enumeration; budgeted to n = 2, m <= 7."""
-    if n != 2:
-        raise ValueError("enumeration budget covers n = 2 only")
-    if not 1 <= m <= 7:
-        raise ValueError("enumeration budget covers m <= 7 only")
-    if m == 1:
-        return 1
-    count = 0
-    rng = range(m)
-    for a, b, c, d in itertools.product(rng, repeat=4):
-        if (a * d - b * c) % m == 1:
-            count += 1
-    return count
+    """[SL_n(Z) : Gamma(m)] = |SL_n(Z/m)|, the product over p^e || m of
+    p^((e-1)(n^2-1)) |SL_n(F_p)|, |SL_n(F_p)| = p^(n(n-1)/2) prod_{k=2..n} (p^k - 1).
+
+    Below m^(n^2-1) <= 10^(12 (n^2-1)): under 3100 digits for n <= 16, so the
+    result stays within Python's int-to-str digit limit."""
+    if n < 1:
+        raise ValueError("matrix size n must be at least 1")
+    if n > CONGRUENCE_MAX_N:
+        raise ValueError("matrix size n = %d exceeds the supported maximum %d"
+                         % (n, CONGRUENCE_MAX_N))
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    index = 1
+    for p, e in factorize(m):
+        index *= p ** ((e - 1) * (n * n - 1) + n * (n - 1) // 2)
+        for k in range(2, n + 1):
+            index *= p ** k - 1
+    return index

@@ -61,6 +61,15 @@ def _sqrt_approx(value):
         return None
 
 
+def _reduction_bound(rank, a):
+    """C(rank, a) as a float, or None when it is beyond float range."""
+    try:
+        bound = euclid.reduction_constant(rank, float(a))
+    except OverflowError:
+        return None
+    return bound if math.isfinite(bound) else None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latlab",
@@ -216,7 +225,7 @@ def _cmd_lattice(args, out) -> int:
         except (ValueError, ZeroDivisionError):
             raise DocumentError("--a must be a rational number like 2 or 5/2")
         reduced = euclid.reduce_bounded(lattice, a, budget)
-        bound = euclid.reduction_constant(lattice.rank, float(a))
+        bound = _reduction_bound(lattice.rank, a)
         norms = [_sqrt_approx(reduced.gram[i][i]) for i in range(reduced.rank)]
         _emit(
             {
@@ -227,7 +236,9 @@ def _cmd_lattice(args, out) -> int:
             args.format,
             ["reduced basis: %s"
              % ([[print_scalar(e) for e in vec] for vec in reduced.basis],),
-             "norms = %s, bound C(n,a) = %.6g" % (norms, bound)],
+             "norms = %s, bound C(n,a) %s"
+             % (norms, "beyond float range" if bound is None
+                else "= %.6g" % bound)],
             out,
         )
         return EXIT_OK
@@ -362,9 +373,7 @@ def _cmd_group(args, out) -> int:
         )
         return EXIT_OK
     if args.subcommand == "adsys":
-        matrix, m = documents.matrix_from_doc(doc)
-        if m is not None:
-            raise DocumentError("adjoint systole expects a rational matrix")
+        matrix, _ = documents.matrix_from_doc(doc)
         result = groups.adjoint_systole(matrix, args.height)
         _emit(
             {

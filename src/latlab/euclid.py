@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from . import enumeration
+from . import _svp, enumeration
 from ._svp import IntRing, QuadIntRing, gso_from_gram
 from .matrices import ExactMatrix
 from .scalars import QuadScalar, as_fraction, denominator_lcm, sign
@@ -49,10 +49,14 @@ class EuclideanLattice:
         self.gram = tuple(
             tuple(_dot(u, v) for v in self.basis) for u in self.basis
         )
-        det = ExactMatrix.from_rows(self.gram).det()
-        if not sign(det) > 0:
-            raise ValueError("basis vectors are linearly dependent")
-        self._covol_sq = det
+        # the Gram determinant is the last leading minor of the integral GSO
+        ring_gram, scale, m = enumeration._scale_gram(self.gram)
+        try:
+            d, _ = _svp.integral_gso(ring_gram)
+        except ValueError:
+            raise ValueError("basis vectors are linearly dependent") from None
+        scale **= self.rank
+        self._covol_sq = Fraction(d[-1], scale) if m is None else d[-1] / scale
 
     @property
     def dim(self) -> int:

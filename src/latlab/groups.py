@@ -14,6 +14,8 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
+from ._svp import quad_form_value, witness_key
+from .enumeration import _scale_gram
 from .matrices import ExactMatrix
 from .numfield import NumberFieldDesc, IntegerRing, ring_of_integers
 from .scalars import QuadScalar, conjugate, denominator_lcm, sign
@@ -223,27 +225,6 @@ def ad_action(g: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
 # -- the adjoint-orbit systole detector ---------------------------------------------
 
 
-def _frobenius_sq(x: ExactMatrix) -> Fraction:
-    acc = Fraction(0)
-    for e in x.data:
-        acc += Fraction(e) * Fraction(e)
-    return acc
-
-
-def _matrix_key(entries):
-    """Witness order on nonzero integer matrices, row-major entries."""
-    idx = None
-    for k, t in enumerate(entries):
-        if t:
-            idx = k
-            break
-    if entries[idx] < 0:
-        entries = tuple(-u for u in entries)
-    else:
-        entries = tuple(entries)
-    return idx, entries
-
-
 class AdjointSystole:
     """Result of minimizing ||g X g^-1||_F^2 over integer trace-zero X."""
 
@@ -263,40 +244,47 @@ class AdjointSystole:
 
 
 def adjoint_systole(g: ExactMatrix, coeff_bound: int) -> AdjointSystole:
-    """Brute-force minimum of the adjoint image over the integer trace-zero
-    matrices with entries bounded by coeff_bound; reports whether the witness
-    is nilpotent by the trace test.
+    """Minimum of ||g X g^-1||_F^2 over the nonzero integer trace-zero
+    matrices X with entries bounded by coeff_bound, over Q or Q(sqrt(m));
+    reports whether the witness is nilpotent by the trace test.
+
+    X -> ||g X g^-1||_F^2 is a quadratic form.  Its exact Gram matrix is
+    built once on the trace-zero basis E_ij (i != j), E_ii - E_nn in
+    row-major order, so the coordinates of X are its row-major entries
+    without the last one, which the trace forces.  The box is scanned on the
+    Gram matrix scaled into Z or Z[sqrt(m)]; on these coordinates
+    witness_key orders ties as the row-major entries do.
     """
-    if not g.is_square:
-        raise ValueError("adjoint systole needs a square matrix")
+    if not g.is_square or g.rows < 2:
+        raise ValueError("adjoint systole needs a square matrix of size >= 2")
     if g.det() != 1:
         raise ValueError("matrix must have determinant 1")
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be positive")
     n = g.rows
+    last = n - 1
     g_inv = g.inv()
+    # row-major entries of g B g^-1 for each basis matrix B
+    images = [[g[a, i] * g_inv[j, b] - (g[a, last] * g_inv[last, b] if i == j else 0)
+               for a in range(n) for b in range(n)]
+              for i in range(n) for j in range(n) if (i, j) != (last, last)]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in images] for u in images]
+    ring_gram, scale, m = _scale_gram(gram)
+    zero = 0 if m is None else QuadScalar(0, 0, m)
+    diag = [i * n + i for i in range(last)]
     best = None
-    best_key = None
     rng = range(-coeff_bound, coeff_bound + 1)
-    # last diagonal entry is forced by the trace-zero constraint
-    free = n * n - 1
-    diag_last = n * n - 1
-    for flat in itertools.product(rng, repeat=free):
-        trace_rest = sum(flat[i * n + i] for i in range(n - 1))
-        last = -trace_rest
-        if abs(last) > coeff_bound:
+    for coords in itertools.product(rng, repeat=n * n - 1):
+        if abs(sum(coords[k] for k in diag)) > coeff_bound or not any(coords):
             continue
-        entries = flat[:diag_last] + (last,)
-        if all(e == 0 for e in entries):
-            continue
-        x = ExactMatrix(n, n, list(entries))
-        value = _frobenius_sq(g * x * g_inv)
-        key = _matrix_key(entries)
-        if best is None or value < best[0] or (value == best[0] and key < best_key):
-            best = (value, key[1])
-            best_key = key
-    value, canon = best
-    witness = ExactMatrix(n, n, list(canon))
+        value = quad_form_value(ring_gram, coords, zero)
+        if best is None or value < best:
+            best, best_key = value, witness_key(coords)
+        elif value == best:
+            best_key = min(best_key, witness_key(coords))
+    trace_rest = sum(best_key[1][k] for k in diag)
+    witness = ExactMatrix(n, n, list(best_key[1]) + [-trace_rest])
+    value = Fraction(best, scale) if m is None else best / scale
     return AdjointSystole(value, witness, is_nilpotent(witness))
 
 

@@ -219,22 +219,14 @@ def count_real_roots(coeffs) -> int:
 
 def signature_poly(minpoly) -> Signature:
     """Signature of the field defined by a monic squarefree integer polynomial."""
-    coeffs = [int(c) for c in minpoly]
-    if len(coeffs) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    if coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    if _poly_gcd_degree(coeffs, _poly_deriv([Fraction(c) for c in coeffs])) != 0:
-        raise ValueError("polynomial is not squarefree")
-    degree = len(coeffs) - 1
-    r1 = count_real_roots(coeffs)
-    return Signature(r1, (degree - r1) // 2)
+    return signature(NumberFieldDesc(minpoly=minpoly))
 
 
 def signature(field: NumberFieldDesc) -> Signature:
     if field.is_quadratic:
         return signature_quad(field.m)
-    return signature_poly(field.minpoly)
+    r1 = count_real_roots(field.minpoly)
+    return Signature(r1, (field.degree - r1) // 2)
 
 
 # -- the trace-form lattice --------------------------------------------------------

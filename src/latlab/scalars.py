@@ -13,13 +13,35 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 Rational = Fraction
 
 _TRIAL_DIVISION_BOUND = 10**6
-# beyond this, trial division up to 1e6 can no longer certify squarefreeness
-_VALIDATION_CAP = _TRIAL_DIVISION_BOUND**2
+# trial division up to 1e6 factors every integer of absolute value <= 1e12
+_FACTOR_CAP = _TRIAL_DIVISION_BOUND**2
+
+
+def factorize(n: int):
+    """Prime factorization of n as (p, e) pairs, p ascending, for
+    0 < |n| <= 1e12: there the cofactor left by trial division is 1 or prime."""
+    n = abs(n)
+    if not 0 < n <= _FACTOR_CAP:
+        raise ValueError("cannot factor %d: trial division up to %d factors "
+                         "only 0 < |n| <= %d" % (n, _TRIAL_DIVISION_BOUND, _FACTOR_CAP))
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -29,25 +51,8 @@ def validate_field_param(m: int) -> int:
         raise ValueError("field parameter must be an integer")
     if m in (0, 1):
         raise ValueError("field parameter must differ from 0 and 1")
-    n = abs(m)
-    if n > _VALIDATION_CAP:
-        raise ValueError(
-            "field parameter %d too large to validate squarefree by trial "
-            "division up to %d" % (m, _TRIAL_DIVISION_BOUND)
-        )
-    p = 2
-    while p <= _TRIAL_DIVISION_BOUND and p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                raise ValueError("field parameter %d is not squarefree" % m)
-        p += 1 if p == 2 else 2
-    # leftover cofactor has no prime factor <= 1e6 and is <= 1e12: it is 1, a
-    # prime, or a product of two distinct primes unless it is a perfect square
-    if n > 1:
-        r = isqrt(n)
-        if r * r == n:
-            raise ValueError("field parameter %d is not squarefree" % m)
+    if any(e > 1 for _, e in factorize(m)):
+        raise ValueError("field parameter %d is not squarefree" % m)
     return m
 
 

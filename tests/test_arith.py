@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from latlab.arith import (
+    CONGRUENCE_MAX_N,
     ZLattice,
+    _p_subgroup_count,
     commensurability_m,
     congruence_index,
     congruence_member,
@@ -123,11 +126,51 @@ def _subgroups_by_hnf(q, n):
     return count
 
 
-def test_intermediate_budget():
-    from latlab.errors import BudgetExceededError
+def _subgroups_by_closure(q, n):
+    """Reference count of subgroups of (Z/q)^n: the distinct closures of all
+    n-tuples of generators (every subgroup of (Z/q)^n needs at most n)."""
+    zero = (0,) * n
+    elements = list(itertools.product(range(q), repeat=n))
+    seen = set()
+    for gens in itertools.product(elements, repeat=n):
+        group = {zero}
+        frontier = [zero]
+        while frontier:
+            base = frontier.pop()
+            for g in gens:
+                nxt = tuple((a + b) % q for a, b in zip(base, g))
+                if nxt not in group:
+                    group.add(nxt)
+                    frontier.append(nxt)
+        seen.add(frozenset(group))
+    return len(seen)
 
-    with pytest.raises(BudgetExceededError):
-        intermediate_lattices(ZLattice.standard(3), 7, budget=10**4)
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
+                                  (3, 2), (4, 1), (6, 1)])
+def test_intermediate_lattices_match_oracles(m, n):
+    count = intermediate_lattices(ZLattice.standard(n), m)
+    assert count == _subgroups_by_closure(m * m, n)
+    assert count == _subgroups_by_hnf(m * m, n)
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (5, 1, 2),
+                                     (2, 3, 2), (2, 2, 2), (3, 3, 1)])
+def test_birkhoff_count_matches_closure(p, k, n):
+    # exponents k that no intermediate-lattice count reaches on its own
+    assert _p_subgroup_count(p, k, n) == _subgroups_by_closure(p ** k, n)
+
+
+def test_intermediate_lattices_z4_cubed():
+    # (Z/4)^3: out of reach of the generator-closure enumeration
+    assert intermediate_lattices(ZLattice.standard(3), 2) == 129
+
+
+def test_intermediate_lattices_validation():
+    with pytest.raises(ValueError):
+        intermediate_lattices(ZLattice.standard(2), 0)
+    with pytest.raises(ValueError):
+        intermediate_lattices(ZLattice.standard(2), 10**12 + 1)
 
 
 def test_congruence_member_examples():
@@ -161,7 +204,54 @@ def test_congruence_index_values():
     assert congruence_index(2, 2) == 6
     assert congruence_index(2, 3) == 24
     assert congruence_index(2, 4) == 48
-    with pytest.raises(ValueError):
-        congruence_index(3, 2)
-    with pytest.raises(ValueError):
-        congruence_index(2, 8)
+    assert congruence_index(3, 2) == 168
+    assert congruence_index(2, 8) == 384
+
+
+def _sl_count_by_loop(n, m):
+    """Reference |SL_n(Z/m)|: every n x n matrix mod m, determinant by the
+    Leibniz sum."""
+    perms = [(perm, _perm_sign(perm))
+             for perm in itertools.permutations(range(n))]
+    count = 0
+    for entries in itertools.product(range(m), repeat=n * n):
+        det = 0
+        for perm, sgn in perms:
+            term = sgn
+            for i, j in enumerate(perm):
+                term *= entries[i * n + j]
+            det += term
+        if det % m == 1 % m:
+            count += 1
+    return count
+
+
+def _perm_sign(perm):
+    sgn = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sgn = -sgn
+    return sgn
+
+
+@pytest.mark.parametrize("n, m", [(2, m) for m in range(1, 13)] + [(3, 2), (3, 3)])
+def test_congruence_index_matches_loop(n, m):
+    assert congruence_index(n, m) == _sl_count_by_loop(n, m)
+
+
+def test_congruence_index_closed_product():
+    # n = 1: SL_1 is trivial; a prime power p^e lifts |SL_n(F_p)| by p^((e-1)(n^2-1))
+    assert congruence_index(1, 10**12) == 1
+    assert congruence_index(3, 8) == 168 * 2 ** 16
+    assert congruence_index(4, 15) == congruence_index(4, 3) * congruence_index(4, 5)
+    # the largest allowed case stays under the 4300-digit int-to-str limit
+    big = congruence_index(CONGRUENCE_MAX_N, 10**12)
+    assert len(str(big)) < 3100
+
+
+def test_congruence_index_validation():
+    for n, m in ((0, 2), (-1, 2), (2, 0), (2, -3),
+                 (CONGRUENCE_MAX_N + 1, 2), (10**9, 2), (2, 10**12 + 1)):
+        with pytest.raises(ValueError):
+            congruence_index(n, m)

@@ -10,6 +10,15 @@ import pytest
 from latlab import cli
 
 
+def _reject_constant(name):
+    raise ValueError("%s is not valid JSON" % name)
+
+
+def loads_strict(text):
+    """Parse --format json output, refusing the non-JSON Infinity and NaN."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(args, env=None, monkeypatch=None):
     out = io.StringIO()
     err = io.StringIO()
@@ -41,7 +50,7 @@ def test_lattice_systole_json(write_doc):
                      "basis": [["1", "0"], ["9/10", "1/10"]]})
     code, out, _ = run_cli(["--format", "json", "lattice", "systole", doc])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads_strict(out)
     assert payload["schema"] == 1
     assert payload["systole_sq"] == "1/50"
     assert payload["witness"] == [1, -1]
@@ -71,7 +80,7 @@ def test_lattice_reduce(write_doc):
     code, out, _ = run_cli(["--format", "json", "lattice", "reduce", doc,
                             "--a", "2"])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads_strict(out)
     assert payload["basis"] == [["1", "0"], ["0", "1"]]
     assert all(n <= payload["bound_approx"] + 1e-9
                for n in payload["norms_approx"])
@@ -81,7 +90,7 @@ def test_lattice_hermite(write_doc):
     doc = write_doc({"dim": 1, "field": None, "basis": [["1"]]})
     code, out, _ = run_cli(["--format", "json", "lattice", "hermite", doc])
     assert code == 0
-    assert abs(json.loads(out)["margin_approx"]) < 1e-12
+    assert abs(loads_strict(out)["margin_approx"]) < 1e-12
 
 
 HUGE_ENTRY = "7" * 350   # its square is far beyond float range
@@ -92,8 +101,8 @@ def test_lattice_systole_beyond_float_range(write_doc):
     exact = str(int(HUGE_ENTRY) ** 2)
     code, out, err = run_cli(["--format", "json", "lattice", "systole", doc])
     assert code == 0 and err == ""
-    assert json.loads(out) == {"schema": 1, "systole_sq": exact,
-                               "witness": [1], "systole_approx": None}
+    assert loads_strict(out) == {"schema": 1, "systole_sq": exact,
+                                 "witness": [1], "systole_approx": None}
     code, out, err = run_cli(["lattice", "systole", doc])
     assert code == 0 and err == ""
     assert out == "systole_sq = %s\nwitness coefficients = [1]\n" % exact
@@ -106,6 +115,31 @@ def test_lattice_hermite_beyond_float_range(write_doc):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "float range" in err
         assert err.count("\n") == 1
+
+
+def test_loads_strict_rejects_non_json_floats():
+    for text in ('{"x":Infinity}', '{"x":-Infinity}', '{"x":NaN}'):
+        with pytest.raises(ValueError):
+            loads_strict(text)
+
+
+@pytest.mark.parametrize("rank, entry, a", [
+    (3, "1", "1" + "0" * 150),          # C(3, a) overflows to inf
+    (1, HUGE_ENTRY, "1" + "0" * 400),   # a itself is beyond float range
+])
+def test_lattice_reduce_bound_beyond_float_range(write_doc, rank, entry, a):
+    basis = [[entry if i == j else "0" for i in range(rank)] for j in range(rank)]
+    doc = write_doc({"dim": rank, "field": None, "basis": basis})
+    code, out, err = run_cli(["--format", "json", "lattice", "reduce", doc, "--a", a])
+    assert code == 0 and err == ""
+    payload = loads_strict(out)
+    assert payload["bound_approx"] is None
+    assert payload["basis"] == basis
+    code, out, err = run_cli(["lattice", "reduce", doc, "--a", a])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "reduced basis: %s" % (basis,)
+    assert lines[1].endswith("bound C(n,a) beyond float range")
 
 
 def test_python_dash_m_entry_point(write_doc):
@@ -133,12 +167,12 @@ def test_field_info_and_embed(write_doc):
     doc = write_doc({"quad": 5})
     code, out, _ = run_cli(["--format", "json", "field", "info", doc])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads_strict(out)
     assert payload["integers"] == "Z[(1+sqrt(5))/2]"
     assert payload["omega"] == "1/2+1/2*sqrt(5)"
     code, out, _ = run_cli(["--format", "json", "field", "embed", doc])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads_strict(out)
     assert payload["covol_sq"] == "5"
     assert payload["gram"] == [["2", "1"], ["1", "3"]]
     assert payload["min_norm_sq"] == "2"
@@ -172,7 +206,7 @@ def test_group_verdict_witness_payload(write_doc):
     code, out, _ = run_cli(["--format", "json", "group", "verdict", so,
                             "--height", "1"])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads_strict(out)
     assert payload["status"] == "NotUniform"
     assert payload["isotropic_vector"] == ["1", "0", "1"]
     assert "witness" in payload and "Godement" in payload["criterion"]
@@ -182,7 +216,7 @@ def test_group_unipotent(write_doc):
     doc = write_doc({"field": None, "matrix": [["1", "1"], ["0", "1"]]})
     code, out, _ = run_cli(["--format", "json", "group", "unipotent", doc])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads_strict(out)
     assert payload["unipotent"] is True and payload["nilpotent"] is False
 
 
@@ -191,10 +225,25 @@ def test_group_adsys(write_doc):
     code, out, _ = run_cli(["--format", "json", "group", "adsys", doc,
                             "--height", "3"])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads_strict(out)
     assert payload["min_norm_sq"] == "1/16"
     assert payload["witness"] == [["0", "0"], ["1", "0"]]
     assert payload["witness_nilpotent"] is True
+
+
+def test_group_adsys_quadratic_field(write_doc):
+    doc = write_doc({"field": {"quad": 2},
+                     "matrix": [["1+1*sqrt(2)", "0"], ["0", "-1+1*sqrt(2)"]]})
+    code, out, err = run_cli(["--format", "json", "group", "adsys", doc,
+                              "--height", "2"])
+    assert code == 0 and err == ""
+    assert loads_strict(out) == {"min_norm_sq": "17-12*sqrt(2)", "schema": 1,
+                                 "witness": [["0", "0"], ["1", "0"]],
+                                 "witness_nilpotent": True}
+    code, out, err = run_cli(["group", "adsys", doc, "--height", "2"])
+    assert code == 0 and err == ""
+    assert out.startswith("min ||Ad(g)X||_F^2 = 17-12*sqrt(2) over trace-zero")
+    assert out.endswith("witness nilpotent (trace test): yes\n")
 
 
 def test_resk_element_golden(write_doc):
@@ -210,7 +259,7 @@ def test_resk_matrix(write_doc):
                      "matrix": [["1", "0+1*sqrt(2)"], ["0", "1"]]})
     code, out, _ = run_cli(["--format", "json", "resk", "matrix", doc])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads_strict(out)
     assert payload["matrix"] == [["1", "0", "0", "2"],
                                  ["0", "1", "1", "0"],
                                  ["0", "0", "1", "0"],
@@ -223,17 +272,44 @@ def test_arith_subcommands(write_doc):
                         "basis": [["2", "0"], ["0", "2"]]})
     code, out, _ = run_cli(["--format", "json", "arith", "index",
                             two_z2, z2])
-    assert code == 0 and json.loads(out)["index"] == 4
+    assert code == 0 and loads_strict(out)["index"] == 4
     code, out, _ = run_cli(["--format", "json", "arith", "commens",
                             z2, two_z2])
-    assert code == 0 and json.loads(out)["m"] == 2
+    assert code == 0 and loads_strict(out)["m"] == 2
     code, out, _ = run_cli(["--format", "json", "arith", "congruence",
                             "--m", "3"])
-    assert code == 0 and json.loads(out)["index"] == 24
+    assert code == 0 and loads_strict(out)["index"] == 24
     member = write_doc({"field": None, "matrix": [["1", "2"], ["0", "1"]]})
     code, out, _ = run_cli(["--format", "json", "arith", "congruence",
                             member, "--m", "2"])
-    assert code == 0 and json.loads(out)["member"] is True
+    assert code == 0 and loads_strict(out)["member"] is True
+
+
+@pytest.mark.parametrize("argv, index", [
+    (["--m", "8"], 384),
+    (["--n", "3", "--m", "2"], 168),
+    # |SL_4(F_3)| * |SL_4(F_5)|
+    (["--n", "4", "--m", "15"], 3**6 * 8 * 26 * 80 * 5**6 * 24 * 124 * 624),
+])
+def test_arith_congruence_index_any_n(argv, index):
+    code, out, err = run_cli(["--format", "json", "arith", "congruence"] + argv)
+    assert code == 0 and err == ""
+    assert loads_strict(out)["index"] == index
+    code, out, err = run_cli(["arith", "congruence"] + argv)
+    assert code == 0 and out.endswith("= %d\n" % index)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1000000000", "--m", "2"],
+    ["--m", str(10**12 + 1)],
+    ["--n", "0", "--m", "2"],
+    ["--m", "0"],
+])
+def test_arith_congruence_out_of_range_exit_one(argv):
+    for fmt in ("human", "json"):
+        code, out, err = run_cli(["--format", fmt, "arith", "congruence"] + argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_error_paths_exit_one(tmp_path, write_doc):
@@ -254,6 +330,10 @@ def test_error_paths_exit_one(tmp_path, write_doc):
 
     unknown = run_cli(["lattice", "nonsense", "x.json"])
     assert unknown[0] == 1
+
+    one_by_one = write_doc({"field": None, "matrix": [["1"]]})
+    code, out, err = run_cli(["group", "adsys", one_by_one])
+    assert code == 1 and out == "" and err.count("\n") == 1
 
 
 def test_budget_exhaustion_exit_three(write_doc, monkeypatch):
@@ -281,4 +361,4 @@ def test_quadratic_lattice_document(write_doc):
                      "basis": [["1", "0"], ["0+1*sqrt(2)", "1"]]})
     code, out, _ = run_cli(["--format", "json", "lattice", "systole", doc])
     assert code == 0
-    assert json.loads(out)["systole_sq"] == "1"
+    assert loads_strict(out)["systole_sq"] == "1"

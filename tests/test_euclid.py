@@ -1,7 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latlab import (
     EuclideanLattice,
@@ -15,7 +17,7 @@ from latlab import (
     systole_sq,
 )
 from latlab.matrices import ExactMatrix
-from latlab.scalars import QuadScalar
+from latlab.scalars import QuadScalar, print_scalar
 
 from conftest import (
     apply_basis_change,
@@ -38,6 +40,41 @@ def test_covol_unimodular_invariance(rnd):
         lat = random_lattice(rnd, 3)
         u = random_unimodular(rnd, 3)
         assert covol_sq(apply_basis_change(lat, u)) == covol_sq(lat)
+
+
+@st.composite
+def _ring_basis(draw):
+    """(m, basis) with entries in (1/den) Z (m None), (1/den) Z[sqrt(2)] or
+    (1/den) Z[sqrt(5)]; the rank may be below the ambient dimension, and the
+    basis may be dependent."""
+    m = draw(st.sampled_from([None, 2, 5]))
+    ambient = draw(st.integers(1, 5 if m is None else 4))
+    rank = draw(st.integers(1, ambient))
+    den = draw(st.integers(1, 3))
+    if m is None:
+        elem = st.builds(lambda a: Fraction(a, den), st.integers(-4, 4))
+    else:
+        elem = st.builds(lambda a, b: QuadScalar(Fraction(a, den), Fraction(b, den), m),
+                         st.integers(-3, 3), st.integers(-2, 2))
+    return m, [[draw(elem) for _ in range(ambient)] for _ in range(rank)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ring_basis(), st.integers(0, 2**32))
+def test_covol_is_gram_determinant(case, seed):
+    _, basis = case
+    gram = [[sum((x * y for x, y in zip(u, v)), start=Fraction(0)) for v in basis]
+            for u in basis]
+    det = ExactMatrix.from_rows(gram).det()
+    if det == 0:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            EuclideanLattice(basis)
+        return
+    lattice = EuclideanLattice(basis)
+    assert covol_sq(lattice) == det
+    assert print_scalar(covol_sq(lattice)) == print_scalar(det)
+    u = random_unimodular(random.Random(seed), lattice.rank, steps=6, shear=3)
+    assert covol_sq(apply_basis_change(lattice, u)) == det
 
 
 def test_gso_examples():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,77 @@ def test_adjoint_systole_strictly_decreasing():
 def test_adjoint_systole_validation():
     with pytest.raises(ValueError):
         adjoint_systole(ExactMatrix.from_rows([[2, 0], [0, 1]]), 2)
+    with pytest.raises(ValueError):
+        adjoint_systole(ExactMatrix.identity(1), 2)   # no nonzero trace-zero X
+
+
+def _adjoint_by_candidates(g, h):
+    """Reference adjoint systole: conjugate every trace-zero integer matrix in
+    the box and take its Frobenius norm; ties go to the first nonzero
+    row-major entry, sign-normalized, then lexicographic order."""
+    n = g.rows
+    g_inv = g.inv()
+    best = None
+    for flat in itertools.product(range(-h, h + 1), repeat=n * n - 1):
+        last = -sum(flat[i * n + i] for i in range(n - 1))
+        entries = flat + (last,)
+        if abs(last) > h or not any(entries):
+            continue
+        y = g * ExactMatrix(n, n, list(entries)) * g_inv
+        value = sum((e * e for e in y.data), start=Fraction(0))
+        first = next(k for k, e in enumerate(entries) if e)
+        if entries[first] < 0:
+            entries = tuple(-e for e in entries)
+        key = (value, first, entries)
+        if best is None or key < best:
+            best = key
+    return best[0], ExactMatrix(n, n, list(best[2]))
+
+
+def _sl_shears(rnd, n, steps, bound=2):
+    """A product of elementary shears: an element of SL_n(Z)."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rnd.sample(range(n), 2)
+        c = rnd.choice([k for k in range(-bound, bound + 1) if k])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return ExactMatrix.from_rows(rows)
+
+
+def _assert_matches_oracle(g, h):
+    res = adjoint_systole(g, h)
+    value, witness = _adjoint_by_candidates(g, h)
+    assert (res.min_norm_sq, res.witness) == (value, witness)
+    assert res.witness_nilpotent == is_nilpotent(witness)
+
+
+def test_adjoint_systole_matches_candidate_loop_sl2(rnd):
+    for _ in range(12):
+        g = _sl_shears(rnd, 2, rnd.randint(1, 5))
+        for h in (1, 2, 3, 4):
+            _assert_matches_oracle(g, h)
+
+
+def test_adjoint_systole_matches_candidate_loop_diagonal():
+    for t in (2, 3, Fraction(3, 2), Fraction(1, 5)):
+        g = ExactMatrix.from_rows([[t, 0], [0, 1 / Fraction(t)]])
+        for h in (1, 2, 3):
+            _assert_matches_oracle(g, h)
+
+
+def test_adjoint_systole_matches_candidate_loop_sl3(rnd):
+    _assert_matches_oracle(_sl_shears(rnd, 3, 4), 1)
+
+
+def test_adjoint_systole_over_quadratic_field():
+    unit = QuadScalar(1, 1, 2)                     # 1 + sqrt(2), inverse sqrt(2) - 1
+    g = ExactMatrix.from_rows([[unit, 0], [0, unit.inverse()]])
+    res = adjoint_systole(g, 2)
+    assert res.min_norm_sq == QuadScalar(17, -12, 2)
+    assert res.witness == _e(1, 0, 2) and res.witness_nilpotent
+    shear = ExactMatrix.from_rows([[1, SQRT2], [0, 1]])
+    for h in (1, 2):
+        _assert_matches_oracle(g * shear, h)
 
 
 def test_isotropic_search_examples():

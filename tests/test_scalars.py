@@ -7,6 +7,7 @@ import pytest
 from latlab.scalars import (
     QuadScalar,
     conjugate,
+    factorize,
     parse_scalar,
     print_scalar,
     sign,
@@ -43,6 +44,26 @@ def test_parse_rejects_bad_field_params():
         parse_scalar("1+1*sqrt(1)")
     with pytest.raises(ValueError):
         validate_field_param(18)
+
+
+def test_factorize(rnd):
+    assert factorize(1) == [] and factorize(-12) == [(2, 2), (3, 1)]
+    # a prime just below the cap and a product of two primes near 1e6
+    assert factorize(999999999989) == [(999999999989, 1)]
+    assert factorize(999983 * 1000003) == [(999983, 1), (1000003, 1)]
+    for _ in range(200):
+        n = rnd.randint(2, 10**6)
+        pairs = factorize(n)
+        assert math.prod(p ** e for p, e in pairs) == n
+        assert all(e >= 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+                   for p, e in pairs)
+        assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+    for bad in (0, 10**12 + 1, -(10**12 + 1)):
+        with pytest.raises(ValueError):
+            factorize(bad)
+    assert validate_field_param(-(999983 * 1000003)) == -(999983 * 1000003)
+    with pytest.raises(ValueError):
+        validate_field_param(999983 ** 2)
 
 
 def test_parse_syntax_errors():
