@@ -21,39 +21,10 @@ ring inequality  T_i * suf[i+1] <= C * suf[i] - W_i.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import isqrt
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NotPositiveDefiniteError
 from .scalars import QuadScalar
-
-
-def gso_from_gram(gram):
-    """Exact Gram-Schmidt data (mu, B) of a positive-definite Gram matrix.
-
-    Entries may be ints, Fractions, or QuadScalars; results live in the
-    fraction field.  Raises ValueError if the matrix is not positive definite.
-    """
-    n = len(gram)
-    mu = [[None] * n for _ in range(n)]
-    norms = [None] * n
-    for i in range(n):
-        for j in range(i):
-            s = _to_field(gram[i][j])
-            for k in range(j):
-                s = s - mu[i][k] * mu[j][k] * norms[k]
-            mu[i][j] = s / norms[j]
-        s = _to_field(gram[i][i])
-        for k in range(i):
-            s = s - mu[i][k] * mu[i][k] * norms[k]
-        if not s > 0:
-            raise ValueError("Gram matrix is not positive definite")
-        norms[i] = s
-    return mu, norms
-
-
-def _to_field(x):
-    return Fraction(x) if isinstance(x, int) else x
 
 
 def integral_gso(gram):
@@ -63,7 +34,8 @@ def integral_gso(gram):
     LLL, Alg. 2.6.7) on a Gram matrix whose entries are all ints or all
     QuadScalars with integer coordinates: every intermediate value is a minor
     of the Gram matrix, so each division by d_k is exact in Z or Z[sqrt(m)].
-    Raises ValueError if the matrix is not positive definite.
+    Raises NotPositiveDefiniteError (a ValueError) if the matrix is not
+    positive definite.
     """
     n = len(gram)
     quad = any(isinstance(e, QuadScalar) for row in gram for e in row)
@@ -82,7 +54,7 @@ def integral_gso(gram):
             if j < i:
                 lam_i[j] = u
             elif not u > 0:
-                raise ValueError("Gram matrix is not positive definite")
+                raise NotPositiveDefiniteError("Gram matrix is not positive definite")
             else:
                 d[i + 1] = u
     return d, lam

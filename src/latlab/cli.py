@@ -375,11 +375,12 @@ def _cmd_group(args, out) -> int:
     if args.subcommand == "adsys":
         matrix, _ = documents.matrix_from_doc(doc)
         result = groups.adjoint_systole(matrix, args.height)
+        witness = [[print_scalar(e) for e in result.witness.row(i)]
+                   for i in range(result.witness.rows)]
         _emit(
             {
                 "min_norm_sq": print_scalar(result.min_norm_sq),
-                "witness": [[print_scalar(e) for e in result.witness.row(i)]
-                            for i in range(result.witness.rows)],
+                "witness": witness,
                 "witness_nilpotent": result.witness_nilpotent,
             },
             args.format,
@@ -387,7 +388,7 @@ def _cmd_group(args, out) -> int:
                 "min ||Ad(g)X||_F^2 = %s over trace-zero integer X with "
                 "entries bounded by %d" % (print_scalar(result.min_norm_sq),
                                            args.height),
-                "witness: %s" % (result.witness.to_rows(),),
+                "witness: %s" % (witness,),
                 "witness nilpotent (trace test): %s"
                 % ("yes" if result.witness_nilpotent else "no"),
             ],

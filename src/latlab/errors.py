@@ -11,3 +11,7 @@ class BudgetExceededError(RuntimeError):
 
 class DocumentError(ValueError):
     """A JSON input document is malformed or violates its schema."""
+
+
+class NotPositiveDefiniteError(ValueError):
+    """A Gram matrix that must be positive definite is not."""

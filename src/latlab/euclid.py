@@ -16,13 +16,14 @@ the systole characterizes relatively compact families of lattices.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from math import gcd
 
-from . import _svp, enumeration
-from ._svp import IntRing, QuadIntRing, gso_from_gram
+from . import enumeration
+from .errors import NotPositiveDefiniteError
 from .matrices import ExactMatrix
-from .scalars import QuadScalar, as_fraction, denominator_lcm, sign
+from .scalars import QuadScalar, sign
 
 
 class EuclideanLattice:
@@ -30,9 +31,11 @@ class EuclideanLattice:
 
     ``basis`` is a sequence of column vectors; the rank may be smaller than
     the ambient dimension (orthogonal projections produce such lattices).
+    ``form`` is the Gram matrix scaled into Z or Z[sqrt(m)] with its integral
+    Gram-Schmidt data, computed once here and read by every invariant.
     """
 
-    __slots__ = ("basis", "rank", "ambient", "gram", "_covol_sq")
+    __slots__ = ("basis", "rank", "ambient", "gram", "form")
 
     def __init__(self, basis):
         basis = [tuple(_norm_entry(e) for e in v) for v in basis]
@@ -49,14 +52,10 @@ class EuclideanLattice:
         self.gram = tuple(
             tuple(_dot(u, v) for v in self.basis) for u in self.basis
         )
-        # the Gram determinant is the last leading minor of the integral GSO
-        ring_gram, scale, m = enumeration._scale_gram(self.gram)
         try:
-            d, _ = _svp.integral_gso(ring_gram)
-        except ValueError:
+            self.form = enumeration.IntegralGram(self.gram)
+        except NotPositiveDefiniteError:
             raise ValueError("basis vectors are linearly dependent") from None
-        scale **= self.rank
-        self._covol_sq = Fraction(d[-1], scale) if m is None else d[-1] / scale
 
     @property
     def dim(self) -> int:
@@ -124,17 +123,26 @@ class MahlerReport:
 
 
 def covol_sq(lattice: EuclideanLattice):
-    """Squared covolume = determinant of the Gram matrix (exact, positive)."""
-    return lattice._covol_sq
+    """Squared covolume = determinant of the Gram matrix (exact, positive):
+    the last leading minor of the scaled Gram matrix, scaled back."""
+    form = lattice.form
+    return form.unscale(form.d[-1], lattice.rank)
 
 
 def gso(lattice: EuclideanLattice):
     """Exact Gram-Schmidt data: (mu as a lower-triangular unit matrix,
-    squared norms of the orthogonalized vectors)."""
-    mu, norms = gso_from_gram([list(r) for r in lattice.gram])
+    squared norms of the orthogonalized vectors).
+
+    Read off the integral data of the scaled Gram matrix: mu_ij = lam_ij /
+    d_(j+1) and B_i = d_(i+1) / (d_i * scale).
+    """
+    form = lattice.form
+    d, lam = form.d, form.lam
+    div = Fraction if form.m is None else operator.truediv
     n = lattice.rank
-    rows = [[mu[i][j] if j < i else Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
+    rows = [[div(lam[i][j], d[j + 1]) if j < i else Fraction(int(i == j))
+             for j in range(n)] for i in range(n)]
+    norms = [div(d[i + 1], d[i] * form.scale) for i in range(n)]
     return ExactMatrix.from_rows(rows), norms
 
 
@@ -145,9 +153,7 @@ def systole_sq(lattice: EuclideanLattice, node_budget=None):
     vector; raises BudgetExceededError if the enumeration tree is larger than
     the budget.
     """
-    value, witness, _ = enumeration.shortest_vector(
-        [list(r) for r in lattice.gram], node_budget
-    )
+    value, witness, _ = enumeration.shortest_vector(lattice.form, node_budget)
     return value, witness
 
 
@@ -288,33 +294,31 @@ def _xgcd(a: int, b: int):
 def complete_primitive(coeffs):
     """A unimodular integer matrix (rows x cols) whose first column is coeffs.
 
-    Requires gcd(coeffs) = 1.  Built from pairwise extended-gcd row
-    operations, then inverted exactly.
+    Requires gcd(coeffs) = 1.  Pairwise extended-gcd row steps take coeffs
+    to e_1; the inverse of each step is applied as a column operation, which
+    builds the inverse of their product directly.
     """
     n = len(coeffs)
     if _vector_gcd(coeffs) != 1:
         raise ValueError("vector is not primitive")
     v = [int(c) for c in coeffs]
-    u_rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(1, n):
         a, b = v[0], v[i]
         if b == 0:
             continue
         g, s, t = _xgcd(a, b)
-        # row0 <- s*row0 + t*rowi ; rowi <- -(b/g)*row0 + (a/g)*rowi
+        # row step on (0, i): [[s, t], [p, q]]; its inverse [[q, -t], [-p, s]]
         p, q = -(b // g), a // g
-        row0 = u_rows[0]
-        rowi = u_rows[i]
-        u_rows[0] = [s * x + t * y for x, y in zip(row0, rowi)]
-        u_rows[i] = [p * x + q * y for x, y in zip(row0, rowi)]
+        for row in out:
+            x, y = row[0], row[i]
+            row[0], row[i] = q * x - p * y, s * y - t * x
         v[0], v[i] = g, 0
     if v[0] == -1:
-        u_rows[0] = [-x for x in u_rows[0]]
+        for row in out:
+            row[0] = -row[0]
         v[0] = 1
     assert v[0] == 1
-    u = ExactMatrix.from_rows(u_rows)
-    y = u.inv()
-    out = [[int(Fraction(y[i, j])) for j in range(n)] for i in range(n)]
     assert [out[i][0] for i in range(n)] == [int(c) for c in coeffs]
     return out
 
@@ -349,63 +353,54 @@ def reduce_bounded(lattice: EuclideanLattice, a, node_budget=None) -> EuclideanL
     cv = covol_sq(lattice)
     if not sign(a * a - cv) > 0:
         raise ValueError("precondition failed: covol(L) < a")
-    syst, _ = systole_sq(lattice, node_budget)
+    syst, witness = systole_sq(lattice, node_budget)
     if not sign(syst * a * a - 1) > 0:
         raise ValueError("precondition failed: syst(L) > 1/a")
-    transform = _reduce_gram([list(r) for r in lattice.gram], node_budget)
+    transform = _reduce(lattice.form, witness, node_budget)
     n = lattice.rank
     new_basis = [lattice.vector([transform[r][c] for r in range(n)])
                  for c in range(n)]
     return EuclideanLattice(new_basis)
 
 
-def _reduce_gram(gram, node_budget):
-    """Unimodular transform (list of rows) reducing the given Gram matrix."""
+def _reduce(form, witness, node_budget):
+    """Unimodular transform (list of rows) reducing the Gram matrix of
+    ``form``, given a shortest vector ``witness`` of it.
+
+    Runs on the ring Gram matrix G.  With Y a unimodular completion of the
+    witness and gy = Y^T G Y, the projection onto the witness's orthogonal
+    complement has Gram matrix gy_ij - gy_i0 gy_j0 / vv (vv = gy_00, i, j >=
+    1); its positive multiple vv gy_ij - gy_i0 gy_j0 is integral and has the
+    same search tree and shortest vectors.  Each lifted column is shifted
+    along the witness by the nearest integer to its component zv / vv.
+    """
+    gram, ring = form.gram, form.ring
     n = len(gram)
-    if n == 1:
-        return [[1]]
-    _, witness, _ = enumeration.shortest_vector(gram, node_budget)
-    completion = complete_primitive(list(witness))
-    # Gram in the completed basis
-    gm = ExactMatrix.from_rows(gram)
-    ym = ExactMatrix.from_rows(completion)
-    gy = ym.transpose() * gm * ym
-    vv = gy[0, 0]
-    projected = [
-        [gy[i, j] - gy[i, 0] * gy[j, 0] / vv for j in range(1, n)]
-        for i in range(1, n)
-    ]
-    sub = _reduce_gram(projected, node_budget)
-    cols = [[completion[r][0] for r in range(n)]]
+    y = complete_primitive(witness)
+    gy = _congruent(gram, y, ring.zero)
+    vv = gy[0][0]
+    sub = [[1]]
+    if n > 2:
+        sub_form = enumeration.IntegralGram(
+            [[vv * gy[i][j] - gy[i][0] * gy[j][0] for j in range(1, n)]
+             for i in range(1, n)])
+        _, sub_witness, _ = enumeration.shortest_vector(sub_form, node_budget)
+        sub = _reduce(sub_form, sub_witness, node_budget)
+    cols = [[y[r][0] for r in range(n)]]
     for c in range(n - 1):
-        z = [sum(completion[r][1 + k] * sub[k][c] for k in range(n - 1))
-             for r in range(n)]
-        # component along v in the original Gram metric
-        zv = _apply_gram(gram, z, [completion[r][0] for r in range(n)])
-        shift = _nearest_fraction(zv / vv)
+        z = [sum(y[r][1 + k] * sub[k][c] for k in range(n - 1)) for r in range(n)]
+        zv = sum((sub[k][c] * gy[1 + k][0] for k in range(n - 1)), start=ring.zero)
+        shift = ring.nearest(zv, vv)
         if shift:
-            z = [zi - shift * completion[r][0] for r, zi in enumerate(z)]
+            z = [zi - shift * y[r][0] for r, zi in enumerate(z)]
         cols.append(z)
     return [[cols[c][r] for c in range(n)] for r in range(n)]
 
 
-def _apply_gram(gram, x, y):
+def _congruent(gram, y, zero):
+    """Y^T G Y in ring arithmetic for an integer matrix Y (list of rows)."""
     n = len(gram)
-    acc = Fraction(0)
-    for i in range(n):
-        if x[i] == 0:
-            continue
-        for j in range(n):
-            if y[j] != 0:
-                acc = acc + gram[i][j] * (x[i] * y[j])
-    return acc
-
-
-def _nearest_fraction(t) -> int:
-    """Nearest integer to an exact scalar (ties round up)."""
-    if isinstance(t, QuadScalar) and t.b != 0:
-        den = denominator_lcm([t])
-        num = QuadScalar(int(t.a * den), int(t.b * den), t.m)
-        return QuadIntRing(t.m).nearest(num, QuadScalar(den, 0, t.m))
-    t = as_fraction(t)
-    return IntRing.nearest(t.numerator, t.denominator)
+    gy = [[sum((gram[i][k] * y[k][c] for k in range(n) if y[k][c]), start=zero)
+           for c in range(n)] for i in range(n)]
+    return [[sum((y[k][r] * gy[k][c] for k in range(n) if y[k][r]), start=zero)
+             for c in range(n)] for r in range(n)]

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import isqrt
 
 from ._svp import quad_form_value, witness_key
-from .enumeration import _scale_gram
+from .enumeration import DEFAULT_NODE_BUDGET, IntegralGram
+from .errors import BudgetExceededError
 from .matrices import ExactMatrix
 from .numfield import NumberFieldDesc, IntegerRing, ring_of_integers
 from .scalars import QuadScalar, conjugate, denominator_lcm, sign
@@ -253,7 +254,8 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int) -> AdjointSystole:
     row-major order, so the coordinates of X are its row-major entries
     without the last one, which the trace forces.  The box is scanned on the
     Gram matrix scaled into Z or Z[sqrt(m)]; on these coordinates
-    witness_key orders ties as the row-major entries do.
+    witness_key orders ties as the row-major entries do.  A box of more than
+    DEFAULT_NODE_BUDGET points raises BudgetExceededError before the scan.
     """
     if not g.is_square or g.rows < 2:
         raise ValueError("adjoint systole needs a square matrix of size >= 2")
@@ -262,6 +264,11 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int) -> AdjointSystole:
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be positive")
     n = g.rows
+    points = (2 * coeff_bound + 1) ** (n * n - 1)
+    if points > DEFAULT_NODE_BUDGET:
+        raise BudgetExceededError(
+            "adjoint systole box of height %d exceeds the budget of %d points"
+            % (coeff_bound, DEFAULT_NODE_BUDGET), budget=DEFAULT_NODE_BUDGET)
     last = n - 1
     g_inv = g.inv()
     # row-major entries of g B g^-1 for each basis matrix B
@@ -269,23 +276,21 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int) -> AdjointSystole:
                for a in range(n) for b in range(n)]
               for i in range(n) for j in range(n) if (i, j) != (last, last)]
     gram = [[sum(x * y for x, y in zip(u, v)) for v in images] for u in images]
-    ring_gram, scale, m = _scale_gram(gram)
-    zero = 0 if m is None else QuadScalar(0, 0, m)
+    form = IntegralGram(gram)
     diag = [i * n + i for i in range(last)]
     best = None
     rng = range(-coeff_bound, coeff_bound + 1)
     for coords in itertools.product(rng, repeat=n * n - 1):
         if abs(sum(coords[k] for k in diag)) > coeff_bound or not any(coords):
             continue
-        value = quad_form_value(ring_gram, coords, zero)
+        value = quad_form_value(form.gram, coords, form.ring.zero)
         if best is None or value < best:
             best, best_key = value, witness_key(coords)
         elif value == best:
             best_key = min(best_key, witness_key(coords))
     trace_rest = sum(best_key[1][k] for k in diag)
     witness = ExactMatrix(n, n, list(best_key[1]) + [-trace_rest])
-    value = Fraction(best, scale) if m is None else best / scale
-    return AdjointSystole(value, witness, is_nilpotent(witness))
+    return AdjointSystole(form.unscale(best), witness, is_nilpotent(witness))
 
 
 # -- isotropic vectors and the transvection witness ----------------------------------

@@ -94,6 +94,35 @@ def brute_force_minimum(gram):
     return Fraction(best), minimizers
 
 
+def gso_from_gram(gram):
+    """Exact Gram-Schmidt data (mu, B) of a positive-definite Gram matrix in
+    the fraction field: the oracle of the fraction-free integral GSO.
+
+    Entries may be ints, Fractions, or QuadScalars.  Raises ValueError if the
+    matrix is not positive definite.
+    """
+    n = len(gram)
+    mu = [[None] * n for _ in range(n)]
+    norms = [None] * n
+    for i in range(n):
+        for j in range(i):
+            s = _to_field(gram[i][j])
+            for k in range(j):
+                s = s - mu[i][k] * mu[j][k] * norms[k]
+            mu[i][j] = s / norms[j]
+        s = _to_field(gram[i][i])
+        for k in range(i):
+            s = s - mu[i][k] * mu[i][k] * norms[k]
+        if not s > 0:
+            raise ValueError("Gram matrix is not positive definite")
+        norms[i] = s
+    return mu, norms
+
+
+def _to_field(x):
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def oracle_witness_key(vec):
     """Independent restatement of the canonical witness order."""
     first = next(i for i, t in enumerate(vec) if t != 0)

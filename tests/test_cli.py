@@ -243,7 +243,16 @@ def test_group_adsys_quadratic_field(write_doc):
     code, out, err = run_cli(["group", "adsys", doc, "--height", "2"])
     assert code == 0 and err == ""
     assert out.startswith("min ||Ad(g)X||_F^2 = 17-12*sqrt(2) over trace-zero")
+    assert "\nwitness: [['0', '0'], ['1', '0']]\n" in out
     assert out.endswith("witness nilpotent (trace test): yes\n")
+
+
+def test_group_adsys_box_over_budget_exits_three(write_doc):
+    # 601^3 box points: refused before the scan, not scanned for hours
+    doc = write_doc({"field": None, "matrix": [["2", "1"], ["1", "1"]]})
+    code, out, err = run_cli(["group", "adsys", doc, "--height", "300"])
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "budget" in err
 
 
 def test_resk_element_golden(write_doc):

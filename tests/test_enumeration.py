@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latlab import _svp
-from latlab.enumeration import BudgetExceededError, shortest_vector
+from latlab.enumeration import BudgetExceededError, IntegralGram, shortest_vector
 from latlab.scalars import QuadScalar
 
-from conftest import brute_force_minimum, oracle_witness_key, random_integer_basis
+from conftest import (
+    brute_force_minimum,
+    gso_from_gram,
+    oracle_witness_key,
+    random_integer_basis,
+)
 
 
 def _gram_of(basis):
@@ -17,20 +22,20 @@ def _gram_of(basis):
 
 
 def test_identity_lattice():
-    value, witness, nodes = shortest_vector([[1, 0], [0, 1]])
+    value, witness, nodes = shortest_vector(IntegralGram([[1, 0], [0, 1]]))
     assert value == 1 and witness == (1, 0) and nodes > 0
 
 
 def test_budget_exhaustion():
     with pytest.raises(BudgetExceededError):
-        shortest_vector([[1, 0], [0, 1]], node_budget=2)
+        shortest_vector(IntegralGram([[1, 0], [0, 1]]), node_budget=2)
 
 
 def test_agrees_with_brute_force(rnd):
     for _ in range(60):
         basis = random_integer_basis(rnd, 3)
         gram = _gram_of(basis)
-        value, witness, _ = shortest_vector(gram)
+        value, witness, _ = shortest_vector(IntegralGram(gram))
         oracle_value, minimizers = brute_force_minimum(gram)
         assert value == oracle_value
         canonical = min(oracle_witness_key(v) for v in minimizers)[1]
@@ -40,7 +45,7 @@ def test_agrees_with_brute_force(rnd):
 def test_rational_gram_scaling():
     gram = [[Fraction(1), Fraction(9, 10)],
             [Fraction(9, 10), Fraction(82, 100)]]
-    value, witness, _ = shortest_vector(gram)
+    value, witness, _ = shortest_vector(IntegralGram(gram))
     assert value == Fraction(1, 50)
     assert witness == (1, -1)
 
@@ -49,7 +54,7 @@ def test_quadratic_gram():
     # Gram of the basis (1, 0), (sqrt(2), 1) over Q(sqrt(2))
     s = QuadScalar(0, 1, 2)
     gram = [[QuadScalar(1, 0, 2), s], [s, QuadScalar(3, 0, 2)]]
-    value, witness, _ = shortest_vector(gram)
+    value, witness, _ = shortest_vector(IntegralGram(gram))
     assert value == QuadScalar(1, 0, 2)
     assert witness == (1, 0)
 
@@ -58,7 +63,7 @@ def test_quadratic_gram_with_irrational_minimum():
     # diag(3 - sqrt(2), 4): minimum is the irrational 3 - sqrt(2)
     gram = [[QuadScalar(3, -1, 2), QuadScalar(0, 0, 2)],
             [QuadScalar(0, 0, 2), QuadScalar(4, 0, 2)]]
-    value, witness, _ = shortest_vector(gram)
+    value, witness, _ = shortest_vector(IntegralGram(gram))
     assert value == QuadScalar(3, -1, 2)
     assert witness == (1, 0)
 
@@ -66,18 +71,18 @@ def test_quadratic_gram_with_irrational_minimum():
 def test_imaginary_gram_rejected():
     gram = [[QuadScalar(1, 1, -1)]]
     with pytest.raises(ValueError):
-        shortest_vector(gram)
+        shortest_vector(IntegralGram(gram))
 
 
 def test_not_positive_definite_rejected():
     with pytest.raises(ValueError):
-        shortest_vector([[1, 0], [0, -1]])
+        shortest_vector(IntegralGram([[1, 0], [0, -1]]))
 
 
 def test_deterministic_node_counts():
     gram = _gram_of([[3, 1, 0], [1, 2, 1], [0, 1, 4]])
-    first = shortest_vector(gram)
-    second = shortest_vector(gram)
+    first = shortest_vector(IntegralGram(gram))
+    second = shortest_vector(IntegralGram(gram))
     assert first == second
 
 
@@ -95,7 +100,7 @@ def test_pure_fallback_on_huge_entries():
     # entries far beyond machine-word range
     big = 1 << 80
     gram = [[big, 1], [1, 2]]
-    value, witness, _ = shortest_vector(gram)
+    value, witness, _ = shortest_vector(IntegralGram(gram))
     assert value == 2 and witness == (0, 1)
 
 
@@ -144,7 +149,7 @@ def _ring_square(draw, symmetric):
 
 def _oracle_integral_gso(gram):
     """d and lam derived from the fraction-field Gram-Schmidt data."""
-    mu, norms = _svp.gso_from_gram(gram)
+    mu, norms = gso_from_gram(gram)
     n = len(gram)
     d = [Fraction(1)]
     for b in norms:

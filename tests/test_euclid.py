@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latlab import (
     EuclideanLattice,
@@ -21,6 +21,7 @@ from latlab.scalars import QuadScalar, print_scalar
 
 from conftest import (
     apply_basis_change,
+    gso_from_gram,
     random_lattice,
     random_unimodular,
     vector_norm_sq,
@@ -94,6 +95,30 @@ def test_gso_product_identity(rnd):
         for b in norms:
             prod *= b
         assert prod == covol_sq(lat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring_basis())
+def test_gso_matches_fraction_gso(case):
+    # over Q, Q(sqrt 2), Q(sqrt 5), from the integral data of the lattice
+    _, basis = case
+    gram = [[sum((x * y for x, y in zip(u, v)), start=Fraction(0)) for v in basis]
+            for u in basis]
+    if ExactMatrix.from_rows(gram).det() == 0:
+        return
+    lattice = EuclideanLattice(basis)
+    mu, norms = gso(lattice)
+    oracle_mu, oracle_norms = gso_from_gram(gram)
+    n = lattice.rank
+    assert [[mu[i, j] for j in range(i)] for i in range(n)] == \
+        [[oracle_mu[i][j] for j in range(i)] for i in range(n)]
+    assert all(mu[i, i] == 1 and all(mu[i, j] == 0 for j in range(i + 1, n))
+               for i in range(n))
+    assert norms == oracle_norms
+    prod = Fraction(1)
+    for b in norms:
+        prod = b * prod
+    assert prod == covol_sq(lattice)
 
 
 def test_systole_examples():
@@ -198,6 +223,44 @@ def test_reduce_same_lattice_and_bounds(rnd):
         bound = bound_cache.setdefault(n, reduction_constant(n, 2.0))
         for i in range(n):
             assert math.sqrt(float(reduced.gram[i][i])) <= bound + 1e-9
+
+
+@st.composite
+def _reducible_lattice(draw):
+    """(lattice, a) with a full-rank basis over Z or Z[sqrt(2)] and the
+    smallest integer a >= 2 that passes both preconditions."""
+    m = draw(st.sampled_from([None, 2]))
+    n = draw(st.integers(1, 4 if m is None else 3))
+    if m is None:
+        elem = st.builds(Fraction, st.integers(-4, 4))
+    else:
+        elem = st.builds(lambda a, b: QuadScalar(a, b, m),
+                         st.integers(-3, 3), st.integers(-2, 2))
+    basis = [[draw(elem) for _ in range(n)] for _ in range(n)]
+    gram = [[sum((x * y for x, y in zip(u, v)), start=Fraction(0)) for v in basis]
+            for u in basis]
+    assume(ExactMatrix.from_rows(gram).det() != 0)
+    lattice = EuclideanLattice(basis)
+    syst, _ = systole_sq(lattice)
+    a = Fraction(2)
+    while not (a * a > covol_sq(lattice) and syst * a * a > 1):
+        a += 1
+    return lattice, a
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reducible_lattice())
+def test_reduce_bounded_properties(case):
+    lattice, a = case
+    n = lattice.rank
+    reduced = reduce_bounded(lattice, a)
+    transform = lattice.basis_matrix().inv() * reduced.basis_matrix()
+    assert transform.is_integral()
+    assert transform.det() in (1, -1)
+    bound = reduction_constant(n, float(a))
+    for i in range(n):
+        assert math.sqrt(float(reduced.gram[i][i])) <= bound * (1 + 1e-9)
+    assert reduced.gram[0][0] == systole_sq(lattice)[0]
 
 
 def test_reduce_precondition_errors():

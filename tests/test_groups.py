@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from latlab.enumeration import DEFAULT_NODE_BUDGET
+from latlab.errors import BudgetExceededError
 from latlab.groups import (
     DiagForm,
     GroupSpec,
@@ -166,6 +168,16 @@ def test_adjoint_systole_validation():
         adjoint_systole(ExactMatrix.from_rows([[2, 0], [0, 1]]), 2)
     with pytest.raises(ValueError):
         adjoint_systole(ExactMatrix.identity(1), 2)   # no nonzero trace-zero X
+
+
+def test_adjoint_systole_box_budget():
+    # 101^3 > DEFAULT_NODE_BUDGET box points are refused before the scan
+    assert 101 ** 3 > DEFAULT_NODE_BUDGET >= 5 ** 8
+    g = ExactMatrix.from_rows([[2, 1], [1, 1]])
+    with pytest.raises(BudgetExceededError):
+        adjoint_systole(g, 50)
+    with pytest.raises(BudgetExceededError):
+        adjoint_systole(ExactMatrix.identity(4), 1)     # 3^15 points
 
 
 def _adjoint_by_candidates(g, h):
