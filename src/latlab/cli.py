@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=None,
                         help="enumeration node budget (default: LATLAB_BUDGET or %d)"
                         % DEFAULT_NODE_BUDGET)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for family computations")
     top = parser.add_subparsers(dest="command", required=True)
 
     lattice = top.add_parser("lattice", help="Euclidean lattice invariants")
@@ -168,8 +166,7 @@ def _cmd_lattice(args, out) -> int:
     if args.subcommand == "mahler":
         family = [documents.lattice_from_doc(documents.load_json(p))
                   for p in args.documents]
-        report = euclid.mahler_report(family, node_budget=budget,
-                                      workers=max(1, args.workers))
+        report = euclid.mahler_report(family, node_budget=budget)
         _emit(
             {
                 "sup_covol_sq": print_scalar(report.sup_covol_sq),

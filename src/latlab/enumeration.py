@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import _svp
 from .errors import BudgetExceededError  # re-exported for callers
-from .scalars import QuadScalar, as_fraction, denominator_lcm
+from .scalars import clear_denominators, quadratic_field_of
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -48,24 +48,13 @@ class IntegralGram:
     def __init__(self, gram):
         if len(gram) == 0:
             raise ValueError("empty Gram matrix")
-        m = None
-        for row in gram:
-            for e in row:
-                if isinstance(e, QuadScalar) and e.b != 0:
-                    if m is None:
-                        if e.m < 0:
-                            raise ValueError(
-                                "no exact ordering over an imaginary quadratic field")
-                        m = e.m
-                    elif e.m != m:
-                        raise ValueError("mixed quadratic fields in one Gram matrix")
-        scale = denominator_lcm(e for row in gram for e in row)
-        if m is None:
-            self.gram = [[int(as_fraction(e) * scale) for e in row] for row in gram]
-            self.ring = _svp.IntRing
-        else:
-            self.gram = [[_scale_quad(e, scale, m) for e in row] for row in gram]
-            self.ring = _svp.QuadIntRing(m)
+        m = quadratic_field_of(e for row in gram for e in row)
+        if m is not None and m < 0:
+            raise ValueError("no exact ordering over an imaginary quadratic field")
+        scale, entries = clear_denominators((e for row in gram for e in row), m)
+        entries = iter(entries)
+        self.gram = [[next(entries) for _ in row] for row in gram]
+        self.ring = _svp.IntRing if m is None else _svp.QuadIntRing(m)
         self.scale, self.m = scale, m
         self.d, self.lam = _svp.integral_gso(self.gram)
 
@@ -74,11 +63,6 @@ class IntegralGram:
         to the field of the given matrix (a Fraction or a QuadScalar)."""
         scale = self.scale ** power
         return Fraction(value, scale) if self.m is None else value / scale
-
-
-def _scale_quad(e, scale, m):
-    a, b = (e.a, e.b) if isinstance(e, QuadScalar) else (e, 0)
-    return QuadScalar(int(a * scale), int(b * scale), m)
 
 
 def shortest_vector(form: IntegralGram, node_budget=None):

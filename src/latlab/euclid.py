@@ -179,7 +179,7 @@ def ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def mahler_report(family, node_budget=None, workers: int = 1) -> MahlerReport:
+def mahler_report(family, node_budget=None) -> MahlerReport:
     """Exact sup of covol^2 and inf of syst^2 over a finite family."""
     family = list(family)
     if not family:
@@ -187,14 +187,7 @@ def mahler_report(family, node_budget=None, workers: int = 1) -> MahlerReport:
     rank = family[0].rank
     if any(lat.rank != rank for lat in family):
         raise ValueError("family mixes lattice dimensions")
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_mahler_pair,
-                                  [(lat, node_budget) for lat in family]))
-    else:
-        pairs = [_mahler_pair((lat, node_budget)) for lat in family]
+    pairs = [(covol_sq(lat), systole_sq(lat, node_budget)[0]) for lat in family]
     sup_cv = pairs[0][0]
     inf_sy = pairs[0][1]
     for cv, sy in pairs[1:]:
@@ -204,11 +197,6 @@ def mahler_report(family, node_budget=None, workers: int = 1) -> MahlerReport:
             inf_sy = sy
     bounded = sign(inf_sy) > 0
     return MahlerReport(len(family), sup_cv, inf_sy, bounded)
-
-
-def _mahler_pair(args):
-    lattice, budget = args
-    return covol_sq(lattice), systole_sq(lattice, budget)[0]
 
 
 # -- projection and reduction -----------------------------------------------------

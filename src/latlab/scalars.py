@@ -308,6 +308,42 @@ def denominator_lcm(values) -> int:
     return out
 
 
+def quadratic_field_of(values):
+    """The m of the values with a nonzero sqrt(m) part, or None when every
+    value is rational; ValueError if two quadratic fields mix."""
+    m = None
+    for x in values:
+        if isinstance(x, QuadScalar) and x.b != 0:
+            if m is None:
+                m = x.m
+            elif x.m != m:
+                raise ValueError("cannot mix Q(sqrt(%d)) and Q(sqrt(%d))" % (m, x.m))
+    return m
+
+
+def clear_denominators(values, m=None):
+    """(scale, ring values) with scale = denominator_lcm(values): every value
+    times scale, as an int for m None (the values must be rational) or as a
+    QuadScalar with integer coordinates in Z[sqrt(m)]."""
+    values = list(values)
+    scale = denominator_lcm(values)
+    out = []
+    for x in values:
+        if isinstance(x, QuadScalar):
+            a, b = x.a, x.b
+            if b != 0 and x.m != m:
+                raise ValueError("%s does not lie in Q%s"
+                                 % (x, "" if m is None else "(sqrt(%d))" % m))
+        else:
+            a, b = x, 0
+        a = a.numerator * (scale // a.denominator)
+        if m is None:
+            out.append(a)
+        else:
+            out.append(QuadScalar(a, b.numerator * (scale // b.denominator), m))
+    return scale, out
+
+
 # -- parsing / printing ------------------------------------------------------
 
 _RAT_PART = r"[+-]?\d+(?:\s*/\s*\d+)?"

@@ -1,6 +1,7 @@
-"""Shared helpers: random lattice generation and an independent brute-force
+"""Shared helpers: random lattice generation, an independent brute-force
 shortest-vector oracle (box enumeration over the dual bound, no shared code
-path with the tree search)."""
+path with the tree search), and ExactMatrix-product oracles of the witness
+verification in latlab.groups."""
 
 import random
 from fractions import Fraction
@@ -137,6 +138,39 @@ def vector_norm_sq(lattice, coeffs):
     for e in v:
         acc = acc + e * e
     return acc
+
+
+def oracle_preserves_form(g, form):
+    """Exact test transpose(g) * A * g == A for A = diag(coeffs), by
+    ExactMatrix products: the oracle of groups.preserves_form."""
+    n = form.nvars
+    if g.rows != n or g.cols != n:
+        raise ValueError("matrix size does not match the form")
+    a = form.matrix()
+    return g.transpose() * a * g == a
+
+
+def oracle_is_nilpotent(x):
+    """X^n = 0, cross-checked against the exact trace test tr(X^j) = 0, by
+    ExactMatrix products: the oracle of groups.is_nilpotent."""
+    if not x.is_square:
+        raise ValueError("nilpotency is for square matrices")
+    n = x.rows
+    power_test = (x ** n).is_zero()
+    trace_test = True
+    p = ExactMatrix.identity(n)
+    for _ in range(n):
+        p = p * x
+        if p.trace() != 0:
+            trace_test = False
+            break
+    if power_test != trace_test:
+        raise AssertionError("power and trace nilpotency tests disagree")
+    return power_test
+
+
+def oracle_is_unipotent(g):
+    return oracle_is_nilpotent(g - ExactMatrix.identity(g.rows))
 
 
 @pytest.fixture

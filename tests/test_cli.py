@@ -212,6 +212,19 @@ def test_group_verdict_witness_payload(write_doc):
     assert "witness" in payload and "Godement" in payload["criterion"]
 
 
+def test_group_verdict_sl40_both_formats(write_doc):
+    # the I + E12 witness of SL(40) is verified on sparse ring powers
+    doc = write_doc({"kind": "SL", "n": 40, "field": {"quad": None}})
+    code, out, err = run_cli(["group", "verdict", doc])
+    assert code == 0 and out.startswith("NotUniform") and err == ""
+    code, out, err = run_cli(["--format", "json", "group", "verdict", doc])
+    assert code == 0 and err == ""
+    payload = loads_strict(out)
+    assert payload["status"] == "NotUniform"
+    witness = payload["witness"]
+    assert len(witness) == 40 and witness[0][:3] == ["1", "1", "0"]
+
+
 def test_group_unipotent(write_doc):
     doc = write_doc({"field": None, "matrix": [["1", "1"], ["0", "1"]]})
     code, out, _ = run_cli(["--format", "json", "group", "unipotent", doc])
@@ -353,16 +366,6 @@ def test_budget_exhaustion_exit_three(write_doc, monkeypatch):
     monkeypatch.setenv("LATLAB_BUDGET", "2")
     code, out, err = run_cli(["lattice", "systole", doc])
     assert code == 3
-
-
-def test_mahler_workers_flag(write_doc):
-    docs = [write_doc({"dim": 2, "field": None,
-                       "basis": [[str(t), "0"], ["0", "1/%d" % t]]})
-            for t in range(1, 4)]
-    base = run_cli(["--format", "json", "lattice", "mahler"] + docs)
-    par = run_cli(["--format", "json", "--workers", "2", "lattice", "mahler"]
-                  + docs)
-    assert base == par and base[0] == 0
 
 
 def test_quadratic_lattice_document(write_doc):

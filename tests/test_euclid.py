@@ -294,14 +294,6 @@ def test_mahler_errors():
         mahler_report([EuclideanLattice.standard(2), EuclideanLattice.standard(3)])
 
 
-def test_mahler_workers_deterministic():
-    family = [EuclideanLattice([[Fraction(t), 0], [0, Fraction(1, t)]])
-              for t in range(1, 6)]
-    seq = mahler_report(family, workers=1)
-    par = mahler_report(family, workers=2)
-    assert (seq.sup_covol_sq, seq.inf_syst_sq) == (par.sup_covol_sq, par.inf_syst_sq)
-
-
 def test_quadratic_field_lattice():
     s = QuadScalar(0, 1, 2)
     lat = EuclideanLattice([[QuadScalar(1, 0, 2), QuadScalar(0, 0, 2)],

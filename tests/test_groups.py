@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from latlab import groups
 from latlab.enumeration import DEFAULT_NODE_BUDGET
 from latlab.errors import BudgetExceededError
 from latlab.groups import (
@@ -25,7 +27,12 @@ from latlab.matrices import ExactMatrix
 from latlab.numfield import NumberFieldDesc
 from latlab.scalars import QuadScalar
 
-from conftest import random_unimodular
+from conftest import (
+    oracle_is_nilpotent,
+    oracle_is_unipotent,
+    oracle_preserves_form,
+    random_unimodular,
+)
 
 K2 = NumberFieldDesc(m=2)
 SQRT2 = QuadScalar(0, 1, 2)
@@ -328,3 +335,118 @@ def test_group_spec_validation():
         DiagForm([1])
     with pytest.raises(ValueError):
         DiagForm([1, 0])
+
+
+# -- witness verification on ring integers against the ExactMatrix oracles ----------
+
+FIELDS = [None, 2, 3, 5]
+
+
+def _field_desc(m):
+    return None if m is None else NumberFieldDesc(m=m)
+
+
+def _rational(big=True):
+    """Rationals with denominators; with ``big``, some with 300-digit numerators."""
+    small = st.integers(-6, 6)
+    return st.builds(Fraction,
+                     st.one_of(small, st.integers(-10**300, 10**300)) if big else small,
+                     st.integers(1, 12))
+
+
+def _scalar(m, big=True):
+    if m is None:
+        return _rational(big)
+    return st.builds(lambda a, b: QuadScalar(a, b, m), _rational(big), _rational(big))
+
+
+def _nonzero(m, big=True):
+    return _scalar(m, big).filter(lambda x: x != 0)
+
+
+@st.composite
+def _conjugated_nilpotent(draw):
+    """u N u^-1 for a strictly upper-triangular N (some 300-digit entries)
+    and an invertible u with small entries."""
+    m = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 4))
+    strict = [[draw(_scalar(m)) if j > i else 0 for j in range(n)] for i in range(n)]
+    u = ExactMatrix.from_rows(
+        [[draw(_nonzero(m, False)) if i == j else (draw(_scalar(m, False)) if j > i else 0)
+          for j in range(n)] for i in range(n)])
+    lower = ExactMatrix.from_rows(
+        [[1 if i == j else (draw(st.integers(-3, 3)) if j < i else 0)
+          for j in range(n)] for i in range(n)])
+    u = lower * u
+    return u * ExactMatrix.from_rows(strict) * u.inv()
+
+
+@st.composite
+def _square(draw):
+    m = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    return ExactMatrix.from_rows([[draw(_scalar(m)) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def _isotropic_form(draw):
+    """(form, isotropic vector) over Q or Q(sqrt m), built around the vector."""
+    m = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(3, 5))
+    v = [draw(_scalar(m)) for _ in range(n - 1)] + [draw(_nonzero(m))]
+    d = [draw(_nonzero(m, False)) for _ in range(n - 1)]
+    rest = sum((di * vi * vi for di, vi in zip(d, v)), Fraction(0))
+    assume(rest != 0)
+    last = -rest / (v[-1] * v[-1])
+    return DiagForm(d + [last], _field_desc(m)), tuple(v)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_conjugated_nilpotent(), st.sampled_from([0, Fraction(1, 7), 3]))
+def test_nilpotent_matches_oracle_on_conjugated_strict(x, shift):
+    n = x.rows
+    shifted = x + shift * ExactMatrix.identity(n)
+    assert is_nilpotent(x) and oracle_is_nilpotent(x)
+    assert is_nilpotent(shifted) == oracle_is_nilpotent(shifted) == (shift == 0)
+    g = ExactMatrix.identity(n) + x
+    assert is_unipotent(g) and oracle_is_unipotent(g)
+    assert is_unipotent(g + shifted) == oracle_is_unipotent(g + shifted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square())
+def test_nilpotent_matches_oracle_on_random_matrices(x):
+    assert is_nilpotent(x) == oracle_is_nilpotent(x)
+    assert is_unipotent(x) == oracle_is_unipotent(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_isotropic_form(), st.data())
+def test_transvection_verification_matches_oracle(form_and_vector, data):
+    form, v = form_and_vector
+    n = form.nvars
+    g = unipotent_from_isotropic(form, v)
+    assert preserves_form(g, form) and oracle_preserves_form(g, form)
+    assert is_unipotent(g) and oracle_is_unipotent(g)
+    assert not g.is_identity()
+    # a multiple of the form has the same orthogonal group
+    scaled = DiagForm([Fraction(-5, 3) * c for c in form.coeffs], form.field)
+    assert preserves_form(g, scaled)
+    # one perturbed entry
+    m = form.field.m if form.field is not None else None
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows = g.to_rows()
+    rows[i][j] = rows[i][j] + data.draw(_nonzero(m))
+    h = ExactMatrix.from_rows(rows)
+    assert preserves_form(h, form) == oracle_preserves_form(h, form)
+    assert is_unipotent(h) == oracle_is_unipotent(h)
+
+
+def test_nilpotency_cross_check_raises_on_a_wrong_power(monkeypatch):
+    # tr(X) = 1, so X is not nilpotent; a product that wrongly returns zero
+    # rows makes the power test claim X^2 = 0, which the trace test refutes
+    x = ExactMatrix.from_rows([[1, 1], [0, 0]])
+    assert not is_nilpotent(x)
+    monkeypatch.setattr(groups, "_sparse_row_times", lambda row, x_rows: {})
+    with pytest.raises(AssertionError, match="disagree"):
+        is_nilpotent(x)

@@ -6,10 +6,12 @@ import pytest
 
 from latlab.scalars import (
     QuadScalar,
+    clear_denominators,
     conjugate,
     factorize,
     parse_scalar,
     print_scalar,
+    quadratic_field_of,
     sign,
     validate_field_param,
 )
@@ -154,3 +156,22 @@ def test_ordering_operators():
     assert QuadScalar(0, 1, 2) > 1
     assert QuadScalar(0, 1, 2) < Fraction(3, 2)
     assert QuadScalar(1, 1, 2) >= QuadScalar(1, 1, 2)
+
+
+def test_clear_denominators_into_the_ring():
+    half, r2 = Fraction(1, 2), QuadScalar(Fraction(1, 3), Fraction(1, 4), 2)
+    values = [half, r2, 3, QuadScalar(Fraction(2, 5), 0, 7)]
+    assert quadratic_field_of(values) == 2
+    scale, ring = clear_denominators(values, 2)
+    assert scale == 60
+    assert ring == [QuadScalar(30, 0, 2), QuadScalar(20, 15, 2),
+                    QuadScalar(180, 0, 2), QuadScalar(24, 0, 2)]
+    assert all(type(x.a) is int and type(x.b) is int for x in ring)
+    assert clear_denominators([half, 3, QuadScalar(Fraction(2, 5), 0, 7)]) == (10, [5, 30, 4])
+    assert quadratic_field_of([half, 3]) is None
+    with pytest.raises(ValueError):
+        quadratic_field_of([r2, QuadScalar(0, 1, 3)])
+    with pytest.raises(ValueError):
+        clear_denominators([r2])
+    with pytest.raises(ValueError):
+        clear_denominators([r2], 3)
