@@ -179,13 +179,22 @@ def quad_form_value(gram, x, zero):
     return acc
 
 
-def search(gram, d, lam, c0, seed, budget, ring):
+def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
     """Minimize x^T G x over nonzero integer x; returns (value, witness, nodes).
 
     ``c0``/``seed`` give the starting bound (a diagonal entry and its unit
     vector).  The bound shrinks as soon as a shorter vector is found; equal
     values are tie-broken by :func:`witness_key`.  Raises BudgetExceededError
     once more than ``budget`` nodes have been visited.
+
+    ``box`` (an int H >= 1) restricts every coordinate to [-H, H]: each
+    level's sweep starts at the interval center clamped into the box and stops
+    at the box edge.  The term of a level is convex in x_i with its minimum at
+    the center, so it is monotone on each side of the clamped start and the
+    first rejected value still ends a sweep exactly.  ``accept`` is a
+    predicate on the complete coordinate vector, checked at the leaves; only
+    accepted vectors compete.  One of each pair {x, -x} is visited, so
+    ``accept`` must be symmetric, and it must admit ``seed``.
     """
     n = len(gram)
     den = [d[i] * d[i + 1] for i in range(n)]
@@ -223,6 +232,8 @@ def search(gram, d, lam, c0, seed, budget, ring):
             if i == 0:
                 if not (suffix_zero and xi == 0):
                     x[0] = xi
+                    if accept is not None and not accept(x):
+                        return True
                     value = quad_form_value(gram, x, ring.zero)
                     if value < best_q:
                         best_q = value
@@ -239,7 +250,16 @@ def search(gram, d, lam, c0, seed, budget, ring):
                       suffix_zero and xi == 0)
             return True
 
-        if suffix_zero:
+        if box is not None:
+            start = 0 if suffix_zero else min(max(ring.nearest(-s, di1), -box), box)
+            for xi in range(start, box + 1):
+                if not attempt(xi):
+                    break
+            if not suffix_zero:
+                for xi in range(start - 1, -box - 1, -1):
+                    if not attempt(xi):
+                        break
+        elif suffix_zero:
             xi = 0
             while attempt(xi):
                 xi += 1

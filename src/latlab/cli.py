@@ -370,8 +370,9 @@ def _cmd_group(args, out) -> int:
         )
         return EXIT_OK
     if args.subcommand == "adsys":
+        budget = args.budget if args.budget is not None else _default_budget()
         matrix, _ = documents.matrix_from_doc(doc)
-        result = groups.adjoint_systole(matrix, args.height)
+        result = groups.adjoint_systole(matrix, args.height, budget)
         witness = [[print_scalar(e) for e in result.witness.row(i)]
                    for i in range(result.witness.rows)]
         _emit(

@@ -65,17 +65,26 @@ class IntegralGram:
         return Fraction(value, scale) if self.m is None else value / scale
 
 
-def shortest_vector(form: IntegralGram, node_budget=None):
+def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=None):
     """Exact (min_value, witness, nodes) of x^T G x over nonzero integer x.
 
     ``form`` is the :class:`IntegralGram` of the Gram matrix G.  The returned
     value is a Fraction for rational input and a QuadScalar for input over a
-    real quadratic field.
+    real quadratic field.  ``box`` (an int H >= 1) restricts every coordinate
+    to [-H, H], and ``accept`` (a predicate on the coordinate list, symmetric
+    under x -> -x) restricts the minimum to the vectors it admits; it must
+    admit the unit vector of the smallest diagonal entry, which seeds the
+    search.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     if budget < 1:
         raise ValueError("node budget must be positive")
     c0, seed = _svp.initial_bound(form.gram)
+    if box is not None:
+        assert box >= 1, "a box must contain the unit vectors"
+    if accept is not None:
+        assert accept(list(seed)) and accept([-t for t in seed]), \
+            "accept must admit the unit-vector seed and its negative"
     value, witness, nodes = _svp.search(form.gram, form.d, form.lam, c0, seed,
-                                        budget, form.ring)
+                                        budget, form.ring, box, accept)
     return form.unscale(value), witness, nodes

@@ -351,7 +351,7 @@ def reduce_bounded(lattice: EuclideanLattice, a, node_budget=None) -> EuclideanL
     return EuclideanLattice(new_basis)
 
 
-def _reduce(form, witness, node_budget):
+def _reduce(form, witness, node_budget, pivot=None):
     """Unimodular transform (list of rows) reducing the Gram matrix of
     ``form``, given a shortest vector ``witness`` of it.
 
@@ -359,8 +359,14 @@ def _reduce(form, witness, node_budget):
     witness and gy = Y^T G Y, the projection onto the witness's orthogonal
     complement has Gram matrix gy_ij - gy_i0 gy_j0 / vv (vv = gy_00, i, j >=
     1); its positive multiple vv gy_ij - gy_i0 gy_j0 is integral and has the
-    same search tree and shortest vectors.  Each lifted column is shifted
-    along the witness by the nearest integer to its component zv / vv.
+    same search tree and shortest vectors.  Below the top level that multiple
+    is divided by ``pivot``, the vv of the level above (fraction-free
+    Gaussian elimination, Bareiss): by Sylvester's identity the quotient is
+    a minor of the transformed Gram matrix, so it lies in Z or Z[sqrt(m)]
+    and IntegralGram takes it back into the ring with scale 1, and the
+    entries do not double in size at each level.  Each lifted column is
+    shifted along the witness by the nearest integer to its component
+    zv / vv.
     """
     gram, ring = form.gram, form.ring
     n = len(gram)
@@ -369,11 +375,14 @@ def _reduce(form, witness, node_budget):
     vv = gy[0][0]
     sub = [[1]]
     if n > 2:
-        sub_form = enumeration.IntegralGram(
-            [[vv * gy[i][j] - gy[i][0] * gy[j][0] for j in range(1, n)]
-             for i in range(1, n)])
+        minors = [[vv * gy[i][j] - gy[i][0] * gy[j][0] for j in range(1, n)]
+                  for i in range(1, n)]
+        if pivot is not None:
+            inverse = Fraction(1, pivot) if isinstance(pivot, int) else pivot.inverse()
+            minors = [[e * inverse for e in row] for row in minors]
+        sub_form = enumeration.IntegralGram(minors)
         _, sub_witness, _ = enumeration.shortest_vector(sub_form, node_budget)
-        sub = _reduce(sub_form, sub_witness, node_budget)
+        sub = _reduce(sub_form, sub_witness, node_budget, vv)
     cols = [[y[r][0] for r in range(n)]]
     for c in range(n - 1):
         z = [sum(y[r][1 + k] * sub[k][c] for k in range(n - 1)) for r in range(n)]

@@ -14,9 +14,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from ._svp import quad_form_value, witness_key
-from .enumeration import DEFAULT_NODE_BUDGET, IntegralGram
-from .errors import BudgetExceededError
+from . import enumeration
 from .matrices import ExactMatrix
 from .numfield import NumberFieldDesc, IntegerRing, ring_of_integers
 from .scalars import (QuadScalar, clear_denominators, conjugate, quadratic_field_of,
@@ -293,7 +291,7 @@ class AdjointSystole:
             self.min_norm_sq, self.witness.to_rows(), self.witness_nilpotent)
 
 
-def adjoint_systole(g: ExactMatrix, coeff_bound: int) -> AdjointSystole:
+def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> AdjointSystole:
     """Minimum of ||g X g^-1||_F^2 over the nonzero integer trace-zero
     matrices X with entries bounded by coeff_bound, over Q or Q(sqrt(m));
     reports whether the witness is nilpotent by the trace test.
@@ -301,10 +299,14 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int) -> AdjointSystole:
     X -> ||g X g^-1||_F^2 is a quadratic form.  Its exact Gram matrix is
     built once on the trace-zero basis E_ij (i != j), E_ii - E_nn in
     row-major order, so the coordinates of X are its row-major entries
-    without the last one, which the trace forces.  The box is scanned on the
-    Gram matrix scaled into Z or Z[sqrt(m)]; on these coordinates
-    witness_key orders ties as the row-major entries do.  A box of more than
-    DEFAULT_NODE_BUDGET points raises BudgetExceededError before the scan.
+    without the last one, which the trace forces.  The box is searched on
+    the Gram matrix scaled into Z or Z[sqrt(m)] by the exact enumeration
+    with every coordinate clamped to [-coeff_bound, coeff_bound] and the
+    forced entry (minus the sum of the other diagonal coordinates) bounded
+    at the leaves; on these coordinates witness_key orders ties as the
+    row-major entries do.  Raises BudgetExceededError once the search
+    visits more than ``node_budget`` nodes (enumeration.DEFAULT_NODE_BUDGET
+    if None).
     """
     if not g.is_square or g.rows < 2:
         raise ValueError("adjoint systole needs a square matrix of size >= 2")
@@ -313,11 +315,6 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int) -> AdjointSystole:
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be positive")
     n = g.rows
-    points = (2 * coeff_bound + 1) ** (n * n - 1)
-    if points > DEFAULT_NODE_BUDGET:
-        raise BudgetExceededError(
-            "adjoint systole box of height %d exceeds the budget of %d points"
-            % (coeff_bound, DEFAULT_NODE_BUDGET), budget=DEFAULT_NODE_BUDGET)
     last = n - 1
     g_inv = g.inv()
     # row-major entries of g B g^-1 for each basis matrix B
@@ -325,21 +322,17 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int) -> AdjointSystole:
                for a in range(n) for b in range(n)]
               for i in range(n) for j in range(n) if (i, j) != (last, last)]
     gram = [[sum(x * y for x, y in zip(u, v)) for v in images] for u in images]
-    form = IntegralGram(gram)
     diag = [i * n + i for i in range(last)]
-    best = None
-    rng = range(-coeff_bound, coeff_bound + 1)
-    for coords in itertools.product(rng, repeat=n * n - 1):
-        if abs(sum(coords[k] for k in diag)) > coeff_bound or not any(coords):
-            continue
-        value = quad_form_value(form.gram, coords, form.ring.zero)
-        if best is None or value < best:
-            best, best_key = value, witness_key(coords)
-        elif value == best:
-            best_key = min(best_key, witness_key(coords))
-    trace_rest = sum(best_key[1][k] for k in diag)
-    witness = ExactMatrix(n, n, list(best_key[1]) + [-trace_rest])
-    return AdjointSystole(form.unscale(best), witness, is_nilpotent(witness))
+
+    def forced_entry_in_box(coords):
+        return abs(sum(coords[k] for k in diag)) <= coeff_bound
+
+    value, coords, _ = enumeration.shortest_vector(
+        enumeration.IntegralGram(gram), node_budget, box=coeff_bound,
+        accept=forced_entry_in_box)
+    trace_rest = sum(coords[k] for k in diag)
+    witness = ExactMatrix(n, n, list(coords) + [-trace_rest])
+    return AdjointSystole(value, witness, is_nilpotent(witness))
 
 
 # -- isotropic vectors and the transvection witness ----------------------------------

@@ -1,8 +1,10 @@
 """Shared helpers: random lattice generation, an independent brute-force
 shortest-vector oracle (box enumeration over the dual bound, no shared code
-path with the tree search), and ExactMatrix-product oracles of the witness
-verification in latlab.groups."""
+path with the tree search), the box scan that is the oracle of the adjoint
+systole search, and ExactMatrix-product oracles of the witness verification
+in latlab.groups."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -10,6 +12,8 @@ from math import isqrt
 import pytest
 
 from latlab import EuclideanLattice, ExactMatrix
+from latlab._svp import quad_form_value, witness_key
+from latlab.enumeration import IntegralGram
 
 
 def random_integer_basis(rnd, n, lo=-5, hi=5):
@@ -93,6 +97,35 @@ def brute_force_minimum(gram):
 
     rec(0, [])
     return Fraction(best), minimizers
+
+
+def adjoint_box_scan(g, h):
+    """(value, witness) of the adjoint systole by scanning the whole box: the
+    (2h+1)^(n^2-1) trace-zero coordinate vectors with entries in [-h, h] and
+    forced last diagonal entry in [-h, h], valued on the exact Gram matrix of
+    X -> ||g X g^-1||_F^2 (trace-zero basis E_ij, E_ii - E_nn, row-major) and
+    tie-broken by witness_key: the oracle of groups.adjoint_systole."""
+    n = g.rows
+    last = n - 1
+    g_inv = g.inv()
+    images = [[g[a, i] * g_inv[j, b] - (g[a, last] * g_inv[last, b] if i == j else 0)
+               for a in range(n) for b in range(n)]
+              for i in range(n) for j in range(n) if (i, j) != (last, last)]
+    form = IntegralGram([[sum(x * y for x, y in zip(u, v)) for v in images]
+                         for u in images])
+    diag = [i * n + i for i in range(last)]
+    best = None
+    for coords in itertools.product(range(-h, h + 1), repeat=n * n - 1):
+        if abs(sum(coords[k] for k in diag)) > h or not any(coords):
+            continue
+        value = quad_form_value(form.gram, coords, form.ring.zero)
+        if best is None or value < best:
+            best, best_key = value, witness_key(coords)
+        elif value == best:
+            best_key = min(best_key, witness_key(coords))
+    coords = best_key[1]
+    witness = ExactMatrix(n, n, list(coords) + [-sum(coords[k] for k in diag)])
+    return form.unscale(best), witness
 
 
 def gso_from_gram(gram):

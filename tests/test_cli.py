@@ -3,11 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latlab import cli
+from latlab.matrices import ExactMatrix
+from latlab.scalars import QuadScalar, print_scalar
 
 
 def _reject_constant(name):
@@ -72,6 +77,78 @@ def test_byte_identical_output(write_doc):
     first = run_cli(["--format", "json", "lattice", "systole", doc])
     second = run_cli(["--format", "json", "lattice", "systole", doc])
     assert first == second and first[0] == 0
+
+
+def _scalars(m):
+    """Small scalars of Q, or of Q(sqrt(m)) for m not None."""
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    if m is None:
+        return rational
+    return st.builds(lambda a, b: QuadScalar(a, b, m), rational, st.integers(-2, 2))
+
+
+def _sl_rows(draw, n, m):
+    """A product of shears (determinant 1) as rows of scalar-grammar strings."""
+    g = ExactMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        rows[i][j] = draw(_scalars(m))
+        g = g * ExactMatrix.from_rows(rows)
+    return [[print_scalar(e) for e in g.row(i)] for i in range(n)]
+
+
+@st.composite
+def _cli_case(draw):
+    """(argv without the document, document) for `lattice systole`,
+    `group verdict` or `group adsys` over Q, Q(sqrt 2) or Q(sqrt 5)."""
+    m = draw(st.sampled_from([None, 2, 5]))
+    texts = _scalars(m).map(print_scalar)
+    command = draw(st.sampled_from(["systole", "verdict", "adsys"]))
+    if command == "systole":
+        n = draw(st.integers(1, 3))
+        doc = {"dim": n, "field": None if m is None else {"m": m},
+               "basis": [[draw(texts) for _ in range(n)] for _ in range(n)]}
+        return ["lattice", "systole"], doc
+    if command == "verdict":
+        coeffs = draw(st.lists(texts, min_size=3, max_size=4))
+        doc = {"kind": "SO", "coeffs": coeffs, "field": {"quad": m}}
+        return ["group", "verdict", "--height", str(draw(st.integers(1, 2)))], doc
+    n = draw(st.integers(2, 3))
+    doc = {"field": {"quad": m}, "matrix": _sl_rows(draw, n, m)}
+    height = draw(st.integers(1, 3 if n == 2 else 1))
+    return ["group", "adsys", "--height", str(height)], doc
+
+
+def _shuffled_keys(obj, rnd):
+    """The same document with the keys of every object in a random order."""
+    if isinstance(obj, dict):
+        keys = list(obj)
+        rnd.shuffle(keys)
+        return {k: _shuffled_keys(obj[k], rnd) for k in keys}
+    if isinstance(obj, list):
+        return [_shuffled_keys(v, rnd) for v in obj]
+    return obj
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cli_case(), st.randoms(use_true_random=False))
+def test_json_output_byte_stable(case, rnd):
+    """Repeated runs, and documents that differ only in key order, print the
+    same bytes and exit with the same code."""
+    argv, doc = case
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        for variant in (doc, _shuffled_keys(doc, rnd)):
+            Path(path).write_text(json.dumps(variant))
+            for _ in range(2):
+                runs.append(run_cli(["--format", "json"] + argv[:2] + [path] + argv[2:]))
+    assert runs.count(runs[0]) == len(runs)
+    code, out, _ = runs[0]
+    if code in (0, 2):
+        payload = loads_strict(out)
+        assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_lattice_reduce(write_doc):
@@ -260,12 +337,25 @@ def test_group_adsys_quadratic_field(write_doc):
     assert out.endswith("witness nilpotent (trace test): yes\n")
 
 
-def test_group_adsys_box_over_budget_exits_three(write_doc):
-    # 601^3 box points: refused before the scan, not scanned for hours
+def test_group_adsys_height_300_answers(write_doc):
+    # a box of 601^3 points, searched in 48 nodes
     doc = write_doc({"field": None, "matrix": [["2", "1"], ["1", "1"]]})
-    code, out, err = run_cli(["group", "adsys", doc, "--height", "300"])
+    code, out, err = run_cli(["--format", "json", "group", "adsys", doc,
+                              "--height", "300"])
+    assert code == 0 and err == ""
+    assert loads_strict(out) == {"min_norm_sq": "1", "schema": 1,
+                                 "witness": [["1", "1"], ["-1", "-1"]],
+                                 "witness_nilpotent": True}
+
+
+def test_group_adsys_small_budget_exits_three(write_doc, monkeypatch):
+    doc = write_doc({"field": None, "matrix": [["2", "1"], ["1", "1"]]})
+    code, out, err = run_cli(["--budget", "5", "group", "adsys", doc,
+                              "--height", "300"])
     assert code == 3 and out == "" and err.count("\n") == 1
     assert "budget" in err
+    monkeypatch.setenv("LATLAB_BUDGET", "5")
+    assert run_cli(["group", "adsys", doc, "--height", "300"]) == (3, out, err)
 
 
 def test_resk_element_golden(write_doc):

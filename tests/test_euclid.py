@@ -16,12 +16,14 @@ from latlab import (
     reduction_constant,
     systole_sq,
 )
+from latlab import enumeration
 from latlab.matrices import ExactMatrix
 from latlab.scalars import QuadScalar, print_scalar
 
 from conftest import (
     apply_basis_change,
     gso_from_gram,
+    random_integer_basis,
     random_lattice,
     random_unimodular,
     vector_norm_sq,
@@ -137,6 +139,40 @@ def test_systole_witness_reverifies(rnd):
         lat = random_lattice(rnd, 3)
         value, witness = systole_sq(lat)
         assert vector_norm_sq(lat, witness) == value
+
+
+@st.composite
+def _basis_and_transform(draw):
+    """(lattice, U): a full-rank basis over Z, Z[sqrt 2] or Z[sqrt 5] and a
+    random unimodular integer matrix U."""
+    m = draw(st.sampled_from([None, 2, 5]))
+    n = draw(st.integers(1, 4 if m is None else 3))
+    if m is None:
+        elem = st.integers(-4, 4)
+    else:
+        elem = st.builds(lambda a, b: QuadScalar(a, b, m),
+                         st.integers(-3, 3), st.integers(-2, 2))
+    basis = [[draw(elem) for _ in range(n)] for _ in range(n)]
+    assume(ExactMatrix.from_rows(basis).det() != 0)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return EuclideanLattice(basis), random_unimodular(random.Random(seed), n,
+                                                      steps=8, shear=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_basis_and_transform())
+def test_systole_unimodular_invariance(case):
+    """The systole does not depend on the basis, and the witness found in the
+    new basis B*U maps back by U to a vector of the same norm."""
+    lattice, u = case
+    n = lattice.rank
+    value, _ = systole_sq(lattice)
+    changed = apply_basis_change(lattice, u)
+    new_value, new_witness = systole_sq(changed)
+    assert new_value == value
+    mapped = [sum(int(u[i, j]) * new_witness[j] for j in range(n)) for i in range(n)]
+    assert changed.vector(new_witness) == lattice.vector(mapped)
+    assert vector_norm_sq(lattice, mapped) == value
 
 
 def test_hermite_examples():
@@ -261,6 +297,32 @@ def test_reduce_bounded_properties(case):
     for i in range(n):
         assert math.sqrt(float(reduced.gram[i][i])) <= bound * (1 + 1e-9)
     assert reduced.gram[0][0] == systole_sq(lattice)[0]
+
+
+def test_reduce_entries_stay_minors(rnd, monkeypatch):
+    """Each recursion level of reduce_bounded divides its projected Gram
+    matrix by the pivot of the level above (Bareiss), so its entries are
+    minors of a transformed Gram matrix and do not double in size per level:
+    on these 7-dim bases with 8-bit Gram entries the widest entry takes 35
+    bits, and 171 bits without the division."""
+    widest = {}
+    original = enumeration.IntegralGram
+
+    def spy(gram):
+        form = original(gram)
+        bits = max(abs(e).bit_length() for row in form.gram for e in row)
+        widest[len(gram)] = max(widest.get(len(gram), 0), bits)
+        return form
+
+    monkeypatch.setattr(enumeration, "IntegralGram", spy)
+    for _ in range(20):
+        lattice = EuclideanLattice(random_integer_basis(rnd, 7))
+        a = math.isqrt(int(covol_sq(lattice))) + 2
+        reduced = reduce_bounded(lattice, a)
+        transform = lattice.basis_matrix().inv() * reduced.basis_matrix()
+        assert transform.is_integral() and transform.det() in (1, -1)
+    assert widest[7] <= 8 and sorted(widest) == [2, 3, 4, 5, 6, 7]
+    assert max(widest.values()) <= 64
 
 
 def test_reduce_precondition_errors():

@@ -2,10 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latlab import groups
-from latlab.enumeration import DEFAULT_NODE_BUDGET
 from latlab.errors import BudgetExceededError
 from latlab.groups import (
     DiagForm,
@@ -28,6 +27,7 @@ from latlab.numfield import NumberFieldDesc
 from latlab.scalars import QuadScalar
 
 from conftest import (
+    adjoint_box_scan,
     oracle_is_nilpotent,
     oracle_is_unipotent,
     oracle_preserves_form,
@@ -177,14 +177,19 @@ def test_adjoint_systole_validation():
         adjoint_systole(ExactMatrix.identity(1), 2)   # no nonzero trace-zero X
 
 
-def test_adjoint_systole_box_budget():
-    # 101^3 > DEFAULT_NODE_BUDGET box points are refused before the scan
-    assert 101 ** 3 > DEFAULT_NODE_BUDGET >= 5 ** 8
+def test_adjoint_systole_node_budget():
+    # the box search visits 48 nodes where the box has 601^3 points
     g = ExactMatrix.from_rows([[2, 1], [1, 1]])
+    res = adjoint_systole(g, 300)
+    assert res.min_norm_sq == 1
+    assert res.witness == ExactMatrix.from_rows([[1, 1], [-1, -1]])
+    assert res.witness_nilpotent
+    res = adjoint_systole(ExactMatrix.identity(4), 1)     # 3^15 box points
+    assert (res.min_norm_sq, res.witness) == (1, _e(0, 1, 4))
     with pytest.raises(BudgetExceededError):
-        adjoint_systole(g, 50)
-    with pytest.raises(BudgetExceededError):
-        adjoint_systole(ExactMatrix.identity(4), 1)     # 3^15 points
+        adjoint_systole(g, 300, node_budget=5)
+    with pytest.raises(ValueError):
+        adjoint_systole(g, 3, node_budget=0)
 
 
 def _adjoint_by_candidates(g, h):
@@ -243,6 +248,48 @@ def test_adjoint_systole_matches_candidate_loop_diagonal():
 
 def test_adjoint_systole_matches_candidate_loop_sl3(rnd):
     _assert_matches_oracle(_sl_shears(rnd, 3, 4), 1)
+
+
+_UNITS = {2: QuadScalar(1, 1, 2), 5: QuadScalar(Fraction(1, 2), Fraction(1, 2), 5)}
+
+
+@st.composite
+def _adjoint_case(draw):
+    """(g, h): g of determinant 1 over Q, Q(sqrt 2) or Q(sqrt 5), a product of
+    shears and one diagonal element, with n = 2 at heights 1-5 or n = 3 at
+    height 1."""
+    m = draw(st.sampled_from([None, 2, 5]))
+    n = draw(st.integers(2, 3))
+    h = draw(st.integers(1, 5)) if n == 2 else 1
+    if m is None:
+        scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+        diagonal = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+    else:
+        scalar = st.builds(lambda a, b: QuadScalar(a, b, m),
+                           st.integers(-4, 4), st.integers(-3, 3))
+        diagonal = st.builds(lambda k: _UNITS[m] ** k, st.integers(-2, 2))
+    g = ExactMatrix.identity(n)
+    # long products put the unconstrained minimum outside the box
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        rows[i][j] = draw(scalar)
+        g = g * ExactMatrix.from_rows(rows)
+    t = draw(diagonal)
+    rows = [[int(a == b) for b in range(n)] for a in range(n)]
+    rows[0][0], rows[1][1] = t, 1 / t
+    return g * ExactMatrix.from_rows(rows), h
+
+
+@settings(max_examples=60, deadline=None)
+@given(_adjoint_case())
+# diag(1, 1, -2) commutes with g and would win, but its last entry leaves the box
+@example((ExactMatrix.from_rows([[1, -2, 0], [-4, 9, 0], [0, 0, 1]]), 1))
+def test_adjoint_systole_matches_box_scan(case):
+    g, h = case
+    res = adjoint_systole(g, h)
+    assert (res.min_norm_sq, res.witness) == adjoint_box_scan(g, h)
+    assert res.witness_nilpotent == oracle_is_nilpotent(res.witness)
 
 
 def test_adjoint_systole_over_quadratic_field():
