@@ -29,7 +29,10 @@ EXIT_INCONCLUSIVE = 2
 EXIT_BUDGET = 3
 
 
-def _default_budget() -> int:
+def _budget(args) -> int:
+    """--budget, else LATLAB_BUDGET, else the default node budget."""
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get("LATLAB_BUDGET")
     if env is None:
         return DEFAULT_NODE_BUDGET
@@ -162,7 +165,7 @@ def _rational(e) -> Fraction:
 
 
 def _cmd_lattice(args, out) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     if args.subcommand == "mahler":
         family = [documents.lattice_from_doc(documents.load_json(p))
                   for p in args.documents]
@@ -224,15 +227,15 @@ def _cmd_lattice(args, out) -> int:
         reduced = euclid.reduce_bounded(lattice, a, budget)
         bound = _reduction_bound(lattice.rank, a)
         norms = [_sqrt_approx(reduced.gram[i][i]) for i in range(reduced.rank)]
+        basis = documents.printed_rows(reduced.basis)
         _emit(
             {
-                "basis": [[print_scalar(e) for e in vec] for vec in reduced.basis],
+                "basis": basis,
                 "norms_approx": norms,
                 "bound_approx": bound,
             },
             args.format,
-            ["reduced basis: %s"
-             % ([[print_scalar(e) for e in vec] for vec in reduced.basis],),
+            ["reduced basis: %s" % (basis,),
              "norms = %s, bound C(n,a) %s"
              % (norms, "beyond float range" if bound is None
                 else "= %.6g" % bound)],
@@ -243,7 +246,7 @@ def _cmd_lattice(args, out) -> int:
 
 
 def _cmd_field(args, out) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     field = documents.numberfield_from_doc(documents.load_json(args.document))
     if args.subcommand == "signature":
         sig = numfield.signature(field)
@@ -294,18 +297,18 @@ def _cmd_field(args, out) -> int:
         ring = numfield.ring_of_integers(field)
         lattice = numfield.minkowski_lattice(ring)
         syst = numfield.o_discreteness_check(ring, budget)
+        gram = documents.printed_rows(lattice.gram)
+        covol = print_scalar(euclid.covol_sq(lattice))
         _emit(
             {
-                "gram": [[print_scalar(e) for e in row] for row in lattice.gram],
-                "covol_sq": print_scalar(euclid.covol_sq(lattice)),
+                "gram": gram,
+                "covol_sq": covol,
                 "min_norm_sq": print_scalar(syst),
             },
             args.format,
             [
-                "trace-form Gram matrix: %s"
-                % ([[print_scalar(e) for e in row] for row in lattice.gram],),
-                "covol_sq = %s (field discriminant)"
-                % print_scalar(euclid.covol_sq(lattice)),
+                "trace-form Gram matrix: %s" % (gram,),
+                "covol_sq = %s (field discriminant)" % covol,
                 "shortest image norm^2 = %s > 0: the integer ring is discrete"
                 % print_scalar(syst),
             ],
@@ -322,10 +325,7 @@ def _verdict_payload(verdict: groups.Verdict) -> dict:
         "criterion": verdict.criterion,
     }
     if verdict.witness is not None:
-        payload["witness"] = [
-            [print_scalar(e) for e in verdict.witness.row(i)]
-            for i in range(verdict.witness.rows)
-        ]
+        payload["witness"] = documents.printed_rows(verdict.witness.to_rows())
     if verdict.isotropic_vector is not None:
         payload["isotropic_vector"] = [print_scalar(v)
                                        for v in verdict.isotropic_vector]
@@ -342,17 +342,16 @@ def _cmd_group(args, out) -> int:
         spec = documents.group_from_doc(doc)
         if args.height < 1:
             raise DocumentError("--height must be positive")
-        verdict = groups.uniformity_verdict(spec, height=args.height)
+        budget = _budget(args)
+        verdict = groups.uniformity_verdict(spec, args.height, budget)
+        payload = _verdict_payload(verdict)
         lines = ["%s (%s)" % (verdict.status, verdict.reason),
                  "criterion: %s" % verdict.criterion]
-        if verdict.witness is not None:
-            lines.append("witness: %s"
-                         % ([[print_scalar(e) for e in verdict.witness.row(i)]
-                             for i in range(verdict.witness.rows)],))
-        if verdict.isotropic_vector is not None:
-            lines.append("isotropic vector: %s"
-                         % ([print_scalar(v) for v in verdict.isotropic_vector],))
-        _emit(_verdict_payload(verdict), args.format, lines, out)
+        if "witness" in payload:
+            lines.append("witness: %s" % (payload["witness"],))
+        if "isotropic_vector" in payload:
+            lines.append("isotropic vector: %s" % (payload["isotropic_vector"],))
+        _emit(payload, args.format, lines, out)
         return EXIT_INCONCLUSIVE if verdict.status == groups.Verdict.INCONCLUSIVE \
             else EXIT_OK
     if args.subcommand == "unipotent":
@@ -370,11 +369,10 @@ def _cmd_group(args, out) -> int:
         )
         return EXIT_OK
     if args.subcommand == "adsys":
-        budget = args.budget if args.budget is not None else _default_budget()
+        budget = _budget(args)
         matrix, _ = documents.matrix_from_doc(doc)
         result = groups.adjoint_systole(matrix, args.height, budget)
-        witness = [[print_scalar(e) for e in result.witness.row(i)]
-                   for i in range(result.witness.rows)]
+        witness = documents.printed_rows(result.witness.to_rows())
         _emit(
             {
                 "min_norm_sq": print_scalar(result.min_norm_sq),
@@ -410,9 +408,7 @@ def _cmd_resk(args, out) -> int:
             payload,
             args.format,
             [
-                "restricted 2x2 model: %s"
-                % ([[print_scalar(e) for e in restricted.matrix.row(i)]
-                    for i in range(2)],),
+                "restricted 2x2 model: %s" % (payload["matrix"],),
                 "characteristic polynomial (ascending): %s"
                 % (payload["charpoly"],),
             ],
@@ -429,9 +425,7 @@ def _cmd_resk(args, out) -> int:
             payload,
             args.format,
             ["restricted %dx%d rational matrix: %s"
-             % (restricted.matrix.rows, restricted.matrix.cols,
-                [[print_scalar(e) for e in restricted.matrix.row(i)]
-                 for i in range(restricted.matrix.rows)])],
+             % (restricted.matrix.rows, restricted.matrix.cols, payload["matrix"])],
             out,
         )
         return EXIT_OK

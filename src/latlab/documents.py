@@ -81,11 +81,17 @@ def lattice_from_doc(doc) -> EuclideanLattice:
         raise DocumentError(str(exc))
 
 
+def printed_rows(rows):
+    """Rows of scalars (matrix rows or basis vectors) as rows of strings in
+    the scalar grammar."""
+    return [[print_scalar(e) for e in row] for row in rows]
+
+
 def lattice_to_doc(lattice: EuclideanLattice, m: int | None = None) -> dict:
     return {
         "dim": lattice.rank,
         "field": None if m is None else {"m": m},
-        "basis": [[print_scalar(e) for e in vec] for vec in lattice.basis],
+        "basis": printed_rows(lattice.basis),
     }
 
 
@@ -114,8 +120,7 @@ def matrix_from_doc(doc):
 def matrix_to_doc(matrix: ExactMatrix, m: int | None = None) -> dict:
     return {
         "field": None if m is None else {"quad": m},
-        "matrix": [[print_scalar(e) for e in matrix.row(i)]
-                   for i in range(matrix.rows)],
+        "matrix": printed_rows(matrix.to_rows()),
     }
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt
 
 from . import enumeration
+from .errors import BudgetExceededError
 from .matrices import ExactMatrix
-from .numfield import NumberFieldDesc, IntegerRing, ring_of_integers
+from .numfield import NumberFieldDesc, ring_of_integers
 from .scalars import (QuadScalar, clear_denominators, conjugate, quadratic_field_of,
                       sign)
 
@@ -350,175 +350,78 @@ def _form_m(form):
     return form.field.m if form.field and form.field.is_quadratic else None
 
 
-def _height_order(height: int):
-    order = [0]
-    for k in range(1, height + 1):
-        order.extend((k, -k))
-    return order
-
-
-def isotropic_search(form: DiagForm, height: int):
+def isotropic_search(form: DiagForm, height: int, node_budget=None):
     """A nonzero zero of the form with integer-ring coordinates of height <=
-    ``height``, or None.  The first coordinate is solved algebraically from
-    the rest, so the search space is the (n-1)-fold coordinate box; the inner
-    loop runs on plain integers with perfect-square rejection.
+    ``height``, or None.
+
+    Each ring element x = p + q*omega of the height box (q = 0 over Q) is
+    written (u + w*sqrt(m))/2, so that for a coefficient c = e + f*sqrt(m)
+    cleared of denominators 4*c*x^2 is the integer pair
+    (e*s + f*t*m, e*t + f*s) with s = u^2 + w^2*m and t = 2*u*w.  A root
+    table maps every value 4*c_0*x_0^2 over the box to its root x_0; the
+    (n-1)-fold box of the other coordinates is scanned in height order
+    (0, 1, -1, 2, -2, ...), and the first point whose negated sum is in the
+    table gives the zero.  Of the roots +-x_0 the table keeps the first in
+    height order, the one with p > 0, or p = 0 and q >= 0.  Raises
+    BudgetExceededError when one coordinate's box has more than
+    ``node_budget`` points (enumeration.DEFAULT_NODE_BUDGET if None), or when
+    no zero is found among the first ``node_budget`` points of a larger scan.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
+    budget = enumeration.DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
+    if budget < 1:
+        raise ValueError("node budget must be positive")
     m = _form_m(form)
+    side = 2 * height + 1
+    width = side if m is None else side * side
+    if width > budget:
+        raise BudgetExceededError(
+            "isotropic search box of %d points per coordinate exceeds the "
+            "budget of %d" % (width, budget), budget=budget)
+    order = [0]
+    for k in range(1, height + 1):
+        order.extend((k, -k))
     if m is None:
-        return _isotropic_search_rational(form, height)
-    return _isotropic_search_quadratic(form, height, m)
-
-
-def _isotropic_search_rational(form: DiagForm, height: int):
-    _, d = clear_denominators(form.coeffs)
-    order = _height_order(height)
-    d0 = d[0]
-    terms = [[di * v * v for v in order] for di in d[1:]]
-    for idx in itertools.product(range(len(order)), repeat=len(d) - 1):
-        rest = 0
-        for i, k in enumerate(idx):
-            rest += terms[i][k]
-        if rest % d0:
-            continue
-        t = -rest // d0
-        if t < 0:
-            continue
-        x0 = isqrt(t)
-        if x0 * x0 != t or x0 > height:
-            continue
-        if x0 == 0 and all(k == 0 for k in idx):
-            continue
-        vec = (Fraction(x0),) + tuple(Fraction(order[k]) for k in idx)
-        if form.value(vec) != 0:
-            raise AssertionError("isotropic candidate does not vanish")
-        return vec
-    return None
-
-
-def _isotropic_search_quadratic(form: DiagForm, height: int, m: int):
-    ring = ring_of_integers(form.field)
-    half = ring.omega_is_half
-    # coefficients as integer pairs e + f*sqrt(m), cleared of denominators
-    pairs = [(c.a, c.b) for c in clear_denominators(form.coeffs, m)[1]]
-    order = _height_order(height)
-    # ring coordinates (p, q) with x = p + q*omega, written (u + w*sqrt(m))/2
-    cand = [(p, q) for p in order for q in order]
-    uw = [((2 * p + q, q) if half else (2 * p, 2 * q)) for p, q in cand]
-    terms = []
-    for e, f in pairs[1:]:
-        row = []
-        for u, w in uw:
-            ra = u * u + w * w * m
-            rb = 2 * u * w
-            row.append((e * ra + f * rb * m, e * rb + f * ra))  # over 4
-        terms.append(row)
+        box = [(p, 0) for p in order]
+        sqm, half, omega = 0, False, 0
+    else:
+        ring = ring_of_integers(form.field)
+        box = [(p, q) for p in order for q in order]
+        sqm, half, omega = m, ring.omega_is_half, ring.omega
+    # (s, t) of x = (u + w*sqrt(m))/2: u = 2p + q, w = q if omega is half an
+    # integer, else u = 2p, w = 2q
+    squares = [(u * u + w * w * sqm, 2 * u * w)
+               for u, w in (((2 * p + q, q) if half else (2 * p, 2 * q))
+                            for p, q in box)]
+    pairs = [(c, 0) if m is None else (c.a, c.b)
+             for c in clear_denominators(form.coeffs, m)[1]]
     e0, f0 = pairs[0]
-    n0 = e0 * e0 - f0 * f0 * m
-    for idx in itertools.product(range(len(cand)), repeat=len(pairs) - 1):
-        rp = 0
-        rq = 0
-        for i, k in enumerate(idx):
-            t = terms[i][k]
-            rp += t[0]
-            rq += t[1]
-        # target = -rest/d0 = (ta + tb*sqrt(m)) / (4*n0)
-        ta = -rp * e0 + rq * f0 * m
-        tb = -rq * e0 + rp * f0
-        den = 4 * n0
-        if den < 0:
-            ta, tb, den = -ta, -tb, -den
-        # root x = (u + w*sqrt(m))/2 needs u^2 + w^2 m = 4 ta/den (integer)
-        # and 2 u w = 4 tb/den (integer)
-        if (4 * ta) % den or (4 * tb) % den:
-            continue
-        s = 4 * ta // den
-        t = 4 * tb // den
-        tail_zero = all(k == 0 for k in idx)
-        best = None
-        for u, w in _solve_square_pair(s, t, m):
-            coords = _uw_to_ring_coords(u, w, half)
-            if coords is None:
-                continue
-            p, q = coords
-            if max(abs(p), abs(q)) > height:
-                continue
-            if u == 0 and w == 0 and tail_zero:
-                continue
-            positive = p > 0 or (p == 0 and q >= 0)
-            key = (0 if positive else 1, abs(p), abs(q))
-            if best is None or key < best[0]:
-                best = (key, (p, q))
-        if best is not None:
-            p, q = best[1]
-            vec = (_ring_coord_value(p, q, ring),) + tuple(
-                _ring_coord_value(*cand[k], ring) for k in idx)
+    roots = {}
+    for k, (s, t) in enumerate(squares):
+        roots.setdefault((e0 * s + f0 * t * sqm, e0 * t + f0 * s), k)
+    rows = [[(e * s + f * t * sqm, e * t + f * s) for s, t in squares]
+            for e, f in pairs[1:]]
+    points = itertools.islice(itertools.product(range(width), repeat=len(rows)), budget)
+    next(points)  # the all-zero point, whose only root is 0
+    for idx in points:
+        a = b = 0
+        for row, k in zip(rows, idx):
+            ta, tb = row[k]
+            a += ta
+            b += tb
+        root = roots.get((-a, -b))
+        if root is not None:
+            vec = tuple(_as_field(p, m) + q * omega
+                        for p, q in (box[k] for k in (root,) + idx))
             if form.value(vec) != 0:
                 raise AssertionError("isotropic candidate does not vanish")
             return vec
+    if width ** len(rows) > budget:
+        raise BudgetExceededError(
+            "isotropic search exceeded the budget of %d points" % budget,
+            budget=budget)
     return None
-
-
-def _solve_square_pair(s: int, t: int, m: int):
-    """Integer solutions (u, w) of u^2 + w^2 m = s, 2 u w = t."""
-    disc = s * s - t * t * m
-    if disc < 0:
-        return []
-    k = isqrt(disc)
-    if k * k != disc:
-        return []
-    out = []
-    for branch in (k, -k):
-        u2_twice = s + branch
-        if u2_twice < 0 or u2_twice % 2:
-            continue
-        u2 = u2_twice // 2
-        u = isqrt(u2)
-        if u * u != u2:
-            continue
-        if u == 0:
-            if t != 0:
-                continue
-            if s == 0:
-                if (0, 0) not in out:
-                    out.append((0, 0))
-                continue
-            if s % m:
-                continue
-            w2 = s // m
-            if w2 < 0:
-                continue
-            w = isqrt(w2)
-            if w * w != w2 or w == 0:
-                continue
-            for cand in ((0, w), (0, -w)):
-                if cand not in out:
-                    out.append(cand)
-        else:
-            if t % (2 * u):
-                continue
-            w = t // (2 * u)
-            if u * u + w * w * m == s:
-                for cand in ((u, w), (-u, -w)):
-                    if cand not in out:
-                        out.append(cand)
-    return out
-
-
-def _uw_to_ring_coords(u: int, w: int, half: bool):
-    """Ring coordinates (p, q) of (u + w*sqrt(m))/2, or None."""
-    if half:
-        if (u - w) % 2:
-            return None
-        return (u - w) // 2, w
-    if u % 2 or w % 2:
-        return None
-    return u // 2, w // 2
-
-
-def _ring_coord_value(p: int, q: int, ring: IntegerRing) -> QuadScalar:
-    return QuadScalar(Fraction(p), 0, ring.m) + q * ring.omega
 
 
 def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
@@ -614,7 +517,7 @@ def _elementary_unipotent(n: int) -> ExactMatrix:
     return ExactMatrix(n, n, entries)
 
 
-def uniformity_verdict(spec: GroupSpec, height: int = 10) -> Verdict:
+def uniformity_verdict(spec: GroupSpec, height: int = 10, node_budget=None) -> Verdict:
     """Decide uniformity for SL(n) and SO(diagonal form).
 
     SL(n >= 2) always carries the elementary unipotent I + E12.  For SO(f):
@@ -622,7 +525,9 @@ def uniformity_verdict(spec: GroupSpec, height: int = 10) -> Verdict:
     the rational points carry no nontrivial unipotent and the lattice is
     uniform; an isotropic vector of bounded height produces an explicit
     unipotent witness against uniformity; otherwise the verdict is honestly
-    inconclusive (a bounded search cannot prove anisotropy).
+    inconclusive (a bounded search cannot prove anisotropy).  The isotropic
+    search raises BudgetExceededError past ``node_budget`` box points
+    (enumeration.DEFAULT_NODE_BUDGET if None).
     """
     if spec.kind == "SL":
         witness = _elementary_unipotent(spec.n)
@@ -652,7 +557,7 @@ def uniformity_verdict(spec: GroupSpec, height: int = 10) -> Verdict:
                 criterion="Godement criterion (definite conjugate)",
                 conjugate_name=sigma_name(field, idx),
             )
-    vec = isotropic_search(form, height)
+    vec = isotropic_search(form, height, node_budget)
     if vec is not None:
         witness = unipotent_from_isotropic(form, vec)
         return Verdict(

@@ -1,8 +1,9 @@
 """Shared helpers: random lattice generation, an independent brute-force
 shortest-vector oracle (box enumeration over the dual bound, no shared code
 path with the tree search), the box scan that is the oracle of the adjoint
-systole search, and ExactMatrix-product oracles of the witness verification
-in latlab.groups."""
+systole search, the per-point scan that is the oracle of the isotropic
+search, and ExactMatrix-product oracles of the witness verification in
+latlab.groups."""
 
 import itertools
 import random
@@ -14,6 +15,8 @@ import pytest
 from latlab import EuclideanLattice, ExactMatrix
 from latlab._svp import quad_form_value, witness_key
 from latlab.enumeration import IntegralGram
+from latlab.numfield import IntegerRing, ring_of_integers
+from latlab.scalars import QuadScalar, clear_denominators
 
 
 def random_integer_basis(rnd, n, lo=-5, hi=5):
@@ -126,6 +129,175 @@ def adjoint_box_scan(g, h):
     coords = best_key[1]
     witness = ExactMatrix(n, n, list(coords) + [-sum(coords[k] for k in diag)])
     return form.unscale(best), witness
+
+
+def oracle_isotropic_search(form, height):
+    """The first zero of the form in the height box by the scan that
+    groups.isotropic_search replaced, its oracle: per point of the (n-1)-fold
+    box of the other coordinates, a divisibility test and an integer square
+    root over Q, or the solutions of u^2 + w^2 m = s, 2uw = t over Q(sqrt(m)),
+    tie-broken by (sign, |p|, |q|)."""
+    m = form.field.m if form.field and form.field.is_quadratic else None
+    if m is None:
+        return _oracle_isotropic_rational(form, height)
+    return _oracle_isotropic_quadratic(form, height, m)
+
+
+def _height_order(height: int):
+    order = [0]
+    for k in range(1, height + 1):
+        order.extend((k, -k))
+    return order
+
+
+def _oracle_isotropic_rational(form, height: int):
+    _, d = clear_denominators(form.coeffs)
+    order = _height_order(height)
+    d0 = d[0]
+    terms = [[di * v * v for v in order] for di in d[1:]]
+    for idx in itertools.product(range(len(order)), repeat=len(d) - 1):
+        rest = 0
+        for i, k in enumerate(idx):
+            rest += terms[i][k]
+        if rest % d0:
+            continue
+        t = -rest // d0
+        if t < 0:
+            continue
+        x0 = isqrt(t)
+        if x0 * x0 != t or x0 > height:
+            continue
+        if x0 == 0 and all(k == 0 for k in idx):
+            continue
+        vec = (Fraction(x0),) + tuple(Fraction(order[k]) for k in idx)
+        if form.value(vec) != 0:
+            raise AssertionError("isotropic candidate does not vanish")
+        return vec
+    return None
+
+
+def _oracle_isotropic_quadratic(form, height: int, m: int):
+    ring = ring_of_integers(form.field)
+    half = ring.omega_is_half
+    # coefficients as integer pairs e + f*sqrt(m), cleared of denominators
+    pairs = [(c.a, c.b) for c in clear_denominators(form.coeffs, m)[1]]
+    order = _height_order(height)
+    # ring coordinates (p, q) with x = p + q*omega, written (u + w*sqrt(m))/2
+    cand = [(p, q) for p in order for q in order]
+    uw = [((2 * p + q, q) if half else (2 * p, 2 * q)) for p, q in cand]
+    terms = []
+    for e, f in pairs[1:]:
+        row = []
+        for u, w in uw:
+            ra = u * u + w * w * m
+            rb = 2 * u * w
+            row.append((e * ra + f * rb * m, e * rb + f * ra))  # over 4
+        terms.append(row)
+    e0, f0 = pairs[0]
+    n0 = e0 * e0 - f0 * f0 * m
+    for idx in itertools.product(range(len(cand)), repeat=len(pairs) - 1):
+        rp = 0
+        rq = 0
+        for i, k in enumerate(idx):
+            t = terms[i][k]
+            rp += t[0]
+            rq += t[1]
+        # target = -rest/d0 = (ta + tb*sqrt(m)) / (4*n0)
+        ta = -rp * e0 + rq * f0 * m
+        tb = -rq * e0 + rp * f0
+        den = 4 * n0
+        if den < 0:
+            ta, tb, den = -ta, -tb, -den
+        # root x = (u + w*sqrt(m))/2 needs u^2 + w^2 m = 4 ta/den (integer)
+        # and 2 u w = 4 tb/den (integer)
+        if (4 * ta) % den or (4 * tb) % den:
+            continue
+        s = 4 * ta // den
+        t = 4 * tb // den
+        tail_zero = all(k == 0 for k in idx)
+        best = None
+        for u, w in _solve_square_pair(s, t, m):
+            coords = _uw_to_ring_coords(u, w, half)
+            if coords is None:
+                continue
+            p, q = coords
+            if max(abs(p), abs(q)) > height:
+                continue
+            if u == 0 and w == 0 and tail_zero:
+                continue
+            positive = p > 0 or (p == 0 and q >= 0)
+            key = (0 if positive else 1, abs(p), abs(q))
+            if best is None or key < best[0]:
+                best = (key, (p, q))
+        if best is not None:
+            p, q = best[1]
+            vec = (_ring_coord_value(p, q, ring),) + tuple(
+                _ring_coord_value(*cand[k], ring) for k in idx)
+            if form.value(vec) != 0:
+                raise AssertionError("isotropic candidate does not vanish")
+            return vec
+    return None
+
+
+def _solve_square_pair(s: int, t: int, m: int):
+    """Integer solutions (u, w) of u^2 + w^2 m = s, 2 u w = t."""
+    disc = s * s - t * t * m
+    if disc < 0:
+        return []
+    k = isqrt(disc)
+    if k * k != disc:
+        return []
+    out = []
+    for branch in (k, -k):
+        u2_twice = s + branch
+        if u2_twice < 0 or u2_twice % 2:
+            continue
+        u2 = u2_twice // 2
+        u = isqrt(u2)
+        if u * u != u2:
+            continue
+        if u == 0:
+            if t != 0:
+                continue
+            if s == 0:
+                if (0, 0) not in out:
+                    out.append((0, 0))
+                continue
+            if s % m:
+                continue
+            w2 = s // m
+            if w2 < 0:
+                continue
+            w = isqrt(w2)
+            if w * w != w2 or w == 0:
+                continue
+            for cand in ((0, w), (0, -w)):
+                if cand not in out:
+                    out.append(cand)
+        else:
+            if t % (2 * u):
+                continue
+            w = t // (2 * u)
+            if u * u + w * w * m == s:
+                for cand in ((u, w), (-u, -w)):
+                    if cand not in out:
+                        out.append(cand)
+    return out
+
+
+def _uw_to_ring_coords(u: int, w: int, half: bool):
+    """Ring coordinates (p, q) of (u + w*sqrt(m))/2, or None."""
+    if half:
+        if (u - w) % 2:
+            return None
+        return (u - w) // 2, w
+    if u % 2 or w % 2:
+        return None
+    return u // 2, w // 2
+
+
+def _ring_coord_value(p: int, q: int, ring: IntegerRing) -> QuadScalar:
+    return QuadScalar(Fraction(p), 0, ring.m) + q * ring.omega
 
 
 def gso_from_gram(gram):

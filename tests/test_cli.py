@@ -219,18 +219,44 @@ def test_lattice_reduce_bound_beyond_float_range(write_doc, rank, entry, a):
     assert lines[1].endswith("bound C(n,a) beyond float range")
 
 
+def run_child(argv, **env_vars):
+    """`python -m latlab` in a child process on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "latlab"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_python_dash_m_entry_point(write_doc):
     doc = write_doc({"dim": 3, "field": None,
                      "basis": [["2", "1", "0"], ["1", "3", "1"], ["0", "1", "4"]]})
     argv = ["--format", "json", "lattice", "systole", doc]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "latlab"] + argv, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_child(argv)
     code, out, _ = run_cli(argv)
     assert (proc.returncode, proc.stdout) == (code, out) and code == 0
+
+
+def test_json_output_stable_across_hash_seeds(write_doc):
+    """Two interpreters with different hash seeds print the same bytes."""
+    so_sqrt5 = write_doc({"kind": "SO", "coeffs": ["1", "1", "-3/2-1/2*sqrt(5)"],
+                          "field": {"quad": 5}})
+    so_unknown = write_doc({"kind": "SO", "coeffs": ["1", "1", "-7"],
+                            "field": {"quad": None}})
+    lattice = write_doc({"dim": 3, "field": {"m": 2},
+                         "basis": [["2", "1", "0"], ["1", "3+1*sqrt(2)", "1"],
+                                   ["0", "1", "4"]]})
+    matrix = write_doc({"field": {"quad": 5},
+                        "matrix": [["2", "1/2+1/2*sqrt(5)"], ["0", "1/2"]]})
+    for argv, expected in ((["group", "verdict", so_sqrt5, "--height", "2"], 0),
+                           (["group", "verdict", so_unknown, "--height", "3"], 2),
+                           (["lattice", "systole", lattice], 0),
+                           (["group", "adsys", matrix, "--height", "2"], 0)):
+        first, second = (run_child(["--format", "json"] + argv, PYTHONHASHSEED=seed)
+                         for seed in ("0", "1"))
+        assert first.returncode == second.returncode == expected, first.stderr
+        assert first.stdout == second.stdout and first.stdout.startswith("{")
 
 
 def test_field_signature_golden(write_doc):
@@ -275,6 +301,32 @@ def test_group_verdict_exit_codes(write_doc):
                             "field": {"quad": None}})
     code, out, _ = run_cli(["group", "verdict", so_unknown, "--height", "3"])
     assert code == 2 and out.startswith("Inconclusive")
+
+
+def test_group_verdict_follows_the_budget(write_doc, monkeypatch):
+    # a box past the node budget exits 3 with one stderr line, at once when
+    # one coordinate's box is larger than the budget (6001^2 points over
+    # Q(sqrt 2) at height 3000), after the budget's points otherwise
+    over_q = write_doc({"kind": "SO", "coeffs": ["1", "1", "-7"],
+                        "field": {"quad": None}})
+    over_k = write_doc({"kind": "SO", "coeffs": ["1", "1", "-7"],
+                        "field": {"quad": 2}})
+    for doc, height in ((over_q, "100000"), (over_k, "3000")):
+        code, out, err = run_cli(["group", "verdict", doc, "--height", height])
+        assert code == 3 and out == "" and err.count("\n") == 1 and "budget" in err
+    # a zero found within the budget still answers
+    so = write_doc({"kind": "SO", "coeffs": ["1", "1", "-1"], "field": {"quad": None}})
+    code, out, err = run_cli(["--format", "json", "group", "verdict", so,
+                              "--height", "100000"])
+    assert code == 0 and err == ""
+    assert loads_strict(out)["isotropic_vector"] == ["1", "0", "1"]
+    # the 7 x 7 box of height 3 needs a budget of 49 points
+    assert run_cli(["--budget", "49", "group", "verdict", over_q, "--height", "3"])[0] == 2
+    code, out, err = run_cli(["--budget", "48", "group", "verdict", over_q,
+                              "--height", "3"])
+    assert code == 3 and out == "" and err.count("\n") == 1
+    monkeypatch.setenv("LATLAB_BUDGET", "48")
+    assert run_cli(["group", "verdict", over_q, "--height", "3"]) == (3, out, err)
 
 
 def test_group_verdict_witness_payload(write_doc):

@@ -23,12 +23,13 @@ from latlab.groups import (
     uniformity_verdict,
 )
 from latlab.matrices import ExactMatrix
-from latlab.numfield import NumberFieldDesc
+from latlab.numfield import NumberFieldDesc, ring_of_integers
 from latlab.scalars import QuadScalar
 
 from conftest import (
     adjoint_box_scan,
     oracle_is_nilpotent,
+    oracle_isotropic_search,
     oracle_is_unipotent,
     oracle_preserves_form,
     random_unimodular,
@@ -436,11 +437,12 @@ def _square(draw):
 
 
 @st.composite
-def _isotropic_form(draw):
-    """(form, isotropic vector) over Q or Q(sqrt m), built around the vector."""
-    m = draw(st.sampled_from(FIELDS))
-    n = draw(st.integers(3, 5))
-    v = [draw(_scalar(m)) for _ in range(n - 1)] + [draw(_nonzero(m))]
+def _isotropic_form(draw, fields=FIELDS, nvars=st.integers(3, 5), entry=_scalar):
+    """(form, isotropic vector) over Q or Q(sqrt m), built around the vector,
+    whose entries ``entry(m)`` draws."""
+    m = draw(st.sampled_from(fields))
+    n = draw(nvars)
+    v = [draw(entry(m)) for _ in range(n - 1)] + [draw(entry(m).filter(lambda x: x != 0))]
     d = [draw(_nonzero(m, False)) for _ in range(n - 1)]
     rest = sum((di * vi * vi for di, vi in zip(d, v)), Fraction(0))
     assume(rest != 0)
@@ -487,6 +489,83 @@ def test_transvection_verification_matches_oracle(form_and_vector, data):
     h = ExactMatrix.from_rows(rows)
     assert preserves_form(h, form) == oracle_preserves_form(h, form)
     assert is_unipotent(h) == oracle_is_unipotent(h)
+
+
+# -- the isotropic search against the per-point scan it replaced --------------------
+
+SEARCH_FIELDS = FIELDS + [13]
+# over Q(sqrt m), the largest height per number of variables that keeps the
+# oracle's (n-1)-fold box within 25^3 points
+QUADRATIC_HEIGHT = {2: 3, 3: 3, 4: 2, 5: 1}
+
+
+def _ring_integer(m):
+    """p + q*omega with |p|, |q| <= 2 in the integer ring of Q or Q(sqrt m)."""
+    small = st.integers(-2, 2)
+    if m is None:
+        return small.map(Fraction)
+    omega = ring_of_integers(NumberFieldDesc(m=m)).omega
+    return st.builds(lambda p, q: p + q * omega, small, small)
+
+
+@st.composite
+def _random_form(draw, fields):
+    m = draw(st.sampled_from(fields))
+    n = draw(st.integers(2, 5))
+    return DiagForm([draw(_nonzero(m, False)) for _ in range(n)], _field_desc(m))
+
+
+def _assert_search_matches_oracle(form, height):
+    found = isotropic_search(form, height)
+    expected = oracle_isotropic_search(form, height)
+    assert found == expected
+    if found is not None:
+        assert [(type(x), repr(x)) for x in found] == \
+            [(type(x), repr(x)) for x in expected]
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_random_form(SEARCH_FIELDS),
+                 _isotropic_form(SEARCH_FIELDS, st.integers(2, 5), _ring_integer)
+                 .map(lambda form_and_vector: form_and_vector[0])),
+       st.integers(1, 3))
+def test_isotropic_search_matches_oracle(form, height):
+    """Random forms with denominators, and forms built around a small ring
+    vector, over Q, Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) and Q(sqrt 13)."""
+    if form.field is not None:
+        height = min(height, QUADRATIC_HEIGHT[form.nvars])
+    _assert_search_matches_oracle(form, height)
+
+
+@pytest.mark.parametrize("m", SEARCH_FIELDS)
+def test_isotropic_search_finds_omega_vectors(m):
+    # a form built around (1 + omega, 1, 1): the search finds a zero, the same
+    # one as the oracle
+    field = _field_desc(m)
+    x = 1 + (Fraction(1) if m is None else ring_of_integers(field).omega)
+    form = DiagForm([1, 3, -(x * x + 3)], field)
+    assert _assert_search_matches_oracle(form, 2) is not None
+
+
+def test_isotropic_search_node_budget():
+    f = DiagForm([1, 1, -7])
+    assert isotropic_search(f, 3, node_budget=49) is None   # the whole 7 x 7 box
+    with pytest.raises(BudgetExceededError):
+        isotropic_search(f, 3, node_budget=48)
+    with pytest.raises(BudgetExceededError):                # one coordinate: 7 points
+        isotropic_search(f, 3, node_budget=6)
+    # a zero within the budget is returned although the box is larger
+    assert isotropic_search(DiagForm([1, 1, -1]), 3, node_budget=7) == (1, 0, 1)
+    # over Q(sqrt 2) one coordinate's box at height 3000 has 6001^2 points
+    with pytest.raises(BudgetExceededError):
+        isotropic_search(DiagForm([1, 1, -7], K2), 3000)
+    with pytest.raises(ValueError):
+        isotropic_search(f, 3, node_budget=0)
+    with pytest.raises(BudgetExceededError):
+        uniformity_verdict(GroupSpec("SO", form=f), 3, node_budget=48)
+    assert uniformity_verdict(GroupSpec("SO", form=f), 3,
+                              node_budget=49).status == Verdict.INCONCLUSIVE
 
 
 def test_nilpotency_cross_check_raises_on_a_wrong_power(monkeypatch):
