@@ -16,12 +16,15 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import arith, documents, euclid, groups, numfield, resk
-from .enumeration import DEFAULT_NODE_BUDGET
-from .errors import BudgetExceededError, DocumentError
-from .matrices import ExactMatrix
-from .scalars import print_scalar
+from . import documents
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, DocumentError
+from .scalars import as_fraction, print_scalar
+
+if TYPE_CHECKING:
+    from .arith import ZLattice
+    from .groups import Verdict
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,6 +69,8 @@ def _sqrt_approx(value):
 
 def _reduction_bound(rank, a):
     """C(rank, a) as a float, or None when it is beyond float range."""
+    from . import euclid
+
     try:
         bound = euclid.reduction_constant(rank, float(a))
     except OverflowError:
@@ -148,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _zlattice_from(path: str) -> arith.ZLattice:
+def _zlattice_from(path: str) -> ZLattice:
+    from . import arith
+
     lat = documents.lattice_from_doc(documents.load_json(path))
     if lat.rank != lat.ambient:
         raise DocumentError("expected a full-rank lattice document")
@@ -156,8 +163,6 @@ def _zlattice_from(path: str) -> arith.ZLattice:
 
 
 def _rational(e) -> Fraction:
-    from .scalars import as_fraction
-
     try:
         return as_fraction(e)
     except ValueError:
@@ -165,6 +170,8 @@ def _rational(e) -> Fraction:
 
 
 def _cmd_lattice(args, out) -> int:
+    from . import euclid
+
     budget = _budget(args)
     if args.subcommand == "mahler":
         family = [documents.lattice_from_doc(documents.load_json(p))
@@ -246,6 +253,8 @@ def _cmd_lattice(args, out) -> int:
 
 
 def _cmd_field(args, out) -> int:
+    from . import numfield
+
     budget = _budget(args)
     field = documents.numberfield_from_doc(documents.load_json(args.document))
     if args.subcommand == "signature":
@@ -294,6 +303,8 @@ def _cmd_field(args, out) -> int:
     if args.subcommand == "embed":
         if not field.is_quadratic:
             raise DocumentError("embedding lattice needs a quadratic field")
+        from . import euclid
+
         ring = numfield.ring_of_integers(field)
         lattice = numfield.minkowski_lattice(ring)
         syst = numfield.o_discreteness_check(ring, budget)
@@ -318,7 +329,7 @@ def _cmd_field(args, out) -> int:
     raise DocumentError("unknown field subcommand")
 
 
-def _verdict_payload(verdict: groups.Verdict) -> dict:
+def _verdict_payload(verdict: Verdict) -> dict:
     payload = {
         "status": verdict.status,
         "reason": verdict.reason,
@@ -337,6 +348,8 @@ def _verdict_payload(verdict: groups.Verdict) -> dict:
 
 
 def _cmd_group(args, out) -> int:
+    from . import groups
+
     doc = documents.load_json(args.document)
     if args.subcommand == "verdict":
         spec = documents.group_from_doc(doc)
@@ -395,12 +408,14 @@ def _cmd_group(args, out) -> int:
 
 
 def _cmd_resk(args, out) -> int:
+    from . import matrices, resk
+
     doc = documents.load_json(args.document)
     if args.subcommand == "element":
         scalar, m = documents.scalar_from_doc(doc)
         if m is None:
             raise DocumentError("resk element needs a declared quadratic field")
-        restricted = resk.res_matrix(ExactMatrix(1, 1, [scalar]), m)
+        restricted = resk.res_matrix(matrices.ExactMatrix(1, 1, [scalar]), m)
         payload = documents.matrix_to_doc(restricted.matrix)
         payload["charpoly"] = [print_scalar(c)
                                for c in resk.recover_embeddings(restricted)]
@@ -433,6 +448,8 @@ def _cmd_resk(args, out) -> int:
 
 
 def _cmd_arith(args, out) -> int:
+    from . import arith
+
     if args.subcommand == "index":
         sub = _zlattice_from(args.sublattice)
         sup = _zlattice_from(args.superlattice)

@@ -16,13 +16,16 @@ All scalars cross the JSON boundary as strings in the exact grammar of
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .errors import DocumentError
-from .euclid import EuclideanLattice
-from .groups import DiagForm, GroupSpec
-from .matrices import ExactMatrix
-from .numfield import NumberFieldDesc
 from .scalars import parse_scalar, print_scalar
+
+if TYPE_CHECKING:
+    from .euclid import EuclideanLattice
+    from .groups import GroupSpec
+    from .matrices import ExactMatrix
+    from .numfield import NumberFieldDesc
 
 
 def load_json(path: str):
@@ -56,6 +59,8 @@ def _field_m(doc, key_variants=("m", "quad")):
 
 
 def lattice_from_doc(doc) -> EuclideanLattice:
+    from .euclid import EuclideanLattice
+
     if not isinstance(doc, dict) or "basis" not in doc:
         raise DocumentError('lattice document needs a "basis" key')
     m = _field_m(doc.get("field"))
@@ -97,6 +102,8 @@ def lattice_to_doc(lattice: EuclideanLattice, m: int | None = None) -> dict:
 
 def matrix_from_doc(doc):
     """Returns (ExactMatrix, m or None)."""
+    from .matrices import ExactMatrix
+
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise DocumentError('matrix document needs a "matrix" key')
     m = _field_m(doc.get("field"))
@@ -125,6 +132,8 @@ def matrix_to_doc(matrix: ExactMatrix, m: int | None = None) -> dict:
 
 
 def numberfield_from_doc(doc) -> NumberFieldDesc:
+    from .numfield import NumberFieldDesc
+
     if not isinstance(doc, dict):
         raise DocumentError("field document must be an object")
     if "quad" in doc:
@@ -146,6 +155,9 @@ def numberfield_from_doc(doc) -> NumberFieldDesc:
 
 
 def group_from_doc(doc) -> GroupSpec:
+    from .groups import DiagForm, GroupSpec
+    from .numfield import NumberFieldDesc
+
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError('group document needs a "kind" key')
     kind = doc["kind"]

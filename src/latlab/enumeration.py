@@ -12,10 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _svp
-from .errors import BudgetExceededError  # re-exported for callers
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError  # re-exported for callers
 from .scalars import clear_denominators, quadratic_field_of
-
-DEFAULT_NODE_BUDGET = 1_000_000
 
 __all__ = [
     "IntegralGram",

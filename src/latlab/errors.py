@@ -1,4 +1,6 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the default search budget."""
+
+DEFAULT_NODE_BUDGET = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):

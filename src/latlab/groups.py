@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import enumeration
-from .errors import BudgetExceededError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .matrices import ExactMatrix
 from .numfield import NumberFieldDesc, ring_of_integers
 from .scalars import (QuadScalar, clear_denominators, conjugate, quadratic_field_of,
@@ -327,6 +326,8 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
     def forced_entry_in_box(coords):
         return abs(sum(coords[k] for k in diag)) <= coeff_bound
 
+    from . import enumeration       # loaded on first search: verdicts never load it
+
     value, coords, _ = enumeration.shortest_vector(
         enumeration.IntegralGram(gram), node_budget, box=coeff_bound,
         accept=forced_entry_in_box)
@@ -369,7 +370,7 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     """
     if height < 1:
         raise ValueError("height must be at least 1")
-    budget = enumeration.DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     if budget < 1:
         raise ValueError("node budget must be positive")
     m = _form_m(form)

@@ -10,9 +10,12 @@ Sturm sequences over Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .euclid import EuclideanLattice, systole_sq
 from .scalars import QuadScalar, sign, validate_field_param
+
+if TYPE_CHECKING:
+    from .euclid import EuclideanLattice
 
 
 class NumberFieldDesc:
@@ -256,19 +259,23 @@ def minkowski_lattice(ring: IntegerRing) -> EuclideanLattice:
         raise ValueError(
             "no canonical exact Gram convention for imaginary quadratic fields"
         )
+    from . import euclid
+
     one = QuadScalar(1, 0, ring.m)
     omega = ring.omega
     basis = [
         (one, one.conjugate()),
         (omega, omega.conjugate()),
     ]
-    return EuclideanLattice(basis)
+    return euclid.EuclideanLattice(basis)
 
 
 def o_discreteness_check(ring: IntegerRing, node_budget=None):
     """Systole^2 of the trace-form lattice; positive because the form is PD."""
+    from . import euclid
+
     lattice = minkowski_lattice(ring)
-    value, _ = systole_sq(lattice, node_budget)
+    value, _ = euclid.systole_sq(lattice, node_budget)
     if not sign(value) > 0:
         raise AssertionError("trace form produced a nonpositive minimum")
     return value
