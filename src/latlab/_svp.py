@@ -24,7 +24,7 @@ import operator
 from math import isqrt
 
 from .errors import BudgetExceededError, NotPositiveDefiniteError
-from .scalars import QuadScalar
+from .scalars import QuadScalar, quad_exact_div
 
 
 def integral_gso(gram):
@@ -39,7 +39,7 @@ def integral_gso(gram):
     """
     n = len(gram)
     quad = any(isinstance(e, QuadScalar) for row in gram for e in row)
-    div = _quad_exact_div if quad else operator.floordiv
+    div = quad_exact_div if quad else operator.floordiv
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -58,14 +58,6 @@ def integral_gso(gram):
             else:
                 d[i + 1] = u
     return d, lam
-
-
-def _quad_exact_div(x, y):
-    """x / y in Z[sqrt(m)], known to be exact: x * conj(y) / norm(y)."""
-    m = y.m
-    norm = y.a * y.a - m * y.b * y.b
-    return QuadScalar((x.a * y.a - m * x.b * y.b) // norm,
-                      (x.b * y.a - x.a * y.b) // norm, m)
 
 
 # -- ring adapters -------------------------------------------------------------

@@ -156,10 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _zlattice_from(path: str) -> ZLattice:
     from . import arith
 
-    lat = documents.lattice_from_doc(documents.load_json(path))
-    if lat.rank != lat.ambient:
+    vectors = documents.basis_from_doc(documents.load_json(path))
+    rows = [[_rational(e) for e in vec] for vec in vectors]
+    try:
+        return arith.ZLattice(rows)
+    except ValueError:          # not square, or singular
         raise DocumentError("expected a full-rank lattice document")
-    return arith.ZLattice([[_rational(e) for e in vec] for vec in lat.basis])
 
 
 def _rational(e) -> Fraction:

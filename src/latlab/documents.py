@@ -61,6 +61,16 @@ def _field_m(doc, key_variants=("m", "quad")):
 def lattice_from_doc(doc) -> EuclideanLattice:
     from .euclid import EuclideanLattice
 
+    vectors = basis_from_doc(doc)
+    try:
+        return EuclideanLattice(vectors)
+    except (ValueError, TypeError) as exc:
+        raise DocumentError(str(exc))
+
+
+def basis_from_doc(doc):
+    """The basis vectors of a lattice document as lists of scalars, without
+    building the lattice."""
     if not isinstance(doc, dict) or "basis" not in doc:
         raise DocumentError('lattice document needs a "basis" key')
     m = _field_m(doc.get("field"))
@@ -80,10 +90,7 @@ def lattice_from_doc(doc) -> EuclideanLattice:
             'declared "dim" %r does not match the %d basis vectors'
             % (doc["dim"], len(vectors))
         )
-    try:
-        return EuclideanLattice(vectors)
-    except (ValueError, TypeError) as exc:
-        raise DocumentError(str(exc))
+    return vectors
 
 
 def printed_rows(rows):

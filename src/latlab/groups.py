@@ -4,17 +4,20 @@ Covers SL(n) over a field and SO(f) for a diagonal quadratic form f, the
 unipotent/nilpotent classification with its exact trace test, the exponential
 of a nilpotent, Galois-conjugate forms, the adjoint-orbit systole detector,
 and the verdict logic: a definite Galois conjugate proves a uniform lattice,
-an explicit isotropic vector produces a unipotent witness against uniformity,
-and anything else is reported as inconclusive rather than guessed.
+a binary form is decided by whether its torus splits, an explicit isotropic
+vector produces a unipotent witness against uniformity, and anything else is
+reported as inconclusive rather than guessed.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, fraction_free_adjugate
 from .numfield import NumberFieldDesc, ring_of_integers
 from .scalars import (QuadScalar, clear_denominators, conjugate, quadratic_field_of,
                       sign)
@@ -295,33 +298,26 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
     matrices X with entries bounded by coeff_bound, over Q or Q(sqrt(m));
     reports whether the witness is nilpotent by the trace test.
 
-    X -> ||g X g^-1||_F^2 is a quadratic form.  Its exact Gram matrix is
-    built once on the trace-zero basis E_ij (i != j), E_ii - E_nn in
-    row-major order, so the coordinates of X are its row-major entries
-    without the last one, which the trace forces.  The box is searched on
-    the Gram matrix scaled into Z or Z[sqrt(m)] by the exact enumeration
-    with every coordinate clamped to [-coeff_bound, coeff_bound] and the
-    forced entry (minus the sum of the other diagonal coordinates) bounded
-    at the leaves; on these coordinates witness_key orders ties as the
-    row-major entries do.  Raises BudgetExceededError once the search
-    visits more than ``node_budget`` nodes (enumeration.DEFAULT_NODE_BUDGET
-    if None).
+    X -> ||g X g^-1||_F^2 is a quadratic form, built once on ring integers
+    by :func:`_adjoint_gram`: its Gram matrix on the trace-zero basis E_ij
+    (i != j), E_ii - E_nn in row-major order, times D^(2n) for g = G/D.  The
+    coordinates of X are its row-major entries without the last one, which
+    the trace forces.  The box is searched on that Gram matrix by the exact
+    enumeration with every coordinate clamped to [-coeff_bound, coeff_bound]
+    and the forced entry (minus the sum of the other diagonal coordinates)
+    bounded at the leaves; on these coordinates witness_key orders ties as
+    the row-major entries do.  The minimum is divided by D^(2n) once.
+    Raises ValueError unless det g = 1, and BudgetExceededError once the
+    search visits more than ``node_budget`` nodes
+    (enumeration.DEFAULT_NODE_BUDGET if None).
     """
     if not g.is_square or g.rows < 2:
         raise ValueError("adjoint systole needs a square matrix of size >= 2")
-    if g.det() != 1:
-        raise ValueError("matrix must have determinant 1")
+    gram, divisor = _adjoint_gram(g)
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be positive")
     n = g.rows
-    last = n - 1
-    g_inv = g.inv()
-    # row-major entries of g B g^-1 for each basis matrix B
-    images = [[g[a, i] * g_inv[j, b] - (g[a, last] * g_inv[last, b] if i == j else 0)
-               for a in range(n) for b in range(n)]
-              for i in range(n) for j in range(n) if (i, j) != (last, last)]
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in images] for u in images]
-    diag = [i * n + i for i in range(last)]
+    diag = [i * n + i for i in range(n - 1)]
 
     def forced_entry_in_box(coords):
         return abs(sum(coords[k] for k in diag)) <= coeff_bound
@@ -331,9 +327,43 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
     value, coords, _ = enumeration.shortest_vector(
         enumeration.IntegralGram(gram), node_budget, box=coeff_bound,
         accept=forced_entry_in_box)
-    trace_rest = sum(coords[k] for k in diag)
-    witness = ExactMatrix(n, n, list(coords) + [-trace_rest])
-    return AdjointSystole(value, witness, is_nilpotent(witness))
+    entries = list(coords) + [-sum(coords[k] for k in diag)]
+    return AdjointSystole(value / divisor, ExactMatrix(n, n, entries),
+                          _ring_nilpotent(entries, n))
+
+
+def _adjoint_gram(g: ExactMatrix):
+    """(gram, D^(2n)): the Gram matrix of X -> ||g X g^-1||_F^2 on the
+    trace-zero basis, times D^(2n), in Z or Z[sqrt(m)], for g = G/D with G
+    cleared of denominators; ValueError unless det g = 1.
+
+    One fraction-free pass gives det G and adj G = det G * G^-1, so det g = 1
+    is det G = D^n, and then adj G = D^(n-1) g^-1.  The image of E_ij is
+    G E_ij adj G - [i == j] G E_nn adj G, with entries
+    G[a,i] adj[j,b] - [i == j] G[a,n-1] adj[n-1,b]: D^n times g E_ij g^-1.
+    """
+    n = g.rows
+    scale, entries = clear_denominators(g.data, quadratic_field_of(g.data))
+    det, adj = fraction_free_adjugate(entries, n)
+    if det != scale ** n:
+        raise ValueError("matrix must have determinant 1")
+    last = n - 1
+    cols = [entries[i::n] for i in range(n)]
+    rows = [adj[j * n:(j + 1) * n] for j in range(n)]
+    corner = [x * y for x in cols[last] for y in rows[last]]
+    images = []
+    for i in range(n):
+        for j in range(n):
+            if i == j == last:
+                continue
+            image = [x * y for x in cols[i] for y in rows[j]]
+            images.append([u - v for u, v in zip(image, corner)] if i == j else image)
+    size = len(images)
+    gram = [[0] * size for _ in range(size)]
+    for p, u in enumerate(images):
+        for q in range(p, size):
+            gram[p][q] = gram[q][p] = sum(map(operator.mul, u, images[q]))
+    return gram, scale ** (2 * n)
 
 
 # -- isotropic vectors and the transvection witness ----------------------------------
@@ -524,11 +554,12 @@ def uniformity_verdict(spec: GroupSpec, height: int = 10, node_budget=None) -> V
     SL(n >= 2) always carries the elementary unipotent I + E12.  For SO(f):
     a definite Galois conjugate makes the conjugate real group compact, so
     the rational points carry no nontrivial unipotent and the lattice is
-    uniform; an isotropic vector of bounded height produces an explicit
-    unipotent witness against uniformity; otherwise the verdict is honestly
-    inconclusive (a bounded search cannot prove anisotropy).  The isotropic
-    search raises BudgetExceededError past ``node_budget`` box points
-    (enumeration.DEFAULT_NODE_BUDGET if None).
+    uniform; a binary form is decided by its torus (:func:`_binary_verdict`);
+    for three or more variables an isotropic vector of bounded height
+    produces an explicit unipotent witness against uniformity; otherwise the
+    verdict is honestly inconclusive (a bounded search cannot prove
+    anisotropy).  The isotropic search raises BudgetExceededError past
+    ``node_budget`` box points (enumeration.DEFAULT_NODE_BUDGET if None).
     """
     if spec.kind == "SL":
         witness = _elementary_unipotent(spec.n)
@@ -558,6 +589,8 @@ def uniformity_verdict(spec: GroupSpec, height: int = 10, node_budget=None) -> V
                 criterion="Godement criterion (definite conjugate)",
                 conjugate_name=sigma_name(field, idx),
             )
+    if form.nvars == 2:
+        return _binary_verdict(form)
     vec = isotropic_search(form, height, node_budget)
     if vec is not None:
         witness = unipotent_from_isotropic(form, vec)
@@ -578,3 +611,85 @@ def uniformity_verdict(spec: GroupSpec, height: int = 10, node_budget=None) -> V
         criterion="Godement criterion (undecided)",
         search_bound=height,
     )
+
+
+def _binary_verdict(form: DiagForm) -> Verdict:
+    """Verdict for SO(c1 x^2 + c2 y^2), a one-dimensional torus over K.
+
+    By the compactness criterion for reductive groups (Godement; Borel and
+    Harish-Chandra, Mostow and Tamagawa) the quotient is compact iff the
+    torus is K-anisotropic, iff the form has no zero, iff -c1 c2 is not a
+    square in K.  When -c1 c2 = r^2, (r, c1) is isotropic and the witness is
+    the element of eigenvalues t = 2 and 1/t on the two isotropic lines:
+    [[p, q r / c1], [-q r / c2, p]] with p = (t + 1/t)/2, q = (t - 1/t)/2,
+    re-verified (preserves the form, det 1, trace not +-2) before it is
+    returned.
+    """
+    c1, c2 = form.coeffs
+    m = _form_m(form)
+    target = -c1 * c2
+    field = "Q" if m is None else "Q(sqrt(%d))" % m
+    root = _square_root(target, m)
+    if root is None:
+        return Verdict(
+            Verdict.UNIFORM,
+            "SO of a binary form is a one-dimensional torus, and -c1*c2 = %s is "
+            "not a square in %s, so the torus is anisotropic and has no "
+            "noncompact part" % (target, field),
+            criterion="Godement criterion (anisotropic torus)",
+        )
+    vec = (_as_field(root, m), _as_field(c1, m))
+    p, q = _as_field(Fraction(5, 4), m), Fraction(3, 4)
+    g = ExactMatrix(2, 2, [p, q * root / c1, -q * root / c2, p])
+    if form.value(vec) != 0:
+        raise AssertionError("isotropic vector of the binary form does not vanish")
+    if not preserves_form(g, form):
+        raise AssertionError("split torus element fails to preserve the form")
+    if g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] != 1 or g.trace() in (2, -2):
+        raise AssertionError("split torus element is not split of determinant 1")
+    return Verdict(
+        Verdict.NOT_UNIFORM,
+        "SO of a binary form is a one-dimensional torus, and -c1*c2 = %s is the "
+        "square of %s in %s, so the torus splits; the witness preserves the "
+        "form with eigenvalues 2 and 1/2" % (target, root, field),
+        criterion="Godement criterion (split torus)",
+        witness=g,
+        isotropic_vector=vec,
+    )
+
+
+def _square_root(x, m):
+    """r in Q (m None) or Q(sqrt(m)) with r * r == x, or None.
+
+    For x = a + b*sqrt(m) with b != 0, r = u + v*sqrt(m) needs
+    u^2 + m v^2 = a and 2 u v = b, so norm(x) = (u^2 - m v^2)^2 = s^2 and
+    u^2 = (a +- s)/2 with u != 0; a rational a is a square, or m times one.
+    """
+    a, b = (x.a, x.b) if isinstance(x, QuadScalar) else (x, 0)
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        r = _rational_root(a)
+        if r is not None or m is None:
+            return r
+        r = _rational_root(a / m)
+        return None if r is None else QuadScalar(0, r, m)
+    s = _rational_root(a * a - m * b * b)
+    if s is None:
+        return None
+    for u2 in ((a + s) / 2, (a - s) / 2):
+        u = _rational_root(u2)
+        if u:
+            root = QuadScalar(u, b / (2 * u), m)
+            if root * root == x:
+                return root
+    return None
+
+
+def _rational_root(q: Fraction):
+    """The nonnegative rational square root of q, or None."""
+    if q < 0:
+        return None
+    num, den = isqrt(q.numerator), isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return Fraction(num, den)

@@ -4,14 +4,16 @@ Entries are Fractions or QuadScalars (integers are promoted to Fraction on
 construction so that true division never falls back to floats).  Elimination
 uses exact field division with first-nonzero pivoting; there is no numerical
 stability concern, only growth of exact entries, which is fine at the small
-sizes this package works with.
+sizes this package works with.  :func:`fraction_free_adjugate` inverts a
+matrix over the ring integers Z or Z[sqrt(m)] without leaving the ring.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from .scalars import QuadScalar
+from .scalars import QuadScalar, quad_exact_div
 
 
 def _promote(entry):
@@ -254,3 +256,47 @@ class ExactMatrix:
     def __repr__(self):
         return "ExactMatrix(%r)" % (self.to_rows(),)
 
+
+def fraction_free_adjugate(entries, n: int):
+    """(det G, adj G) of the n x n matrix G with row-major entries in Z or
+    Z[sqrt(m)] (all ints, or all QuadScalars with integer coordinates); adj G
+    is row-major and G adj G = det G * I.  A singular G gives (0, None).
+
+    One fraction-free Gauss-Jordan pass on [G | I] (Bareiss 1968; Cohen, A
+    Course in Computational Algebraic Number Theory, 2.2): step k replaces
+    every row r but the pivot row by (p_k row_r - row_r[k] row_k) / p_(k-1),
+    where p_k is the k-th pivot and p_(-1) = 1.  Every entry stays a minor of
+    [G | I], so each division is exact in the ring.  The left block ends as
+    delta * I with delta = p_(n-1) = +-det G, the sign being that of the row
+    swaps, and the right block as delta * G^-1.
+    """
+    quad = isinstance(entries[0], QuadScalar)
+    div = quad_exact_div if quad else operator.floordiv
+    if quad:
+        m = entries[0].m
+        one, zero = QuadScalar(1, 0, m), QuadScalar(0, 0, m)
+    else:
+        one, zero = 1, 0
+    rows = [list(entries[i * n:(i + 1) * n]) + [one if j == i else zero for j in range(n)]
+            for i in range(n)]
+    prev, swaps = one, 0
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            return zero, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            swaps += 1
+        top = rows[k]
+        pivot = top[k]
+        # columns left of k + 1 are no longer read: column k becomes zero off
+        # the pivot row, and earlier pivot columns hold the diagonal pivot
+        for r, row in enumerate(rows):
+            if r != k:
+                f = row[k]
+                for j in range(k + 1, 2 * n):
+                    row[j] = div(pivot * row[j] - f * top[j], prev)
+        prev = pivot
+    if swaps % 2:
+        return -prev, [-e for row in rows for e in row[n:]]
+    return prev, [e for row in rows for e in row[n:]]

@@ -344,6 +344,17 @@ def clear_denominators(values, m=None):
     return scale, out
 
 
+def quad_exact_div(x: QuadScalar, y: QuadScalar) -> QuadScalar:
+    """x / y in Z[sqrt(m)] for x, y with integer coordinates, when the
+    quotient is known to lie in Z[sqrt(m)]: x * conj(y) / norm(y), with
+    integer division of each coordinate.  The one exact ring division; over
+    Z it is ``//``."""
+    m = y.m
+    norm = y.a * y.a - m * y.b * y.b
+    return QuadScalar((x.a * y.a - m * x.b * y.b) // norm,
+                      (x.b * y.a - x.a * y.b) // norm, m)
+
+
 # -- parsing / printing ------------------------------------------------------
 
 _RAT_PART = r"[+-]?\d+(?:\s*/\s*\d+)?"

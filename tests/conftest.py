@@ -1,9 +1,9 @@
 """Shared helpers: random lattice generation, an independent brute-force
 shortest-vector oracle (box enumeration over the dual bound, no shared code
-path with the tree search), the box scan that is the oracle of the adjoint
-systole search, the per-point scan that is the oracle of the isotropic
-search, and ExactMatrix-product oracles of the witness verification in
-latlab.groups."""
+path with the tree search), the Gram matrix and box scan that are the
+oracles of the adjoint systole, the per-point scan that is the oracle of
+the isotropic search, and ExactMatrix-product oracles of the witness
+verification in latlab.groups."""
 
 import itertools
 import random
@@ -102,21 +102,28 @@ def brute_force_minimum(gram):
     return Fraction(best), minimizers
 
 
-def adjoint_box_scan(g, h):
-    """(value, witness) of the adjoint systole by scanning the whole box: the
-    (2h+1)^(n^2-1) trace-zero coordinate vectors with entries in [-h, h] and
-    forced last diagonal entry in [-h, h], valued on the exact Gram matrix of
-    X -> ||g X g^-1||_F^2 (trace-zero basis E_ij, E_ii - E_nn, row-major) and
-    tie-broken by witness_key: the oracle of groups.adjoint_systole."""
+def oracle_adjoint_gram(g):
+    """The exact Gram matrix of X -> ||g X g^-1||_F^2 on the trace-zero basis
+    E_ij (i != j), E_ii - E_nn in row-major order, over the field of g, from
+    ExactMatrix.inv and field products: the oracle of the ring Gram matrix
+    of groups.adjoint_systole."""
     n = g.rows
     last = n - 1
     g_inv = g.inv()
     images = [[g[a, i] * g_inv[j, b] - (g[a, last] * g_inv[last, b] if i == j else 0)
                for a in range(n) for b in range(n)]
               for i in range(n) for j in range(n) if (i, j) != (last, last)]
-    form = IntegralGram([[sum(x * y for x, y in zip(u, v)) for v in images]
-                         for u in images])
-    diag = [i * n + i for i in range(last)]
+    return [[sum(x * y for x, y in zip(u, v)) for v in images] for u in images]
+
+
+def adjoint_box_scan(g, h):
+    """(value, witness) of the adjoint systole by scanning the whole box: the
+    (2h+1)^(n^2-1) trace-zero coordinate vectors with entries in [-h, h] and
+    forced last diagonal entry in [-h, h], valued on oracle_adjoint_gram and
+    tie-broken by witness_key: the oracle of groups.adjoint_systole."""
+    n = g.rows
+    form = IntegralGram(oracle_adjoint_gram(g))
+    diag = [i * n + i for i in range(n - 1)]
     best = None
     for coords in itertools.product(range(-h, h + 1), repeat=n * n - 1):
         if abs(sum(coords[k] for k in diag)) > h or not any(coords):

@@ -410,6 +410,53 @@ def test_group_adsys_small_budget_exits_three(write_doc, monkeypatch):
     assert run_cli(["group", "adsys", doc, "--height", "300"]) == (3, out, err)
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("field, rows", [
+    (None, [["1", "2"], ["2", "4"]]),                  # singular
+    (None, [["0", "0"], ["0", "0"]]),
+    (None, [["0", "1"], ["0", "3"]]),                  # no pivot in column 0
+    (None, [["2", "0"], ["0", "1"]]),                  # det 2
+    (None, [["0", "1"], ["1", "0"]]),                  # det -1, after a row swap
+    (None, [["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    ({"quad": 2}, [["0+1*sqrt(2)", "0"], ["0", "0+1*sqrt(2)"]]),   # det 2
+    ({"quad": 5}, [["1+1*sqrt(5)", "2"], ["3+3*sqrt(5)", "6"]]),   # singular
+])
+def test_group_adsys_rejects_determinant_not_one(write_doc, fmt, field, rows):
+    doc = write_doc({"field": field, "matrix": rows})
+    assert run_cli(["--format", fmt, "group", "adsys", doc]) == \
+        (1, "", "error: matrix must have determinant 1\n")
+
+
+def test_binary_form_verdicts(write_doc):
+    split = write_doc({"kind": "SO", "coeffs": ["1", "-1"], "field": {"quad": None}})
+    code, out, err = run_cli(["--format", "json", "group", "verdict", split])
+    assert code == 0 and err == ""
+    payload = loads_strict(out)
+    assert payload["status"] == "NotUniform"
+    assert payload["criterion"] == "Godement criterion (split torus)"
+    assert payload["witness"] == [["5/4", "3/4"], ["3/4", "5/4"]]
+    assert payload["isotropic_vector"] == ["1", "1"]
+    anisotropic = write_doc({"kind": "SO", "coeffs": ["1", "-3"], "field": {"quad": None}})
+    code, out, err = run_cli(["group", "verdict", anisotropic])
+    assert code == 0 and err == "" and out.startswith("Uniform (")
+    assert out.endswith("criterion: Godement criterion (anisotropic torus)\n")
+    over_k = write_doc({"kind": "SO", "coeffs": ["1", "-3"], "field": {"quad": 3}})
+    code, out, err = run_cli(["group", "verdict", over_k])
+    assert code == 0 and err == "" and out.startswith("NotUniform (")
+
+
+def test_arith_rejects_a_basis_that_is_not_full_rank(write_doc):
+    z2 = write_doc({"dim": 2, "field": None, "basis": [["1", "0"], ["0", "1"]]})
+    for basis in ([["1", "2"], ["2", "4"]], [["0", "0"], ["0", "0"]],
+                  [["1", "2"]], [["1", "0"], ["0"]],
+                  [["1", "0"], ["0", "1"], ["1", "1"]]):
+        bad = write_doc({"dim": len(basis), "field": None, "basis": basis})
+        for argv in (["arith", "index", bad, z2], ["arith", "commens", z2, bad]):
+            for fmt in ("human", "json"):
+                assert run_cli(["--format", fmt] + argv) == \
+                    (1, "", "error: expected a full-rank lattice document\n")
+
+
 def test_resk_element_golden(write_doc):
     doc = write_doc({"field": {"quad": 2}, "scalar": "0+1*sqrt(2)"})
     code, out, _ = run_cli(["--format", "json", "resk", "element", doc])

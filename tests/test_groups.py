@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from latlab import groups
+from latlab.enumeration import IntegralGram, shortest_vector
 from latlab.errors import BudgetExceededError
 from latlab.groups import (
     DiagForm,
@@ -28,6 +29,7 @@ from latlab.scalars import QuadScalar
 
 from conftest import (
     adjoint_box_scan,
+    oracle_adjoint_gram,
     oracle_is_nilpotent,
     oracle_isotropic_search,
     oracle_is_unipotent,
@@ -257,8 +259,9 @@ _UNITS = {2: QuadScalar(1, 1, 2), 5: QuadScalar(Fraction(1, 2), Fraction(1, 2), 
 @st.composite
 def _adjoint_case(draw):
     """(g, h): g of determinant 1 over Q, Q(sqrt 2) or Q(sqrt 5), a product of
-    shears and one diagonal element, with n = 2 at heights 1-5 or n = 3 at
-    height 1."""
+    shears with denominators and one diagonal element, sometimes behind a
+    rotation that puts a zero in the leading entry, with n = 2 at heights 1-5
+    or n = 3 at height 1."""
     m = draw(st.sampled_from([None, 2, 5]))
     n = draw(st.integers(2, 3))
     h = draw(st.integers(1, 5)) if n == 2 else 1
@@ -267,7 +270,8 @@ def _adjoint_case(draw):
         diagonal = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
     else:
         scalar = st.builds(lambda a, b: QuadScalar(a, b, m),
-                           st.integers(-4, 4), st.integers(-3, 3))
+                           st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2)),
+                           st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)))
         diagonal = st.builds(lambda k: _UNITS[m] ** k, st.integers(-2, 2))
     g = ExactMatrix.identity(n)
     # long products put the unconstrained minimum outside the box
@@ -279,7 +283,12 @@ def _adjoint_case(draw):
     t = draw(diagonal)
     rows = [[int(a == b) for b in range(n)] for a in range(n)]
     rows[0][0], rows[1][1] = t, 1 / t
-    return g * ExactMatrix.from_rows(rows), h
+    g = g * ExactMatrix.from_rows(rows)
+    if draw(st.booleans()):
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        rows[0][0], rows[0][1], rows[1][0], rows[1][1] = 0, -1, 1, 0
+        g = ExactMatrix.from_rows(rows) * g
+    return g, h
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,6 +300,59 @@ def test_adjoint_systole_matches_box_scan(case):
     res = adjoint_systole(g, h)
     assert (res.min_norm_sq, res.witness) == adjoint_box_scan(g, h)
     assert res.witness_nilpotent == oracle_is_nilpotent(res.witness)
+
+
+def _oracle_adjoint_systole(g, h):
+    """(value, witness, nilpotent) searched on oracle_adjoint_gram with the
+    same box and trace bound: the adjoint systole before its ring Gram
+    matrix."""
+    n = g.rows
+    diag = [i * n + i for i in range(n - 1)]
+    value, coords, _ = shortest_vector(
+        IntegralGram(oracle_adjoint_gram(g)), box=h,
+        accept=lambda c: abs(sum(c[k] for k in diag)) <= h)
+    witness = ExactMatrix(n, n, list(coords) + [-sum(coords[k] for k in diag)])
+    return value, witness, oracle_is_nilpotent(witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_adjoint_case())
+def test_adjoint_ring_gram_matches_oracle(case):
+    g, h = case
+    gram, divisor = groups._adjoint_gram(g)
+    oracle = oracle_adjoint_gram(g)
+    assert all(x == divisor * y for row, o_row in zip(gram, oracle)
+               for x, y in zip(row, o_row))
+    # the two ring Gram matrices are positive multiples of each other
+    ring, o_ring = IntegralGram(gram).gram, IntegralGram(oracle).gram
+    assert ring[0][0] > 0 and o_ring[0][0] > 0
+    assert all(x * o_ring[0][0] == y * ring[0][0] for row, o_row in zip(ring, o_ring)
+               for x, y in zip(row, o_row))
+    res = adjoint_systole(g, h)
+    value, witness, nilpotent = _oracle_adjoint_systole(g, h)
+    assert repr(res.min_norm_sq) == repr(value)
+    assert repr(res.witness) == repr(witness)
+    assert res.witness_nilpotent == nilpotent
+
+
+def test_adjoint_systole_calls_no_exact_det_or_inverse(monkeypatch, rnd):
+    cases = [(_sl_shears(rnd, n, 5), h) for n, h in ((2, 4), (3, 1), (2, 2))]
+    rotation = ExactMatrix.from_rows([[0, -1], [1, 0]])
+    cases.append((rotation * cases[0][0], 3))          # a zero leading entry
+    expected = [adjoint_systole(g, h) for g, h in cases]
+
+    def forbidden(self):
+        raise AssertionError("ExactMatrix.det or ExactMatrix.inv called")
+
+    monkeypatch.setattr(ExactMatrix, "det", forbidden)
+    monkeypatch.setattr(ExactMatrix, "inv", forbidden)
+    for (g, h), before in zip(cases, expected):
+        res = adjoint_systole(g, h)
+        assert (res.min_norm_sq, res.witness, res.witness_nilpotent) == \
+            (before.min_norm_sq, before.witness, before.witness_nilpotent)
+    for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="^matrix must have determinant 1$"):
+            adjoint_systole(ExactMatrix.from_rows(bad), 2)
 
 
 def test_adjoint_systole_over_quadratic_field():
@@ -372,6 +434,64 @@ def test_verdict_never_uniform_without_definite_conjugate():
                                          NumberFieldDesc(m=5)))
     verdict = uniformity_verdict(spec, height=2)
     assert verdict.status in (Verdict.NOT_UNIFORM, Verdict.INCONCLUSIVE)
+
+
+def _assert_split_torus_witness(verdict, form):
+    g = verdict.witness
+    assert verdict.status == Verdict.NOT_UNIFORM
+    assert form.value(verdict.isotropic_vector) == 0
+    assert oracle_preserves_form(g, form) and g.det() == 1
+    assert g.trace() not in (2, -2)
+
+
+@pytest.mark.parametrize("coeffs, m, status", [
+    ((1, -1), None, Verdict.NOT_UNIFORM),
+    ((1, -3), None, Verdict.UNIFORM),
+    ((1, -3), 3, Verdict.NOT_UNIFORM),
+    ((2, -8), None, Verdict.NOT_UNIFORM),
+    ((Fraction(3, 2), Fraction(-1, 6)), None, Verdict.NOT_UNIFORM),
+    ((1, -2), 2, Verdict.NOT_UNIFORM),
+    ((QuadScalar(3, 2, 2), -1), 2, Verdict.NOT_UNIFORM),   # (1 + sqrt 2)^2
+    ((QuadScalar(1, 1, 2), -1), 2, Verdict.UNIFORM),       # definite conjugate
+    ((1, -2), 5, Verdict.UNIFORM),
+    ((1, 1), None, Verdict.UNIFORM),                       # definite
+])
+def test_binary_forms_decided_by_their_torus(coeffs, m, status):
+    form = DiagForm(list(coeffs), _field_desc(m))
+    verdict = uniformity_verdict(GroupSpec("SO", form=form), height=1)
+    assert verdict.status == status
+    if status == Verdict.NOT_UNIFORM:
+        _assert_split_torus_witness(verdict, form)
+        assert verdict.criterion == "Godement criterion (split torus)"
+    else:
+        assert verdict.witness is None
+
+
+# a non-square of each field: -1, and a rational that stays a non-square
+_NON_SQUARES = {None: [-1, 2, 3], 2: [-1, 3, QuadScalar(1, 1, 2)], 3: [-1, 2],
+                5: [-1, 2, 3]}
+
+
+@st.composite
+def _binary_form(draw):
+    """(form, split): c1 x^2 + c2 y^2 with -c1*c2 = k * s^2 for a nonzero s of
+    the field, k = 1 (split) or a non-square k (anisotropic)."""
+    m = draw(st.sampled_from(FIELDS))
+    c1, s = draw(_nonzero(m, False)), draw(_nonzero(m, False))
+    split = draw(st.booleans())
+    k = 1 if split else draw(st.sampled_from(_NON_SQUARES[m]))
+    return DiagForm([c1, -k * s * s / c1], _field_desc(m)), split
+
+
+@settings(max_examples=80, deadline=None)
+@given(_binary_form())
+def test_binary_verdict_by_construction(case):
+    form, split = case
+    verdict = uniformity_verdict(GroupSpec("SO", form=form), height=1)
+    if split:
+        _assert_split_torus_witness(verdict, form)
+    else:
+        assert verdict.status == Verdict.UNIFORM and verdict.witness is None
 
 
 def test_group_spec_validation():

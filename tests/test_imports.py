@@ -74,7 +74,8 @@ CALLS = [
     (["resk", "element", "scalar.json"], 0, {"resk", "numfield", "matrices"}),
     (["arith", "congruence", "--m", "3"], 0, {"arith", "matrices"}),
     (["arith", "congruence", "matrix.json", "--m", "3"], 0, {"arith", "matrices"}),
-    (["arith", "index", "lattice.json", "lattice.json"], 0, SEARCH | {"arith"}),
+    (["arith", "index", "lattice.json", "lattice.json"], 0, {"arith", "matrices"}),
+    (["arith", "commens", "lattice.json", "lattice.json"], 0, {"arith", "matrices"}),
 ]
 
 

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latlab.matrices import ExactMatrix
+from latlab.matrices import ExactMatrix, fraction_free_adjugate
 from latlab.scalars import QuadScalar
 
 
@@ -67,3 +68,34 @@ def test_solve_and_integrality():
     assert x == [Fraction(1), Fraction(1)]
     assert m.is_integral()
     assert not ExactMatrix.from_rows([[Fraction(1, 2)]]).is_integral()
+
+
+@st.composite
+def _ring_matrix(draw):
+    """Row-major entries of an n x n matrix over Z, Z[sqrt 2] or Z[sqrt 5],
+    n = 1..5, with many zeros so that pivots swap and some matrices are
+    singular."""
+    m = draw(st.sampled_from([None, 2, 5]))
+    n = draw(st.integers(1, 5))
+    small = st.one_of(st.just(0), st.integers(-4, 4))
+    entry = small if m is None else st.builds(lambda a, b: QuadScalar(a, b, m),
+                                              small, small)
+    return draw(st.lists(entry, min_size=n * n, max_size=n * n)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_matrix())
+def test_fraction_free_adjugate_matches_exact_inverse(case):
+    entries, n = case
+    g = ExactMatrix(n, n, entries)
+    det, adj = fraction_free_adjugate(entries, n)
+    assert det == g.det()
+    if det == 0:
+        assert adj is None
+        return
+    assert all(x == det * y for x, y in zip(adj, g.inv().data))
+    # the adjugate stays in the ring
+    if isinstance(entries[0], QuadScalar):
+        assert all(Fraction(x.a).denominator == Fraction(x.b).denominator == 1 for x in adj)
+    else:
+        assert all(isinstance(x, int) for x in adj)
