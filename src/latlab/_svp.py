@@ -16,6 +16,18 @@ which stays in the ring once multiplied by suf[i] = prod_{l>=i} d_l d_{l+1}.
 The search keeps W_i = (sum of the fixed terms above level i) * suf[i], so the
 level-i admissibility test  term_i <= C - sum_{l>i} term_l  becomes the pure
 ring inequality  T_i * suf[i+1] <= C * suf[i] - W_i.
+
+Traversal.  One loop over explicit per-level state replaces the recursion and
+keeps its visit order: level i sweeps up from its start (the rounded center
+clamped into the box, or 0 when every coordinate above is zero, and then up
+only), then down from start - 1; a rejected value ends a direction, and a
+step moves t_i = d_{i+1} x_i + S_i by d_{i+1}.  The bound C * suf[i] - W_i
+is computed once per descent into level i and for every level when a leaf
+lowers C.  Center sums are partial (Schnorr-Euchner): sig[i][j] =
+sum_{k>=j} lam[k][i] x_k, S_i = sig[i][i+1], and sig[i][j] is current for j >
+begin[i].  A descent into level i refreshes entries begin[i] .. i+1 (a zero
+coordinate adds nothing), raises begin[i-1] to begin[i] and sets begin[i] =
+i+1, so a node costs O(1) amortized instead of an O(n) sum.
 """
 
 from __future__ import annotations
@@ -176,8 +188,9 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
 
     ``c0``/``seed`` give the starting bound (a diagonal entry and its unit
     vector).  The bound shrinks as soon as a shorter vector is found; equal
-    values are tie-broken by :func:`witness_key`.  Raises BudgetExceededError
-    once more than ``budget`` nodes have been visited.
+    values are tie-broken by :func:`witness_key`.  Raises BudgetExceededError,
+    carrying the best (value, witness) found so far, once more than
+    ``budget`` nodes have been visited.
 
     ``box`` (an int H >= 1) restricts every coordinate to [-H, H]: each
     level's sweep starts at the interval center clamped into the box and stops
@@ -189,83 +202,103 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
     ``accept`` must be symmetric, and it must admit ``seed``.
     """
     n = len(gram)
+    zero = ring.zero
+    nearest = ring.nearest
     den = [d[i] * d[i + 1] for i in range(n)]
     suf = [ring.one] * (n + 1)
     for i in range(n - 1, -1, -1):
         suf[i] = den[i] * suf[i + 1]
+    d1, suf1 = d[1:], suf[1:]
 
     best_q = c0
     best_vec = tuple(seed)
     best_key = witness_key(best_vec)
+    # per level: x_i, t_i, the sweep's start and its t_i, its direction, W_i,
+    # the bound and whether every coordinate above is zero; the current
+    # level's x_i, t_i and direction live in xi, ti and up
     x = [0] * n
+    t = [zero] * n
+    start = [0] * n
+    t_start = [zero] * n
+    ups = [True] * n
+    w = [zero] * n
+    cap = [best_q * u for u in suf]
+    bound = [zero] * n
+    bound[n - 1] = cap[n - 1]
+    suffix_zero = [True] * n
+    sig = [[zero] * (n + 1) for _ in range(n)]
+    begin = [n - 1] * (n + 1)           # begin[-1] takes level 0's write
     nodes = 0
-
-    def run_level(i, w, suffix_zero):
-        nonlocal nodes, best_q, best_vec, best_key
-
-        s = ring.zero
-        for j in range(i + 1, n):
-            if x[j]:
-                s = s + lam[j][i] * x[j]
-        di1 = d[i + 1]
-
-        def attempt(xi):
-            nonlocal nodes, best_q, best_vec, best_key
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    "enumeration exceeded the node budget of %d" % budget,
-                    budget=budget,
-                )
-            t = di1 * xi + s
-            big_t = t * t
-            if big_t * suf[i + 1] > best_q * suf[i] - w:
-                return False
-            if i == 0:
-                if not (suffix_zero and xi == 0):
-                    x[0] = xi
-                    if accept is not None and not accept(x):
-                        return True
-                    value = quad_form_value(gram, x, ring.zero)
-                    if value < best_q:
-                        best_q = value
+    i = n - 1
+    xi, ti, up = 0, zero, True
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                "enumeration exceeded the node budget of %d" % budget,
+                budget=budget, nodes=budget, best=(best_q, canonical_witness(best_vec)),
+            )
+        tt = ti * ti * suf1[i]
+        ok = not tt > bound[i]
+        if ok and i:
+            x[i], t[i], ups[i] = xi, ti, up
+            wi = den[i - 1] * (w[i] + tt)
+            zs = suffix_zero[i] and not xi
+            i -= 1
+            w[i] = wi
+            bound[i] = cap[i] - wi
+            suffix_zero[i] = zs
+            # refresh the stale partial sums of row i, highest index first
+            row, hi = sig[i], begin[i]
+            for j in range(hi, i, -1):
+                row[j] = row[j + 1] + lam[j][i] * x[j] if x[j] else row[j + 1]
+            if begin[i - 1] < hi:
+                begin[i - 1] = hi
+            begin[i] = i + 1
+            s = row[i + 1]
+            if zs:
+                xi = 0
+            else:
+                xi = nearest(-s, d1[i])
+                if box is not None:
+                    xi = min(max(xi, -box), box)
+            start[i] = xi
+            ti = t_start[i] = d1[i] * xi + s
+            up = True
+            continue
+        if ok and (xi or not suffix_zero[0]):
+            x[0] = xi
+            if accept is None or accept(x):
+                value = quad_form_value(gram, x, zero)
+                if value < best_q:
+                    best_q = value
+                    best_vec = tuple(x)
+                    best_key = witness_key(best_vec)
+                    cap = [best_q * u for u in suf]
+                    bound = [cap[k] - w[k] for k in range(n)]
+                elif value == best_q:
+                    key = witness_key(tuple(x))
+                    if key < best_key:
                         best_vec = tuple(x)
-                        best_key = witness_key(best_vec)
-                    elif value == best_q:
-                        key = witness_key(tuple(x))
-                        if key < best_key:
-                            best_vec = tuple(x)
-                            best_key = key
-                return True
-            x[i] = xi
-            run_level(i - 1, den[i - 1] * (w + big_t * suf[i + 1]),
-                      suffix_zero and xi == 0)
-            return True
-
-        if box is not None:
-            start = 0 if suffix_zero else min(max(ring.nearest(-s, di1), -box), box)
-            for xi in range(start, box + 1):
-                if not attempt(xi):
+                        best_key = key
+        # next value of the sweep at level i; a rejected value ends its
+        # direction, and a finished level resumes the sweep of its parent
+        while True:
+            if ok:
+                xi = xi + 1 if up else xi - 1
+                if box is None or -box <= xi <= box:
+                    ti = ti + d1[i] if up else ti - d1[i]
                     break
-            if not suffix_zero:
-                for xi in range(start - 1, -box - 1, -1):
-                    if not attempt(xi):
-                        break
-        elif suffix_zero:
-            xi = 0
-            while attempt(xi):
-                xi += 1
-        else:
-            start = ring.nearest(-s, di1)
-            xi = start
-            while attempt(xi):
-                xi += 1
-            xi = start - 1
-            while attempt(xi):
-                xi -= 1
-
-    run_level(n - 1, ring.zero, True)
-    return best_q, canonical_witness(best_vec), nodes
+            if up and not suffix_zero[i]:
+                up = False
+                xi = start[i] - 1
+                if box is None or xi >= -box:
+                    ti = t_start[i] - d1[i]
+                    break
+            i += 1
+            if i == n:
+                return best_q, canonical_witness(best_vec), nodes
+            xi, ti, up, ok = x[i], t[i], ups[i], True
 
 
 def initial_bound(gram):

@@ -2,9 +2,10 @@
 
 A Gram matrix over Q or a real quadratic field Q(sqrt(m)) is scaled once by
 the lcm of its denominators into Z or Z[sqrt(m)] and its integral
-Gram-Schmidt data is computed once (:class:`IntegralGram`); one exact search
-in :mod:`latlab._svp` then runs over that ring, and the minimum is scaled
-back.
+Gram-Schmidt data is computed once (:class:`IntegralGram`; a matrix already in
+the ring enters with scale 1 through :meth:`IntegralGram.in_ring`); one exact
+search in :mod:`latlab._svp` then runs over that ring, and the minimum is
+scaled back.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class IntegralGram:
     of its denominators into Z or Z[sqrt(m)].
 
     ``gram`` is the ring Gram matrix (scale times the given one), ``m`` is
-    None for a rational matrix, ``ring`` is the matching ring adapter of
+    None when that ring is Z, ``ring`` is the matching ring adapter of
     :mod:`latlab._svp`, and ``d``/``lam`` are the leading minors and integral
     Gram-Schmidt coefficients of the ring Gram matrix.  Raises ValueError for
     an empty, mixed-field, imaginary-field or not positive-definite matrix.
@@ -51,10 +52,23 @@ class IntegralGram:
             raise ValueError("no exact ordering over an imaginary quadratic field")
         scale, entries = clear_denominators((e for row in gram for e in row), m)
         entries = iter(entries)
-        self.gram = [[next(entries) for _ in row] for row in gram]
+        self._set([[next(entries) for _ in row] for row in gram], scale, m)
+
+    @classmethod
+    def in_ring(cls, gram, m=None):
+        """The form of a Gram matrix already in the ring, with scale 1: ints
+        for m None, else QuadScalars with integer coordinates in Z[sqrt(m)]
+        for a real field (m > 1), some of which may be rational.  Nothing is
+        cleared or checked but positive definiteness."""
+        form = cls.__new__(cls)
+        form._set(gram, 1, m)
+        return form
+
+    def _set(self, gram, scale, m):
+        self.gram = gram
         self.ring = _svp.IntRing if m is None else _svp.QuadIntRing(m)
         self.scale, self.m = scale, m
-        self.d, self.lam = _svp.integral_gso(self.gram)
+        self.d, self.lam = _svp.integral_gso(gram)
 
     def unscale(self, value, power=1):
         """A ring value of degree ``power`` in the Gram entries, scaled back
@@ -72,7 +86,8 @@ def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=No
     to [-H, H], and ``accept`` (a predicate on the coordinate list, symmetric
     under x -> -x) restricts the minimum to the vectors it admits; it must
     admit the unit vector of the smallest diagonal entry, which seeds the
-    search.
+    search.  A BudgetExceededError carries the best (value, witness) found
+    before the budget ran out, its value scaled back like a result's.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     if budget < 1:
@@ -83,6 +98,11 @@ def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=No
     if accept is not None:
         assert accept(list(seed)) and accept([-t for t in seed]), \
             "accept must admit the unit-vector seed and its negative"
-    value, witness, nodes = _svp.search(form.gram, form.d, form.lam, c0, seed,
-                                        budget, form.ring, box, accept)
+    try:
+        value, witness, nodes = _svp.search(form.gram, form.d, form.lam, c0, seed,
+                                            budget, form.ring, box, accept)
+    except BudgetExceededError as exc:
+        value, witness = exc.best
+        exc.best = form.unscale(value), witness
+        raise
     return form.unscale(value), witness, nodes

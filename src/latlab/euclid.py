@@ -23,7 +23,7 @@ from math import gcd
 from . import enumeration
 from .errors import NotPositiveDefiniteError
 from .matrices import ExactMatrix
-from .scalars import QuadScalar, sign
+from .scalars import QuadScalar, quad_exact_div, sign
 
 
 class EuclideanLattice:
@@ -362,11 +362,11 @@ def _reduce(form, witness, node_budget, pivot=None):
     same search tree and shortest vectors.  Below the top level that multiple
     is divided by ``pivot``, the vv of the level above (fraction-free
     Gaussian elimination, Bareiss): by Sylvester's identity the quotient is
-    a minor of the transformed Gram matrix, so it lies in Z or Z[sqrt(m)]
-    and IntegralGram takes it back into the ring with scale 1, and the
-    entries do not double in size at each level.  Each lifted column is
-    shifted along the witness by the nearest integer to its component
-    zv / vv.
+    a minor of the transformed Gram matrix, so it lies in Z or Z[sqrt(m)],
+    the exact ring division gives it and it is searched as it is (scale 1),
+    and the entries do not double in size at each level.  Each lifted
+    column is shifted along the witness by the nearest integer to its
+    component zv / vv.
     """
     gram, ring = form.gram, form.ring
     n = len(gram)
@@ -378,9 +378,9 @@ def _reduce(form, witness, node_budget, pivot=None):
         minors = [[vv * gy[i][j] - gy[i][0] * gy[j][0] for j in range(1, n)]
                   for i in range(1, n)]
         if pivot is not None:
-            inverse = Fraction(1, pivot) if isinstance(pivot, int) else pivot.inverse()
-            minors = [[e * inverse for e in row] for row in minors]
-        sub_form = enumeration.IntegralGram(minors)
+            div = operator.floordiv if form.m is None else quad_exact_div
+            minors = [[div(e, pivot) for e in row] for row in minors]
+        sub_form = enumeration.IntegralGram.in_ring(minors, form.m)
         _, sub_witness, _ = enumeration.shortest_vector(sub_form, node_budget)
         sub = _reduce(sub_form, sub_witness, node_budget, vv)
     cols = [[y[r][0] for r in range(n)]]

@@ -313,7 +313,7 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
     """
     if not g.is_square or g.rows < 2:
         raise ValueError("adjoint systole needs a square matrix of size >= 2")
-    gram, divisor = _adjoint_gram(g)
+    gram, divisor, m = _adjoint_gram(g)
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be positive")
     n = g.rows
@@ -325,7 +325,7 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
     from . import enumeration       # loaded on first search: verdicts never load it
 
     value, coords, _ = enumeration.shortest_vector(
-        enumeration.IntegralGram(gram), node_budget, box=coeff_bound,
+        enumeration.IntegralGram.in_ring(gram, m), node_budget, box=coeff_bound,
         accept=forced_entry_in_box)
     entries = list(coords) + [-sum(coords[k] for k in diag)]
     return AdjointSystole(value / divisor, ExactMatrix(n, n, entries),
@@ -333,9 +333,10 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
 
 
 def _adjoint_gram(g: ExactMatrix):
-    """(gram, D^(2n)): the Gram matrix of X -> ||g X g^-1||_F^2 on the
-    trace-zero basis, times D^(2n), in Z or Z[sqrt(m)], for g = G/D with G
-    cleared of denominators; ValueError unless det g = 1.
+    """(gram, D^(2n), m): the Gram matrix of X -> ||g X g^-1||_F^2 on the
+    trace-zero basis, times D^(2n), in Z (m None) or Z[sqrt(m)], for g = G/D
+    with G cleared of denominators; ValueError unless det g = 1.  A Gram
+    matrix with no irrational entry is returned in Z, as ints.
 
     One fraction-free pass gives det G and adj G = det G * G^-1, so det g = 1
     is det G = D^n, and then adj G = D^(n-1) g^-1.  The image of E_ij is
@@ -343,7 +344,8 @@ def _adjoint_gram(g: ExactMatrix):
     G[a,i] adj[j,b] - [i == j] G[a,n-1] adj[n-1,b]: D^n times g E_ij g^-1.
     """
     n = g.rows
-    scale, entries = clear_denominators(g.data, quadratic_field_of(g.data))
+    m = quadratic_field_of(g.data)
+    scale, entries = clear_denominators(g.data, m)
     det, adj = fraction_free_adjugate(entries, n)
     if det != scale ** n:
         raise ValueError("matrix must have determinant 1")
@@ -363,7 +365,9 @@ def _adjoint_gram(g: ExactMatrix):
     for p, u in enumerate(images):
         for q in range(p, size):
             gram[p][q] = gram[q][p] = sum(map(operator.mul, u, images[q]))
-    return gram, scale ** (2 * n)
+    if m is not None and not any(e.b for row in gram for e in row):
+        gram, m = [[e.a for e in row] for row in gram], None
+    return gram, scale ** (2 * n), m
 
 
 # -- isotropic vectors and the transvection witness ----------------------------------

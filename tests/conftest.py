@@ -1,6 +1,7 @@
 """Shared helpers: random lattice generation, an independent brute-force
 shortest-vector oracle (box enumeration over the dual bound, no shared code
-path with the tree search), the Gram matrix and box scan that are the
+path with the tree search), the recursive search that is the oracle of the
+iterative enumeration kernel, the Gram matrix and box scan that are the
 oracles of the adjoint systole, the per-point scan that is the oracle of
 the isotropic search, and ExactMatrix-product oracles of the witness
 verification in latlab.groups."""
@@ -13,8 +14,9 @@ from math import isqrt
 import pytest
 
 from latlab import EuclideanLattice, ExactMatrix
-from latlab._svp import quad_form_value, witness_key
+from latlab._svp import canonical_witness, quad_form_value, witness_key
 from latlab.enumeration import IntegralGram
+from latlab.errors import BudgetExceededError
 from latlab.numfield import IntegerRing, ring_of_integers
 from latlab.scalars import QuadScalar, clear_denominators
 
@@ -100,6 +102,106 @@ def brute_force_minimum(gram):
 
     rec(0, [])
     return Fraction(best), minimizers
+
+
+# The recursive Fincke-Pohst search that latlab._svp.search replaced, kept
+# verbatim: the kernel must return its (value, witness, nodes) and raise
+# its BudgetExceededError at the same budget.
+def oracle_search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
+    """Minimize x^T G x over nonzero integer x; returns (value, witness, nodes).
+
+    ``c0``/``seed`` give the starting bound (a diagonal entry and its unit
+    vector).  The bound shrinks as soon as a shorter vector is found; equal
+    values are tie-broken by :func:`witness_key`.  Raises BudgetExceededError
+    once more than ``budget`` nodes have been visited.
+
+    ``box`` (an int H >= 1) restricts every coordinate to [-H, H]: each
+    level's sweep starts at the interval center clamped into the box and stops
+    at the box edge.  The term of a level is convex in x_i with its minimum at
+    the center, so it is monotone on each side of the clamped start and the
+    first rejected value still ends a sweep exactly.  ``accept`` is a
+    predicate on the complete coordinate vector, checked at the leaves; only
+    accepted vectors compete.  One of each pair {x, -x} is visited, so
+    ``accept`` must be symmetric, and it must admit ``seed``.
+    """
+    n = len(gram)
+    den = [d[i] * d[i + 1] for i in range(n)]
+    suf = [ring.one] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suf[i] = den[i] * suf[i + 1]
+
+    best_q = c0
+    best_vec = tuple(seed)
+    best_key = witness_key(best_vec)
+    x = [0] * n
+    nodes = 0
+
+    def run_level(i, w, suffix_zero):
+        nonlocal nodes, best_q, best_vec, best_key
+
+        s = ring.zero
+        for j in range(i + 1, n):
+            if x[j]:
+                s = s + lam[j][i] * x[j]
+        di1 = d[i + 1]
+
+        def attempt(xi):
+            nonlocal nodes, best_q, best_vec, best_key
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    "enumeration exceeded the node budget of %d" % budget,
+                    budget=budget,
+                )
+            t = di1 * xi + s
+            big_t = t * t
+            if big_t * suf[i + 1] > best_q * suf[i] - w:
+                return False
+            if i == 0:
+                if not (suffix_zero and xi == 0):
+                    x[0] = xi
+                    if accept is not None and not accept(x):
+                        return True
+                    value = quad_form_value(gram, x, ring.zero)
+                    if value < best_q:
+                        best_q = value
+                        best_vec = tuple(x)
+                        best_key = witness_key(best_vec)
+                    elif value == best_q:
+                        key = witness_key(tuple(x))
+                        if key < best_key:
+                            best_vec = tuple(x)
+                            best_key = key
+                return True
+            x[i] = xi
+            run_level(i - 1, den[i - 1] * (w + big_t * suf[i + 1]),
+                      suffix_zero and xi == 0)
+            return True
+
+        if box is not None:
+            start = 0 if suffix_zero else min(max(ring.nearest(-s, di1), -box), box)
+            for xi in range(start, box + 1):
+                if not attempt(xi):
+                    break
+            if not suffix_zero:
+                for xi in range(start - 1, -box - 1, -1):
+                    if not attempt(xi):
+                        break
+        elif suffix_zero:
+            xi = 0
+            while attempt(xi):
+                xi += 1
+        else:
+            start = ring.nearest(-s, di1)
+            xi = start
+            while attempt(xi):
+                xi += 1
+            xi = start - 1
+            while attempt(xi):
+                xi -= 1
+
+    run_level(n - 1, ring.zero, True)
+    return best_q, canonical_witness(best_vec), nodes
 
 
 def oracle_adjoint_gram(g):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,18 @@ from latlab.scalars import QuadScalar
 from conftest import (
     brute_force_minimum,
     gso_from_gram,
+    oracle_search,
     oracle_witness_key,
     random_integer_basis,
+    random_unimodular,
 )
 
 
 def _gram_of(basis):
     n = len(basis)
-    return [[sum(basis[i][k] * basis[j][k] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    zero = basis[0][0] * 0
+    return [[sum((basis[i][k] * basis[j][k] for k in range(n)), start=zero)
+             for j in range(n)] for i in range(n)]
 
 
 def test_identity_lattice():
@@ -79,11 +83,29 @@ def test_not_positive_definite_rejected():
         shortest_vector(IntegralGram([[1, 0], [0, -1]]))
 
 
-def test_deterministic_node_counts():
-    gram = _gram_of([[3, 1, 0], [1, 2, 1], [0, 1, 4]])
-    first = shortest_vector(IntegralGram(gram))
-    second = shortest_vector(IntegralGram(gram))
-    assert first == second
+def _q5(a, b):
+    return QuadScalar(a, b, 5)
+
+
+def _skewed_rows():
+    u = random_unimodular(random.Random(7), 10, steps=90, shear=3)
+    return [[int(u[i, j]) for j in range(10)] for i in range(10)]
+
+
+# (basis, value, witness, nodes), the nodes counted by the recursive search
+# that the iterative kernel replaced: the visit order must not change
+GOLDEN = [
+    ([[3, 1, 0], [1, 2, 1], [0, 1, 4]], Fraction(6), (1, -1, 0), 11),
+    (_skewed_rows(), Fraction(1), (1, -1, -1, 0, 0, 12, 4, 0, 1, 2), 3762),
+    ([[_q5(3, 1), _q5(-1, 2), _q5(0, 1)], [_q5(1, -1), _q5(2, 0), _q5(-2, 1)],
+      [_q5(0, 2), _q5(1, 1), _q5(4, -1)]], _q5(59, -26), (1, 0, -1), 32),
+]
+
+
+@pytest.mark.parametrize("basis, value, witness, nodes", GOLDEN,
+                         ids=["gram3x3", "skewed_z10", "z_sqrt5"])
+def test_golden_node_counts(basis, value, witness, nodes):
+    assert shortest_vector(IntegralGram(_gram_of(basis))) == (value, witness, nodes)
 
 
 def test_nearest_helpers():
@@ -186,3 +208,96 @@ def test_integral_gso_matches_fraction_gso(case):
 def test_integral_gso_on_symmetric_matrices(case):
     # mostly indefinite: must raise exactly when the oracle does
     _check_against_oracle(case[1])
+
+
+# -- the iterative kernel against the recursive oracle --------------------------
+
+
+def _outcome(kernel, form, budget, box=None, accept=None):
+    """repr of (value, witness, nodes), or of the budget at which it gave up."""
+    c0, seed = _svp.initial_bound(form.gram)
+    try:
+        return repr(kernel(form.gram, form.d, form.lam, c0, seed, budget, form.ring,
+                           box, accept))
+    except BudgetExceededError as exc:
+        return "budget %r" % exc.budget
+
+
+def _first_coordinates_bounded(k, h):
+    """Symmetric, admits every unit vector: the shape of the adjoint
+    systole's bound on its forced entry."""
+    return lambda c: abs(sum(c[:k])) <= h
+
+
+def _assert_kernel_matches_oracle(gram, budget, box, accept_k):
+    try:
+        form = IntegralGram(gram)
+    except ValueError:
+        return False
+    accept = None if accept_k is None else _first_coordinates_bounded(accept_k, box or 2)
+    assert _outcome(_svp.search, form, budget, box, accept) == \
+        _outcome(oracle_search, form, budget, box, accept)
+    return True
+
+
+def test_kernel_matches_oracle_on_seeded_inputs(rnd):
+    """1,000 searches over Z, Z[sqrt 2] and Z[sqrt 5], with and without a
+    box and an accept predicate, some of them cut by their budget."""
+    checked = 0
+    while checked < 1000:
+        m = rnd.choice([None, None, 2, 5])
+        n = rnd.randint(1, 7 if m is None else 4)
+        if m is None:
+            basis = [[rnd.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        else:
+            basis = [[QuadScalar(rnd.randint(-3, 3), rnd.randint(-2, 2), m)
+                      for _ in range(n)] for _ in range(n)]
+        box = rnd.choice([None, None, 1, 2, 3])
+        accept_k = rnd.choice([None, None, rnd.randint(1, n)])
+        budget = rnd.choice([3, 40, 400, 10**6])
+        checked += _assert_kernel_matches_oracle(_gram_of(basis), budget, box, accept_k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_square(symmetric=False), st.sampled_from([None, 1, 2, 3]),
+       st.sampled_from([None, 1, 2]), st.sampled_from([2, 10, 60, 10**6]))
+def test_kernel_matches_oracle(case, box, accept_k, budget):
+    _, gram = case
+    if accept_k is not None:
+        accept_k = min(accept_k, len(gram))
+    _assert_kernel_matches_oracle(gram, budget, box, accept_k)
+
+
+def test_budget_error_carries_the_best_vector_so_far(rnd):
+    """An exhausted search reports the nodes it visited and the best
+    (value, witness) so far, scaled back to the given Gram matrix: the value
+    is Q(witness), and no smaller than the true minimum.  Without a box the
+    last node is a rejection at the top level, so a search cut one node
+    short has already found what it returns in full."""
+    exhausted = 0
+    for k in range(40):
+        basis = random_integer_basis(rnd, rnd.randint(4, 7))
+        scale = Fraction(1, rnd.randint(1, 4))       # denominators to unscale
+        gram = [[e * scale for e in row] for row in _gram_of(basis)]
+        form = IntegralGram(gram)
+        c0, seed = _svp.initial_bound(form.gram)
+        minimum = form.unscale(oracle_search(form.gram, form.d, form.lam, c0, seed,
+                                             10**6, form.ring)[0])
+        full_value, full_witness, nodes = shortest_vector(form)
+        with pytest.raises(BudgetExceededError) as cut:
+            shortest_vector(form, nodes - 1)
+        assert cut.value.best == (full_value, full_witness)
+        budget = rnd.randint(2, 60)
+        try:
+            shortest_vector(form, budget)
+            continue
+        except BudgetExceededError as exc:
+            value, witness = exc.best
+            assert exc.budget == exc.nodes == budget
+        exhausted += 1
+        n = len(gram)
+        assert value == sum(gram[i][j] * witness[i] * witness[j]
+                            for i in range(n) for j in range(n))
+        assert value >= minimum and any(witness)
+        assert witness == _svp.canonical_witness(witness)
+    assert exhausted >= 20

@@ -16,7 +16,7 @@ from latlab import (
     reduction_constant,
     systole_sq,
 )
-from latlab import enumeration
+from latlab import _svp
 from latlab.matrices import ExactMatrix
 from latlab.scalars import QuadScalar, print_scalar
 
@@ -304,17 +304,17 @@ def test_reduce_entries_stay_minors(rnd, monkeypatch):
     matrix by the pivot of the level above (Bareiss), so its entries are
     minors of a transformed Gram matrix and do not double in size per level:
     on these 7-dim bases with 8-bit Gram entries the widest entry takes 35
-    bits, and 171 bits without the division."""
+    bits, and 171 bits without the division.  Every level's ring Gram matrix
+    passes through integral_gso, whichever IntegralGram path built it."""
     widest = {}
-    original = enumeration.IntegralGram
+    original = _svp.integral_gso
 
     def spy(gram):
-        form = original(gram)
-        bits = max(abs(e).bit_length() for row in form.gram for e in row)
+        bits = max(abs(e).bit_length() for row in gram for e in row)
         widest[len(gram)] = max(widest.get(len(gram), 0), bits)
-        return form
+        return original(gram)
 
-    monkeypatch.setattr(enumeration, "IntegralGram", spy)
+    monkeypatch.setattr(_svp, "integral_gso", spy)
     for _ in range(20):
         lattice = EuclideanLattice(random_integer_basis(rnd, 7))
         a = math.isqrt(int(covol_sq(lattice))) + 2
