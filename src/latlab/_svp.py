@@ -28,6 +28,14 @@ sum_{k>=j} lam[k][i] x_k, S_i = sig[i][i+1], and sig[i][j] is current for j >
 begin[i].  A descent into level i refreshes entries begin[i] .. i+1 (a zero
 coordinate adds nothing), raises begin[i-1] to begin[i] and sets begin[i] =
 i+1, so a node costs O(1) amortized instead of an O(n) sum.
+
+Reduction.  The tree's size depends on the basis: on a skewed basis of Z^10
+it is thousands of nodes where an LLL-reduced basis of the same lattice
+takes a few hundred.  :func:`lll` reduces exactly, with integral
+Gram-Schmidt data throughout, and returns the transform H; :func:`search`
+with ``basis=H`` compares and returns candidates as H y, so that ties are
+broken in the caller's coordinates and the witness does not depend on the
+basis searched.
 """
 
 from __future__ import annotations
@@ -55,21 +63,117 @@ def integral_gso(gram):
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        lam_i = lam[i]
-        for j in range(i + 1):
-            lam_j = lam[j]
-            u = gram[i][j]
-            for k in range(j):
-                u = d[k + 1] * u - lam_i[k] * lam_j[k]
-                if k:
-                    u = div(u, d[k])
-            if j < i:
-                lam_i[j] = u
-            elif not u > 0:
-                raise NotPositiveDefiniteError("Gram matrix is not positive definite")
-            else:
-                d[i + 1] = u
+        _gso_row(gram[i], i, d, lam, div)
     return d, lam
+
+
+def _gso_row(row, i, d, lam, div):
+    """Set lam[i][:i] and d[i+1] from row i of the Gram matrix and the
+    integral Gram-Schmidt data of rows 0..i-1."""
+    lam_i = lam[i]
+    for j in range(i + 1):
+        lam_j = lam[j]
+        u = row[j]
+        for k in range(j):
+            u = d[k + 1] * u - lam_i[k] * lam_j[k]
+            if k:
+                u = div(u, d[k])
+        if j < i:
+            lam_i[j] = u
+        elif not u > 0:
+            raise NotPositiveDefiniteError("Gram matrix is not positive definite")
+        else:
+            d[i + 1] = u
+
+
+# -- integral LLL ----------------------------------------------------------------
+#
+# Lenstra-Lenstra-Lovasz reduction with delta = 3/4 in the fraction-free form
+# of Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7 (0-based
+# here: Cohen's d_k is d[k], his lambda_{k,l} is lam[k-1][l-1]).  Vector i of
+# the basis is size-reduced when |2 lam[i][j]| <= d[j+1] for every j < i, and
+# passes the Lovasz test when 4 d[i+1] d[i-1] >= 3 d[i]^2 - 4 lam[i][i-1]^2.
+
+
+def is_lll_reduced(d, lam):
+    """Whether the basis with integral Gram-Schmidt data d, lam is LLL-reduced
+    (size-reduced, and every vector passes the Lovasz test): O(n^2) exact
+    comparisons, no arithmetic beyond products."""
+    for i in range(1, len(lam)):
+        row = lam[i]
+        for j in range(i):
+            t = 2 * row[j]
+            if t > d[j + 1] or -t > d[j + 1]:
+                return False
+        if 4 * d[i + 1] * d[i - 1] < 3 * d[i] * d[i] - 4 * row[i - 1] * row[i - 1]:
+            return False
+    return True
+
+
+def lll(gram, ring):
+    """Integral LLL reduction (delta = 3/4) of a positive-definite Gram matrix G
+    with entries in the ring of the adapter ``ring``.
+
+    Returns (basis, reduced, d, lam): ``basis`` lists the columns of a
+    unimodular integer matrix H, ``reduced`` is H^T G H, and d, lam are its
+    integral Gram-Schmidt data, kept exact by the REDI/SWAPI updates rather
+    than recomputed.  Size reduction shifts by ``ring.nearest``, so H stays
+    integral over Z[sqrt(m)] too.  Raises NotPositiveDefiniteError if G is
+    not positive definite.
+    """
+    n = len(gram)
+    div = ring.exact_div
+    nearest = ring.nearest
+    g = [list(row) for row in gram]
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    _gso_row(g[0], 0, d, lam, div)
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            _gso_row(g[k], k, d, lam, div)
+        lam_k = lam[k]
+        # size-reduce b_k against b_(k-1), test Lovasz, and only if it
+        # passes size-reduce against b_(k-2), ..., b_0 (REDI, SWAPI)
+        for l in range(k - 1, -1, -1):
+            t = 2 * lam_k[l]
+            if t > d[l + 1] or -t > d[l + 1]:
+                q = nearest(lam_k[l], d[l + 1])
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+                g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+                for row in g:
+                    row[k] = row[k] - q * row[l]
+                lam_k[l] = lam_k[l] - q * d[l + 1]
+                lam_l = lam[l]
+                for j in range(l):
+                    lam_k[j] = lam_k[j] - q * lam_l[j]
+            if l < k - 1:
+                continue
+            mu = lam_k[l]
+            if not 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * mu * mu:
+                continue
+            # exchange b_k and b_(k-1); lam[k][k-1] stays
+            basis[l], basis[k] = basis[k], basis[l]
+            g[l], g[k] = g[k], g[l]
+            for row in g:
+                row[l], row[k] = row[k], row[l]
+            lam_l = lam[l]
+            for j in range(l):
+                lam_l[j], lam_k[j] = lam_k[j], lam_l[j]
+            b = div(d[l] * d[k + 1] + mu * mu, d[k])
+            for i in range(k + 1, k_max + 1):
+                lam_i = lam[i]
+                t = lam_i[k]
+                lam_i[k] = div(d[k + 1] * lam_i[l] - mu * t, d[k])
+                lam_i[l] = div(b * t + mu * lam_i[k], d[k + 1])
+            d[k] = b
+            k = max(k - 1, 1)
+            break
+        else:
+            k += 1
+    return basis, g, d, lam
 
 
 # -- ring adapters -------------------------------------------------------------
@@ -80,6 +184,7 @@ class IntRing:
 
     zero = 0
     one = 1
+    exact_div = staticmethod(operator.floordiv)
 
     @staticmethod
     def nearest(num, den):
@@ -106,6 +211,8 @@ def _int_le_sqrt(u: int, b: int, m: int) -> bool:
 
 class QuadIntRing:
     """Coefficients in Z[sqrt(m)] with the positive-root embedding, m > 1."""
+
+    exact_div = staticmethod(quad_exact_div)
 
     def __init__(self, m: int):
         self.m = m
@@ -183,7 +290,7 @@ def quad_form_value(gram, x, zero):
     return acc
 
 
-def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
+def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None, basis=None):
     """Minimize x^T G x over nonzero integer x; returns (value, witness, nodes).
 
     ``c0``/``seed`` give the starting bound (a diagonal entry and its unit
@@ -191,6 +298,13 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
     values are tie-broken by :func:`witness_key`.  Raises BudgetExceededError,
     carrying the best (value, witness) found so far, once more than
     ``budget`` nodes have been visited.
+
+    ``basis`` (the columns of a unimodular integer matrix H, with G = H^T G0 H
+    for the caller's Gram matrix G0, as :func:`lll` returns them) makes the
+    witnesses the caller's: every candidate x is compared by
+    ``witness_key(H x)`` and H x is returned, also in the error.  The whole
+    tree holds every vector of value at most the bound, so the minimum and
+    the witness do not depend on the basis searched; only the node count does.
 
     ``box`` (an int H >= 1) restricts every coordinate to [-H, H]: each
     level's sweep starts at the interval center clamped into the box and stops
@@ -210,8 +324,9 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
         suf[i] = den[i] * suf[i + 1]
     d1, suf1 = d[1:], suf[1:]
 
+    caller = tuple if basis is None else lambda y: _image(basis, y)
     best_q = c0
-    best_vec = tuple(seed)
+    best_vec = caller(seed)
     best_key = witness_key(best_vec)
     # per level: x_i, t_i, the sweep's start and its t_i, its direction, W_i,
     # the bound and whether every coordinate above is zero; the current
@@ -272,14 +387,15 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
                 value = quad_form_value(gram, x, zero)
                 if value < best_q:
                     best_q = value
-                    best_vec = tuple(x)
+                    best_vec = caller(x)
                     best_key = witness_key(best_vec)
                     cap = [best_q * u for u in suf]
                     bound = [cap[k] - w[k] for k in range(n)]
                 elif value == best_q:
-                    key = witness_key(tuple(x))
+                    vec = caller(x)
+                    key = witness_key(vec)
                     if key < best_key:
-                        best_vec = tuple(x)
+                        best_vec = vec
                         best_key = key
         # next value of the sweep at level i; a rejected value ends its
         # direction, and a finished level resumes the sweep of its parent
@@ -299,6 +415,16 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
             if i == n:
                 return best_q, canonical_witness(best_vec), nodes
             xi, ti, up, ok = x[i], t[i], ups[i], True
+
+
+def _image(basis, y):
+    """H y for the integer matrix H with columns ``basis``."""
+    v = [0] * len(basis)
+    for col, yk in zip(basis, y):
+        if yk:
+            for r, h in enumerate(col):
+                v[r] += yk * h
+    return tuple(v)
 
 
 def initial_bound(gram):

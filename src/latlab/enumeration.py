@@ -6,6 +6,18 @@ Gram-Schmidt data is computed once (:class:`IntegralGram`; a matrix already in
 the ring enters with scale 1 through :meth:`IntegralGram.in_ring`); one exact
 search in :mod:`latlab._svp` then runs over that ring, and the minimum is
 scaled back.
+
+Over Z the search runs on an LLL-reduced basis (:func:`latlab._svp.lll`,
+exact and integral), whose tree is far smaller on a skewed basis, and ties
+are broken in the caller's coordinates, so the value and the witness are
+those of a search on the given basis.  LLL is skipped, and the given basis
+searched as it is, when it is already LLL-reduced (an O(n^2) exact check on
+its Gram-Schmidt data, so the search is node for node the same), when a box
+or an accept predicate is given (a change of basis does not keep the box),
+and over Z[sqrt(m)], where the reduction costs more than it saves: on
+random 6-dimensional bases with entries in [-5, 5] it cuts the tree from
+59-85 to 17-18 nodes, but reduction and search take 1.7 times as long as
+the search alone.
 """
 
 from __future__ import annotations
@@ -88,19 +100,27 @@ def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=No
     admit the unit vector of the smallest diagonal entry, which seeds the
     search.  A BudgetExceededError carries the best (value, witness) found
     before the budget ran out, its value scaled back like a result's.
+
+    Without a box or an accept predicate, a Gram matrix over Z that is not
+    LLL-reduced is reduced first and the search runs on the reduced basis;
+    ``nodes`` counts that search.  The value and the witness, also those of
+    the error, are the same as on the given basis.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     if budget < 1:
         raise ValueError("node budget must be positive")
-    c0, seed = _svp.initial_bound(form.gram)
+    gram, d, lam, basis = form.gram, form.d, form.lam, None
+    if box is None and accept is None and form.m is None and not _svp.is_lll_reduced(d, lam):
+        basis, gram, d, lam = _svp.lll(gram, form.ring)
+    c0, seed = _svp.initial_bound(gram)
     if box is not None:
         assert box >= 1, "a box must contain the unit vectors"
     if accept is not None:
         assert accept(list(seed)) and accept([-t for t in seed]), \
             "accept must admit the unit-vector seed and its negative"
     try:
-        value, witness, nodes = _svp.search(form.gram, form.d, form.lam, c0, seed,
-                                            budget, form.ring, box, accept)
+        value, witness, nodes = _svp.search(gram, d, lam, c0, seed, budget, form.ring,
+                                            box, accept, basis=basis)
     except BudgetExceededError as exc:
         value, witness = exc.best
         exc.best = form.unscale(value), witness

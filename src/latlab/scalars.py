@@ -118,11 +118,10 @@ class QuadScalar:
         return QuadScalar(-self.a, -self.b, self.m)
 
     def __sub__(self, other):
-        o = -other if isinstance(other, QuadScalar) else other
-        if isinstance(o, QuadScalar):
-            return self + o
         pair = self._pair_of(other)
         if pair is None:
+            if isinstance(other, QuadScalar) and self.b == 0:
+                return QuadScalar(self.a - other.a, -other.b, other.m)
             return NotImplemented
         return QuadScalar(self.a - pair[0], self.b - pair[1], self.m)
 

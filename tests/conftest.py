@@ -51,6 +51,18 @@ def random_unimodular(rnd, n, steps=12, shear=5):
     return ExactMatrix.from_rows(rows)
 
 
+def skewed_basis(rnd, n, steps=90, shear=3):
+    """Rows of a skewed basis of Z^n, and the canonical witness of its
+    minimum 1: the basis is the rows of U, so U^T x = +-e_i gives the
+    minimal vectors x = +-(row i of U^-1)."""
+    u = random_unimodular(rnd, n, steps=steps, shear=shear)
+    inv = u.inv()
+    rows = [[int(u[i, j]) for j in range(n)] for i in range(n)]
+    canonical = min(oracle_witness_key([int(inv[i, j]) for j in range(n)])
+                    for i in range(n))[1]
+    return rows, canonical
+
+
 def apply_basis_change(lattice, transform):
     """New lattice with basis columns B * U for an integer matrix U."""
     n = lattice.rank

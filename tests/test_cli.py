@@ -563,3 +563,88 @@ def test_quadratic_lattice_document(write_doc):
     code, out, _ = run_cli(["--format", "json", "lattice", "systole", doc])
     assert code == 0
     assert loads_strict(out)["systole_sq"] == "1"
+
+
+def _skewed_doc(write_doc, n, seed):
+    """A document of a basis of Z^n behind 90 random shears, swaps and
+    flips, its rows, and the canonical witness of its minimum 1."""
+    import random
+
+    from conftest import skewed_basis
+
+    rows, canonical = skewed_basis(random.Random(seed), n)
+    doc = write_doc({"dim": n, "field": None,
+                     "basis": [[str(e) for e in row] for row in rows]})
+    return doc, rows, canonical
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_skewed_documents_answer_within_the_budget(write_doc, n):
+    """The search on the given basis needs more than 20,000 nodes (exit 3
+    before LLL); on the LLL-reduced basis both subcommands answer."""
+    from latlab import _svp
+    from latlab.enumeration import IntegralGram
+    from latlab.errors import BudgetExceededError
+
+    doc, rows, canonical = _skewed_doc(write_doc, n, seed=1)
+    form = IntegralGram([[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows])
+    c0, seed = _svp.initial_bound(form.gram)
+    with pytest.raises(BudgetExceededError):
+        _svp.search(form.gram, form.d, form.lam, c0, seed, 20000, form.ring)
+
+    code, out, err = run_cli(["--budget", "20000", "--format", "json",
+                              "lattice", "systole", doc])
+    assert code == 0 and err == ""
+    payload = loads_strict(out)
+    assert payload["systole_sq"] == "1" and tuple(payload["witness"]) == canonical
+    code, out, err = run_cli(["--budget", "20000", "lattice", "systole", doc])
+    assert (code, err) == (0, "")
+    assert out == "systole_sq = 1\nwitness coefficients = %s\n" % (list(canonical),)
+
+    code, out, err = run_cli(["--budget", "20000", "--format", "json",
+                              "lattice", "reduce", doc, "--a", "2"])
+    assert code == 0 and err == ""
+    payload = loads_strict(out)
+    reduced = [[Fraction(e) for e in row] for row in payload["basis"]]
+    # a basis of Z^n again: integral with determinant +-1
+    assert all(e.denominator == 1 for row in reduced for e in row)
+    assert abs(ExactMatrix.from_rows(reduced).det()) == 1
+    # C(n, 2) is beyond float range (null) for n >= 11
+    bound = payload["bound_approx"]
+    assert bound is None or all(t <= bound + 1e-9 for t in payload["norms_approx"])
+
+
+# a basis that is already LLL-reduced: stdout as before the reduction existed
+REDUCED_BASIS = [["-1", "1", "0", "-1", "1"], ["-1", "0", "-3", "2", "3"],
+                 ["-2", "2", "1", "0", "-3"], ["0", "0", "-1", "-3", "-2"],
+                 ["3", "2", "1", "0", "0"]]
+REDUCED_ROWS = ('[["-1","1","0","-1","1"],["0","0","-1","-3","-2"],["3","2","1","0","0"],'
+                '["0","1","4","0","0"],["2","-1","2","-3","1"]]')
+REDUCED_NORMS = ("[2.0, 3.7416573867739413, 3.7416573867739413, 4.123105625617661, "
+                 "4.358898943540674]")
+REDUCED_GOLDEN = {
+    ("human", "systole"): "systole_sq = 4\nwitness coefficients = [1, 0, 0, 0, 0]\n",
+    ("json", "systole"):
+        '{"schema":1,"systole_approx":2.0,"systole_sq":"4","witness":[1,0,0,0,0]}\n',
+    ("human", "reduce"):
+        "reduced basis: %s\nnorms = %s, bound C(n,a) = 2.5102e+41\n"
+        % (json.loads(REDUCED_ROWS), REDUCED_NORMS),
+    ("json", "reduce"):
+        '{"basis":%s,"bound_approx":2.510196553790398e+41,"norms_approx":%s,'
+        '"schema":1}\n' % (REDUCED_ROWS, REDUCED_NORMS.replace(" ", "")),
+}
+
+
+@pytest.mark.parametrize("fmt, sub", sorted(REDUCED_GOLDEN))
+def test_reduced_basis_output_unchanged(write_doc, monkeypatch, fmt, sub):
+    from latlab import _svp
+
+    doc = write_doc({"dim": 5, "field": None, "basis": REDUCED_BASIS})
+    if sub == "systole":
+        # the top-level search runs on the given basis; the projected
+        # lattices of a reduction may still be reduced first
+        def fail(gram, ring):
+            raise AssertionError("LLL ran on a reduced basis")
+        monkeypatch.setattr(_svp, "lll", fail)
+    args = ["--format", fmt, "lattice", sub, doc] + (["--a", "338"] if sub == "reduce" else [])
+    assert run_cli(args) == (0, REDUCED_GOLDEN[fmt, sub], "")

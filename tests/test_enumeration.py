@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from latlab import _svp
 from latlab.enumeration import BudgetExceededError, IntegralGram, shortest_vector
+from latlab.errors import NotPositiveDefiniteError
+from latlab.matrices import ExactMatrix
 from latlab.scalars import QuadScalar
 
 from conftest import (
@@ -15,6 +17,7 @@ from conftest import (
     oracle_witness_key,
     random_integer_basis,
     random_unimodular,
+    skewed_basis,
 )
 
 
@@ -92,19 +95,34 @@ def _skewed_rows():
     return [[int(u[i, j]) for j in range(10)] for i in range(10)]
 
 
-# (basis, value, witness, nodes), the nodes counted by the recursive search
-# that the iterative kernel replaced: the visit order must not change
+# (basis, value, witness, nodes): the kernel on the caller's Gram matrix,
+# counted as the recursive search (``oracle_search``) counts them, so the
+# visit order must not change
 GOLDEN = [
     ([[3, 1, 0], [1, 2, 1], [0, 1, 4]], Fraction(6), (1, -1, 0), 11),
     (_skewed_rows(), Fraction(1), (1, -1, -1, 0, 0, 12, 4, 0, 1, 2), 3762),
     ([[_q5(3, 1), _q5(-1, 2), _q5(0, 1)], [_q5(1, -1), _q5(2, 0), _q5(-2, 1)],
       [_q5(0, 2), _q5(1, 1), _q5(4, -1)]], _q5(59, -26), (1, 0, -1), 32),
 ]
+GOLDEN_IDS = ["gram3x3", "skewed_z10", "z_sqrt5"]
+
+# the nodes of shortest_vector, which searches the LLL-reduced basis over Z:
+# the same value and witness
+GOLDEN_NODES_AFTER_LLL = [11, 165, 32]
 
 
-@pytest.mark.parametrize("basis, value, witness, nodes", GOLDEN,
-                         ids=["gram3x3", "skewed_z10", "z_sqrt5"])
+@pytest.mark.parametrize("basis, value, witness, nodes", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_node_counts(basis, value, witness, nodes):
+    form = IntegralGram(_gram_of(basis))
+    c0, seed = _svp.initial_bound(form.gram)
+    assert _svp.search(form.gram, form.d, form.lam, c0, seed, 10**6, form.ring) == \
+        (value, witness, nodes)
+
+
+@pytest.mark.parametrize("golden, nodes", zip(GOLDEN, GOLDEN_NODES_AFTER_LLL),
+                         ids=GOLDEN_IDS)
+def test_golden_node_counts_after_lll(golden, nodes):
+    basis, value, witness, _ = golden
     assert shortest_vector(IntegralGram(_gram_of(basis))) == (value, witness, nodes)
 
 
@@ -273,7 +291,8 @@ def test_budget_error_carries_the_best_vector_so_far(rnd):
     (value, witness) so far, scaled back to the given Gram matrix: the value
     is Q(witness), and no smaller than the true minimum.  Without a box the
     last node is a rejection at the top level, so a search cut one node
-    short has already found what it returns in full."""
+    short has already found what it returns in full.  Each budget is drawn
+    below the search's own node count, so that it is cut."""
     exhausted = 0
     for k in range(40):
         basis = random_integer_basis(rnd, rnd.randint(4, 7))
@@ -287,7 +306,7 @@ def test_budget_error_carries_the_best_vector_so_far(rnd):
         with pytest.raises(BudgetExceededError) as cut:
             shortest_vector(form, nodes - 1)
         assert cut.value.best == (full_value, full_witness)
-        budget = rnd.randint(2, 60)
+        budget = rnd.randint(1, nodes - 1)
         try:
             shortest_vector(form, budget)
             continue
@@ -301,3 +320,186 @@ def test_budget_error_carries_the_best_vector_so_far(rnd):
         assert value >= minimum and any(witness)
         assert witness == _svp.canonical_witness(witness)
     assert exhausted >= 20
+
+
+# -- integral LLL --------------------------------------------------------------
+
+
+def _congruent(gram, cols):
+    """H^T G H for H with columns ``cols``, by plain sums."""
+    zero = gram[0][0] * 0
+    n = len(gram)
+    return [[sum((a[i] * gram[i][j] * b[j] for i in range(n) for j in range(n)),
+                 start=zero) for b in cols] for a in cols]
+
+
+def _oracle_lll_reduced(gram):
+    """Size reduction and the Lovasz test with delta = 3/4 on the
+    fraction-field Gram-Schmidt data."""
+    mu, norms = gso_from_gram(gram)
+    return all(all(-1 <= 2 * mu[i][j] <= 1 for j in range(i)) and
+               norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
+               for i in range(1, len(gram)))
+
+
+def test_is_lll_reduced_examples():
+    def reduced(gram):
+        return _svp.is_lll_reduced(*_svp.integral_gso(gram))
+    assert reduced([[1, 0], [0, 4]]) and reduced([[2, 1], [1, 2]])
+    assert not reduced([[4, 0], [0, 1]])        # size-reduced, fails Lovasz
+    assert not reduced([[2, 3], [3, 5]])        # fails size reduction
+
+
+def _assert_lll_output(gram, ring):
+    basis, reduced, d, lam = _svp.lll(gram, ring)
+    assert all(type(e) is int for col in basis for e in col)
+    assert abs(ExactMatrix.from_rows(basis).det()) == 1
+    assert reduced == _congruent(gram, basis)
+    assert (d, lam) == _svp.integral_gso(reduced)
+    assert _svp.is_lll_reduced(d, lam) and _oracle_lll_reduced(reduced)
+
+
+def test_lll_on_seeded_inputs(rnd):
+    """Random bases over Z, Z[sqrt 2] and Z[sqrt 5], and skewed bases of Z^n."""
+    for _ in range(150):
+        m = rnd.choice([None, None, 2, 5])
+        n = rnd.randint(1, 8 if m is None else 4)
+        if m is None:
+            basis = random_integer_basis(rnd, n)
+            ring = _svp.IntRing
+        else:
+            basis = [[QuadScalar(rnd.randint(-3, 3), rnd.randint(-2, 2), m)
+                      for _ in range(n)] for _ in range(n)]
+            ring = _svp.QuadIntRing(m)
+        try:
+            _svp.integral_gso(_gram_of(basis))
+        except ValueError:
+            continue
+        _assert_lll_output(_gram_of(basis), ring)
+    for n in (8, 10, 12):
+        rows, _ = skewed_basis(rnd, n)
+        assert not _svp.is_lll_reduced(*_svp.integral_gso(_gram_of(rows)))
+        _assert_lll_output(_gram_of(rows), _svp.IntRing)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring_square(symmetric=False))
+def test_lll_invariants(case):
+    m, gram = case
+    ring = _svp.IntRing if m is None else _svp.QuadIntRing(m)
+    try:
+        _svp.integral_gso(gram)
+    except ValueError:
+        with pytest.raises(NotPositiveDefiniteError):
+            _svp.lll(gram, ring)
+        return
+    assert _svp.is_lll_reduced(*_svp.integral_gso(gram)) == _oracle_lll_reduced(gram)
+    _assert_lll_output(gram, ring)
+
+
+def _forbid_lll(monkeypatch):
+    def fail(gram, ring):
+        raise AssertionError("LLL ran")
+    monkeypatch.setattr(_svp, "lll", fail)
+
+
+def test_reduced_input_skips_lll(rnd, monkeypatch):
+    """A basis that is already LLL-reduced is searched as given: the node
+    count is the kernel's on that basis."""
+    grams = []
+    for n in (3, 6, 9, 12):
+        rows, _ = skewed_basis(rnd, n)
+        grams.append(_svp.lll(_gram_of(rows), _svp.IntRing)[1])
+    grams.append([[1, 0], [0, 1]])
+    _forbid_lll(monkeypatch)
+    for gram in grams:
+        form = IntegralGram(gram)
+        assert _svp.is_lll_reduced(form.d, form.lam)
+        c0, seed = _svp.initial_bound(form.gram)
+        assert shortest_vector(form) == _svp.search(form.gram, form.d, form.lam, c0,
+                                                    seed, 10**6, form.ring)
+
+
+def test_lll_skipped_with_box_accept_or_quadratic_ring(rnd, monkeypatch):
+    """A change of basis does not keep a box, and over Z[sqrt m] LLL costs
+    more than it saves: these searches run on the caller's basis."""
+    rows, _ = skewed_basis(rnd, 6, steps=40)
+    form = IntegralGram(_gram_of(rows))
+    assert not _svp.is_lll_reduced(form.d, form.lam)
+    c0, seed = _svp.initial_bound(form.gram)
+    accept = _first_coordinates_bounded(2, 3)
+    quad = IntegralGram(_gram_of(GOLDEN[2][0]))
+    expected = [
+        _svp.search(form.gram, form.d, form.lam, c0, seed, 10**6, form.ring, 2),
+        _svp.search(form.gram, form.d, form.lam, c0, seed, 10**6, form.ring,
+                    None, accept),
+        (GOLDEN[2][1], GOLDEN[2][2], GOLDEN[2][3]),
+    ]
+    _forbid_lll(monkeypatch)
+    assert [shortest_vector(form, box=2), shortest_vector(form, accept=accept),
+            shortest_vector(quad)] == expected
+    with pytest.raises(AssertionError, match="LLL ran"):
+        shortest_vector(form)
+
+
+def test_budget_error_best_in_callers_coordinates(rnd):
+    """On skewed bases, which LLL changes, an exhausted search reports
+    Q(witness) for the caller's Gram matrix and a canonical witness."""
+    for _ in range(12):
+        rows, canonical = skewed_basis(rnd, rnd.randint(6, 10), steps=60)
+        scale = Fraction(1, rnd.randint(1, 3))
+        gram = [[e * scale for e in row] for row in _gram_of(rows)]
+        form = IntegralGram(gram)
+        assert not _svp.is_lll_reduced(form.d, form.lam)
+        value, witness, nodes = shortest_vector(form)
+        assert (value, witness) == (scale, canonical)
+        for budget in sorted({1, rnd.randint(1, nodes - 1), nodes - 1}):
+            with pytest.raises(BudgetExceededError) as cut:
+                shortest_vector(form, budget)
+            value, witness = cut.value.best
+            n = len(gram)
+            assert value == sum(gram[i][j] * witness[i] * witness[j]
+                                for i in range(n) for j in range(n))
+            assert value >= scale
+            assert witness == oracle_witness_key(witness)[1]
+
+
+def test_shortest_vector_matches_oracle_on_seeded_inputs(rnd):
+    """Values and witnesses of the LLL-reduced search are the recursive
+    oracle's on the caller's Gram matrix: 1,000 small inputs over Q with
+    denominators, Z[sqrt 2] and Z[sqrt 5], and skewed Z^n with n = 8..12,
+    whose minimum 1 and canonical witness are known in closed form."""
+    checked = 0
+    while checked < 1000:
+        m = rnd.choice([None, None, None, 2, 5])
+        n = rnd.randint(1, 6 if m is None else 4)
+        if m is None:
+            basis = [[Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) for _ in range(n)]
+                     for _ in range(n)]
+        else:
+            basis = [[QuadScalar(Fraction(rnd.randint(-3, 3), rnd.randint(1, 2)),
+                                 rnd.randint(-2, 2), m) for _ in range(n)]
+                     for _ in range(n)]
+        try:
+            form = IntegralGram(_gram_of(basis))
+        except ValueError:
+            continue
+        c0, seed = _svp.initial_bound(form.gram)
+        value, witness, _ = oracle_search(form.gram, form.d, form.lam, c0, seed,
+                                          10**6, form.ring)
+        assert shortest_vector(form)[:2] == (form.unscale(value), witness)
+        checked += 1
+    searched = 0
+    for n in (8, 9, 10, 11, 12):
+        rows, canonical = skewed_basis(rnd, n, steps=60)
+        form = IntegralGram(_gram_of(rows))
+        assert shortest_vector(form)[:2] == (1, canonical)
+        c0, seed = _svp.initial_bound(form.gram)
+        try:
+            expected = oracle_search(form.gram, form.d, form.lam, c0, seed, 30000,
+                                     form.ring)[:2]
+        except BudgetExceededError:
+            continue
+        assert expected == (1, canonical)
+        searched += 1
+    assert searched >= 3

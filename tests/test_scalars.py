@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latlab.scalars import (
     QuadScalar,
@@ -142,6 +143,40 @@ def test_field_mixing_rejected():
         QuadScalar(0, 1, 2) + QuadScalar(0, 1, 3)
     # rationals embed into any field
     assert QuadScalar(2, 0, 2) + QuadScalar(1, 1, 3) == QuadScalar(3, 1, 3)
+
+
+_COORD = st.one_of(st.integers(-20, 20),
+                   st.fractions(min_value=-20, max_value=20, max_denominator=6))
+_QUAD = st.builds(QuadScalar, _COORD, st.one_of(st.just(0), _COORD),
+                  st.sampled_from([2, 3, 5, -1]))
+
+
+def _sum_outcome(op):
+    """The coordinates and field of a result, or the ValueError's message."""
+    try:
+        r = op()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(r, QuadScalar):
+        return "quad", r.a, r.b, r.m
+    return type(r).__name__, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(_QUAD, st.one_of(_QUAD, st.integers(-20, 20), st.fractions(max_denominator=6)))
+def test_sub_is_add_of_negation(x, y):
+    # same coordinates and field, the same mixed-field error, and a rational
+    # minuend adopts the subtrahend's field
+    assert _sum_outcome(lambda: x - y) == _sum_outcome(lambda: x + (-y))
+
+
+def test_sub_field_rules():
+    assert _sum_outcome(lambda: QuadScalar(2, 0, 2) - QuadScalar(1, 1, 3)) == \
+        ("quad", 1, -1, 3)
+    assert _sum_outcome(lambda: QuadScalar(2, 1, 2) - QuadScalar(1, 0, 3)) == \
+        ("quad", 1, 1, 2)
+    with pytest.raises(ValueError, match="cannot mix"):
+        QuadScalar(0, 1, 2) - QuadScalar(0, 1, 3)
 
 
 def test_division_and_inverse():
