@@ -22,7 +22,7 @@ from math import gcd
 
 from . import enumeration
 from .errors import NotPositiveDefiniteError
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, promote_entry
 from .scalars import QuadScalar, quad_exact_div, sign
 
 
@@ -38,7 +38,7 @@ class EuclideanLattice:
     __slots__ = ("basis", "rank", "ambient", "gram", "form")
 
     def __init__(self, basis):
-        basis = [tuple(_norm_entry(e) for e in v) for v in basis]
+        basis = [tuple(promote_entry(e) for e in v) for v in basis]
         if not basis:
             raise ValueError("a lattice needs at least one basis vector")
         ambient = len(basis[0])
@@ -84,14 +84,6 @@ class EuclideanLattice:
 
     def __repr__(self):
         return "EuclideanLattice(rank=%d, ambient=%d)" % (self.rank, self.ambient)
-
-
-def _norm_entry(e):
-    if isinstance(e, int):
-        return Fraction(e)
-    if isinstance(e, (Fraction, QuadScalar)):
-        return e
-    raise TypeError("lattice entries must be exact scalars, got %r" % (e,))
 
 
 def _dot(u, v):
@@ -204,7 +196,7 @@ def mahler_report(family, node_budget=None) -> MahlerReport:
 
 def coefficients_of(lattice: EuclideanLattice, vector):
     """Integer coefficients of an ambient vector, or None if not in the lattice."""
-    vector = [_norm_entry(e) for e in vector]
+    vector = [promote_entry(e) for e in vector]
     if len(vector) != lattice.ambient:
         raise ValueError("vector has wrong ambient dimension")
     basis = lattice.basis_matrix()
@@ -239,7 +231,7 @@ def project_orthogonal(lattice: EuclideanLattice, vector) -> EuclideanLattice:
     """
     if lattice.rank < 2:
         raise ValueError("projection needs a lattice of rank at least 2")
-    vector = tuple(_norm_entry(e) for e in vector)
+    vector = tuple(promote_entry(e) for e in vector)
     coeffs = coefficients_of(lattice, vector)
     if coeffs is None:
         raise ValueError("vector does not belong to the lattice")

@@ -1,11 +1,12 @@
 """Dense exact matrices over Q or Q(sqrt(m)).
 
 Entries are Fractions or QuadScalars (integers are promoted to Fraction on
-construction so that true division never falls back to floats).  Elimination
-uses exact field division with first-nonzero pivoting; there is no numerical
-stability concern, only growth of exact entries, which is fine at the small
-sizes this package works with.  :func:`fraction_free_adjugate` inverts a
-matrix over the ring integers Z or Z[sqrt(m)] without leaving the ring.
+construction so that true division never falls back to floats).  There is one
+elimination, :func:`fraction_free_adjugate`: a Bareiss pass over the ring
+integers Z or Z[sqrt(m)] that never leaves the ring.  ``det``, ``inv`` and
+``solve`` write the matrix as G/D with G over the ring (one
+``scalars.clear_denominators``), run that pass once on G, and divide once at
+the end, so exact entries grow only as minors of G do.
 """
 
 from __future__ import annotations
@@ -13,22 +14,31 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .scalars import QuadScalar, quad_exact_div
+from .scalars import QuadScalar, clear_denominators, quad_exact_div, quadratic_field_of
 
 
-def _promote(entry):
+def promote_entry(entry):
+    """An exact scalar as stored: ints become Fractions, Fractions and
+    QuadScalars pass through; TypeError for anything else."""
     if isinstance(entry, int):
         return Fraction(entry)
     if isinstance(entry, (Fraction, QuadScalar)):
         return entry
-    raise TypeError("matrix entries must be exact scalars, got %r" % (entry,))
+    raise TypeError("entries must be exact scalars, got %r" % (entry,))
+
+
+def _quotient(x, d):
+    """x / d for d != 0 in Z or Z[sqrt(m)] and x in its fraction field."""
+    if isinstance(x, QuadScalar) or isinstance(d, QuadScalar):
+        return x / d
+    return Fraction(x, d)
 
 
 class ExactMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = [_promote(e) for e in entries]
+        entries = [promote_entry(e) for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(
                 "expected %d entries for a %dx%d matrix, got %d"
@@ -170,78 +180,51 @@ class ExactMatrix:
 
     # -- elimination ------------------------------------------------------------
 
-    def det(self):
+    def _adjugate(self, what):
+        """(D, det G, adj G) for self = G/D with G over Z or Z[sqrt(m)], by one
+        fraction-free pass; adj G is None when self is singular."""
         if not self.is_square:
-            raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        work = self.to_rows()
-        sign_flips = 0
-        det = None
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign_flips ^= 1
-            pivot = work[col][col]
-            det = pivot if det is None else det * pivot
-            for r in range(col + 1, n):
-                factor = work[r][col] / pivot
-                if factor == 0:
-                    continue
-                row = work[r]
-                prow = work[col]
-                for c in range(col, n):
-                    row[c] = row[c] - factor * prow[c]
-        return -det if sign_flips else det
+            raise ValueError("%s needs a square matrix" % what)
+        m = quadratic_field_of(self.data)
+        if m is None:  # all rational: a QuadScalar entry still sets the field
+            m = next((x.m for x in self.data if isinstance(x, QuadScalar)), None)
+        scale, ring = clear_denominators(self.data, m)
+        return (scale,) + fraction_free_adjugate(ring, self.rows)
+
+    def det(self):
+        """det(G/D) = det G / D^n, and 1 for the 0 x 0 matrix.  A Fraction
+        when no entry is a QuadScalar, else a QuadScalar in the entries' field
+        (0 included)."""
+        scale, det, _ = self._adjugate("determinant")
+        return _quotient(det, scale ** self.rows)
 
     def inv(self) -> "ExactMatrix":
-        if not self.is_square:
-            raise ValueError("inverse needs a square matrix")
+        """(G/D)^-1 = D adj G / det G; ValueError if singular or 0 x 0.
+        Entries are Fractions when no entry is a QuadScalar, else QuadScalars
+        in the entries' field."""
+        scale, det, adj = self._adjugate("inverse")
+        if adj is None:
+            raise ValueError("matrix is singular")
         n = self.rows
-        work = self.to_rows()
-        aug = ExactMatrix.identity(n).to_rows()
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            pivot = work[col][col]
-            work[col] = [x / pivot for x in work[col]]
-            aug[col] = [x / pivot for x in aug[col]]
-            for r in range(n):
-                if r == col or work[r][col] == 0:
-                    continue
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix.from_rows(aug)
+        return ExactMatrix.from_rows(
+            [[_quotient(scale * e, det) for e in adj[i * n:(i + 1) * n]] for i in range(n)])
 
     def solve(self, rhs):
-        """Solve self * x = rhs (rhs a flat vector) exactly; self square."""
-        inv = self.inv()
+        """Solve self * x = rhs (rhs a flat vector) exactly; self square:
+        x = D adj G rhs / det G, with no inverse formed.  Errors as inv's;
+        Fractions when no entry of self or rhs is a QuadScalar, else
+        QuadScalars."""
+        scale, det, adj = self._adjugate("inverse")
+        if adj is None:
+            raise ValueError("matrix is singular")
         n = self.rows
-        rhs = [_promote(v) for v in rhs]
+        if n == 0:
+            raise ValueError("matrix needs at least one row")
+        rhs = [promote_entry(v) for v in rhs]
         if len(rhs) != n:
             raise ValueError("right-hand side has wrong length")
-        return [
-            sum((inv[i, k] * rhs[k] for k in range(n)),
-                start=Fraction(0))
-            for i in range(n)
-        ]
+        return [_quotient(scale * sum(map(operator.mul, adj[i * n:(i + 1) * n], rhs)), det)
+                for i in range(n)]
 
     def is_integral(self) -> bool:
         """Every entry a rational integer."""
@@ -260,7 +243,8 @@ class ExactMatrix:
 def fraction_free_adjugate(entries, n: int):
     """(det G, adj G) of the n x n matrix G with row-major entries in Z or
     Z[sqrt(m)] (all ints, or all QuadScalars with integer coordinates); adj G
-    is row-major and G adj G = det G * I.  A singular G gives (0, None).
+    is row-major and G adj G = det G * I.  A singular G gives (0, None), and
+    n = 0 gives (1, []).
 
     One fraction-free Gauss-Jordan pass on [G | I] (Bareiss 1968; Cohen, A
     Course in Computational Algebraic Number Theory, 2.2): step k replaces
@@ -270,7 +254,7 @@ def fraction_free_adjugate(entries, n: int):
     delta * I with delta = p_(n-1) = +-det G, the sign being that of the row
     swaps, and the right block as delta * G^-1.
     """
-    quad = isinstance(entries[0], QuadScalar)
+    quad = bool(entries) and isinstance(entries[0], QuadScalar)
     div = quad_exact_div if quad else operator.floordiv
     if quad:
         m = entries[0].m

@@ -3,8 +3,9 @@ shortest-vector oracle (box enumeration over the dual bound, no shared code
 path with the tree search), the recursive search that is the oracle of the
 iterative enumeration kernel, the Gram matrix and box scan that are the
 oracles of the adjoint systole, the per-point scan that is the oracle of
-the isotropic search, and ExactMatrix-product oracles of the witness
-verification in latlab.groups."""
+the isotropic search, ExactMatrix-product oracles of the witness
+verification in latlab.groups, and the Fraction Gauss-Jordan eliminations
+that are the oracles of ExactMatrix.det, inv and solve."""
 
 import itertools
 import random
@@ -17,6 +18,7 @@ from latlab import EuclideanLattice, ExactMatrix
 from latlab._svp import canonical_witness, quad_form_value, witness_key
 from latlab.enumeration import IntegralGram
 from latlab.errors import BudgetExceededError
+from latlab.matrices import promote_entry
 from latlab.numfield import IntegerRing, ring_of_integers
 from latlab.scalars import QuadScalar, clear_denominators
 
@@ -73,6 +75,86 @@ def apply_basis_change(lattice, transform):
     return EuclideanLattice(cols)
 
 
+# The field-division eliminations that ExactMatrix.det, inv and solve
+# replaced by one fraction-free adjugate, kept verbatim (first-nonzero
+# pivoting, exact Fraction or QuadScalar division): they share no code with
+# matrices.fraction_free_adjugate.
+def oracle_det(a):
+    if not a.is_square:
+        raise ValueError("determinant needs a square matrix")
+    n = a.rows
+    if n == 0:
+        return Fraction(1)
+    work = a.to_rows()
+    sign_flips = 0
+    det = None
+    for col in range(n):
+        pivot_row = None
+        for r in range(col, n):
+            if work[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            sign_flips ^= 1
+        pivot = work[col][col]
+        det = pivot if det is None else det * pivot
+        for r in range(col + 1, n):
+            factor = work[r][col] / pivot
+            if factor == 0:
+                continue
+            row = work[r]
+            prow = work[col]
+            for c in range(col, n):
+                row[c] = row[c] - factor * prow[c]
+    return -det if sign_flips else det
+
+
+def oracle_inv(a):
+    if not a.is_square:
+        raise ValueError("inverse needs a square matrix")
+    n = a.rows
+    work = a.to_rows()
+    aug = ExactMatrix.identity(n).to_rows()
+    for col in range(n):
+        pivot_row = None
+        for r in range(col, n):
+            if work[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = work[col][col]
+        work[col] = [x / pivot for x in work[col]]
+        aug[col] = [x / pivot for x in aug[col]]
+        for r in range(n):
+            if r == col or work[r][col] == 0:
+                continue
+            factor = work[r][col]
+            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return ExactMatrix.from_rows(aug)
+
+
+def oracle_solve(a, rhs):
+    """Solve a * x = rhs (rhs a flat vector) exactly; a square."""
+    inv = oracle_inv(a)
+    n = a.rows
+    rhs = [promote_entry(v) for v in rhs]
+    if len(rhs) != n:
+        raise ValueError("right-hand side has wrong length")
+    return [
+        sum((inv[i, k] * rhs[k] for k in range(n)),
+            start=Fraction(0))
+        for i in range(n)
+    ]
+
+
 def brute_force_minimum(gram):
     """(min value, all minimizing vectors) by exhaustive box enumeration.
 
@@ -82,7 +164,7 @@ def brute_force_minimum(gram):
     n = len(gram)
     g_int = [[int(e) for e in row] for row in gram]
     c0 = min(g_int[i][i] for i in range(n))
-    g_inv = ExactMatrix.from_rows(g_int).inv()
+    g_inv = oracle_inv(ExactMatrix.from_rows(g_int))
     bounds = []
     for i in range(n):
         cap = Fraction(c0) * Fraction(g_inv[i, i])
@@ -219,11 +301,11 @@ def oracle_search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None):
 def oracle_adjoint_gram(g):
     """The exact Gram matrix of X -> ||g X g^-1||_F^2 on the trace-zero basis
     E_ij (i != j), E_ii - E_nn in row-major order, over the field of g, from
-    ExactMatrix.inv and field products: the oracle of the ring Gram matrix
-    of groups.adjoint_systole."""
+    oracle_inv and field products: the oracle of the ring Gram matrix of
+    groups.adjoint_systole."""
     n = g.rows
     last = n - 1
-    g_inv = g.inv()
+    g_inv = oracle_inv(g)
     images = [[g[a, i] * g_inv[j, b] - (g[a, last] * g_inv[last, b] if i == j else 0)
                for a in range(n) for b in range(n)]
               for i in range(n) for j in range(n) if (i, j) != (last, last)]

@@ -30,6 +30,7 @@ from latlab.scalars import QuadScalar
 from conftest import (
     adjoint_box_scan,
     oracle_adjoint_gram,
+    oracle_inv,
     oracle_is_nilpotent,
     oracle_isotropic_search,
     oracle_is_unipotent,
@@ -200,7 +201,7 @@ def _adjoint_by_candidates(g, h):
     the box and take its Frobenius norm; ties go to the first nonzero
     row-major entry, sign-normalized, then lexicographic order."""
     n = g.rows
-    g_inv = g.inv()
+    g_inv = oracle_inv(g)
     best = None
     for flat in itertools.product(range(-h, h + 1), repeat=n * n - 1):
         last = -sum(flat[i * n + i] for i in range(n - 1))

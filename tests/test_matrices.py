@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from latlab.matrices import ExactMatrix, fraction_free_adjugate
 from latlab.scalars import QuadScalar
 
+from conftest import oracle_det, oracle_inv, oracle_solve
+
 
 def test_det_examples():
     assert ExactMatrix.identity(3).det() == 1
@@ -89,13 +91,117 @@ def test_fraction_free_adjugate_matches_exact_inverse(case):
     entries, n = case
     g = ExactMatrix(n, n, entries)
     det, adj = fraction_free_adjugate(entries, n)
-    assert det == g.det()
+    assert det == oracle_det(g)
     if det == 0:
         assert adj is None
         return
-    assert all(x == det * y for x, y in zip(adj, g.inv().data))
+    assert all(x == det * y for x, y in zip(adj, oracle_inv(g).data))
     # the adjugate stays in the ring
     if isinstance(entries[0], QuadScalar):
         assert all(Fraction(x.a).denominator == Fraction(x.b).denominator == 1 for x in adj)
     else:
         assert all(isinstance(x, int) for x in adj)
+
+
+def test_fraction_free_adjugate_of_the_empty_matrix():
+    assert fraction_free_adjugate([], 0) == (1, [])
+
+
+@st.composite
+def _field_entry(draw, m):
+    """A Fraction with a denominator, or (m given) a QuadScalar of Q(sqrt(m)),
+    possibly rational; zero often, so that pivots need row swaps."""
+    small = st.one_of(st.just(0), st.integers(-5, 5))
+    den = st.integers(1, 4)
+    a = Fraction(draw(small), draw(den))
+    if m is None or draw(st.booleans()):
+        return a
+    return QuadScalar(a, Fraction(draw(small), draw(den)), m)
+
+
+@st.composite
+def _field_matrix(draw):
+    """(matrix, rhs) over Q, Q(sqrt 2) or Q(sqrt 5), n = 0..4, with mixed
+    Fraction/QuadScalar entries; a row may be a multiple of another, so some
+    matrices are singular, and rhs sometimes has the wrong length."""
+    m = draw(st.sampled_from([None, 2, 5]))
+    n = draw(st.integers(0, 4))
+    rows = [[draw(_field_entry(m)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(_field_entry(m))
+        rows[i] = [c * x for x in rows[j]]
+    size = n + draw(st.sampled_from([0, 0, 0, 1]))
+    rhs = [draw(_field_entry(m)) for _ in range(size)]
+    return ExactMatrix(n, n, [e for row in rows for e in row]), rhs
+
+
+def _outcome(fn, *args):
+    """(values, their strings) of fn(*args), or its error and message."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    values = list(out.data) if isinstance(out, ExactMatrix) else out
+    values = values if isinstance(values, list) else [values]
+    return values, [str(x) for x in values]
+
+
+def _typed(values, entries):
+    quad = any(isinstance(x, QuadScalar) for x in entries)
+    return all(isinstance(x, QuadScalar if quad else Fraction) for x in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_matrix())
+def test_det_inv_solve_match_the_field_elimination_oracles(case):
+    a, rhs = case
+    for got, want in ((_outcome(a.det), _outcome(oracle_det, a)),
+                      (_outcome(a.inv), _outcome(oracle_inv, a)),
+                      (_outcome(a.solve, rhs), _outcome(oracle_solve, a, rhs))):
+        assert got == want      # values by ==, and their printed forms
+    det = a.det()
+    assert _typed([det], a.data)
+    if det != 0 and a.rows:
+        assert _typed(a.inv().data, a.data)
+        if len(rhs) == a.rows:
+            assert _typed(a.solve(rhs), list(a.data) + rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.sampled_from([None, 2, 5]), st.data())
+def test_non_square_messages_match_the_oracles(rows, cols, m, data):
+    if rows == cols:
+        cols += 1
+    a = ExactMatrix(rows, cols, [data.draw(_field_entry(m)) for _ in range(rows * cols)])
+    for method, oracle, message in ((a.det, oracle_det, "determinant needs a square matrix"),
+                                    (a.inv, oracle_inv, "inverse needs a square matrix")):
+        assert _outcome(method) == _outcome(oracle, a) == (ValueError, message)
+    assert _outcome(a.solve, [1]) == _outcome(oracle_solve, a, [1]) \
+        == (ValueError, "inverse needs a square matrix")
+
+
+def test_result_type_rule_and_edge_cases():
+    r2 = QuadScalar(0, 1, 2)
+    rational_quad = ExactMatrix.from_rows([[QuadScalar(2, 0, 2), 0], [1, QuadScalar(3, 0, 2)]])
+    det = rational_quad.det()
+    assert isinstance(det, QuadScalar) and det.m == 2 and str(det) == "6"
+    assert all(isinstance(x, QuadScalar) for x in rational_quad.inv().data)
+    assert [str(x) for x in rational_quad.inv().data] == ["1/2", "0", "-1/6", "1/3"]
+    zero = ExactMatrix.from_rows([[r2, 1], [2, r2]]).det()
+    assert isinstance(zero, QuadScalar) and zero == 0 and str(zero) == "0"
+    assert type(ExactMatrix.from_rows([[1, 2], [3, 4]]).det()) is Fraction
+    x = ExactMatrix.from_rows([[2, 1], [1, 1]]).solve([r2, 0])
+    assert all(isinstance(v, QuadScalar) for v in x) and [str(v) for v in x] == \
+        ["0+1*sqrt(2)", "0-1*sqrt(2)"]
+    # 0 x 0: determinant 1, no inverse; 1 x 1
+    empty = ExactMatrix(0, 0, [])
+    assert type(empty.det()) is Fraction and empty.det() == 1
+    for call in (empty.inv, lambda: empty.solve([])):
+        with pytest.raises(ValueError, match="matrix needs at least one row"):
+            call()
+    one = ExactMatrix.from_rows([[Fraction(-2, 3)]])
+    assert str(one.det()) == "-2/3" and str(one.inv()[0, 0]) == "-3/2"
+    assert one.solve([1]) == [Fraction(-3, 2)]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        ExactMatrix.from_rows([[0]]).solve([1])
