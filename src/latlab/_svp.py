@@ -6,6 +6,11 @@ comparison done by exact ring arithmetic: Python integers for rational
 lattices, quadratic integers for lattices over a real quadratic field.  No
 decision ever touches floating point.
 
+Rings.  Every routine here takes the ring of its entries as an argument,
+:class:`latlab.scalars.IntRing` or :class:`latlab.scalars.QuadIntRing` as
+:func:`latlab.scalars.to_ring` returns it, and reads its zero, one, exact
+division and nearest integer from it; no entry's type is inspected.
+
 Scaled bookkeeping.  With ``d_k`` the leading principal minors of the Gram
 matrix G (d_0 = 1) and ``lam[i][j] = mu[i][j] * d_{j+1}`` the integral
 Gram-Schmidt coefficients, the squared contribution of level i is
@@ -40,26 +45,21 @@ basis searched.
 
 from __future__ import annotations
 
-import operator
-from math import isqrt
-
 from .errors import BudgetExceededError, NotPositiveDefiniteError
-from .scalars import QuadScalar, quad_exact_div
 
 
-def integral_gso(gram):
+def integral_gso(gram, ring):
     """Leading minors d (length n+1) and integral coefficients lam = mu*d.
 
     Fraction-free integral Gram-Schmidt (the recurrence of Cohen's integral
-    LLL, Alg. 2.6.7) on a Gram matrix whose entries are all ints or all
-    QuadScalars with integer coordinates: every intermediate value is a minor
-    of the Gram matrix, so each division by d_k is exact in Z or Z[sqrt(m)].
-    Raises NotPositiveDefiniteError (a ValueError) if the matrix is not
-    positive definite.
+    LLL, Alg. 2.6.7) on a Gram matrix with entries in ``ring``
+    (:class:`latlab.scalars.IntRing` or ``QuadIntRing``): every intermediate
+    value is a minor of the Gram matrix, so each division by d_k is exact in
+    Z or Z[sqrt(m)].  Raises NotPositiveDefiniteError (a ValueError) if the
+    matrix is not positive definite.
     """
     n = len(gram)
-    quad = any(isinstance(e, QuadScalar) for row in gram for e in row)
-    div = quad_exact_div if quad else operator.floordiv
+    div = ring.exact_div
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -112,7 +112,7 @@ def is_lll_reduced(d, lam):
 
 def lll(gram, ring):
     """Integral LLL reduction (delta = 3/4) of a positive-definite Gram matrix G
-    with entries in the ring of the adapter ``ring``.
+    with entries in ``ring``.
 
     Returns (basis, reduced, d, lam): ``basis`` lists the columns of a
     unimodular integer matrix H, ``reduced`` is H^T G H, and d, lam are its
@@ -174,73 +174,6 @@ def lll(gram, ring):
         else:
             k += 1
     return basis, g, d, lam
-
-
-# -- ring adapters -------------------------------------------------------------
-
-
-class IntRing:
-    """Rational-integer coefficients; native Python int arithmetic."""
-
-    zero = 0
-    one = 1
-    exact_div = staticmethod(operator.floordiv)
-
-    @staticmethod
-    def nearest(num, den):
-        """Nearest integer to num/den for den > 0 (ties round up)."""
-        return (2 * num + den) // (2 * den)
-
-
-def _floor_mul_sqrt(b: int, m: int) -> int:
-    """floor(b * sqrt(m)) for squarefree m > 1 (never a perfect square)."""
-    if b == 0:
-        return 0
-    r = isqrt(b * b * m)
-    return r if b > 0 else -r - 1
-
-
-def _int_le_sqrt(u: int, b: int, m: int) -> bool:
-    """Exact test u <= b*sqrt(m); equality cannot occur for b != 0."""
-    if b == 0:
-        return u <= 0
-    if b > 0:
-        return u <= 0 or u * u < b * b * m
-    return u < 0 and u * u > b * b * m
-
-
-class QuadIntRing:
-    """Coefficients in Z[sqrt(m)] with the positive-root embedding, m > 1."""
-
-    exact_div = staticmethod(quad_exact_div)
-
-    def __init__(self, m: int):
-        self.m = m
-        self.zero = QuadScalar(0, 0, m)
-        self.one = QuadScalar(1, 0, m)
-
-    def nearest(self, num: QuadScalar, den: QuadScalar) -> int:
-        """Nearest integer to num/den for den > 0 (ties round up)."""
-        m = self.m
-        # rationalize: num/den = (p + q*sqrt(m)) / r with integer p, q, r > 0
-        p = num.a * den.a - num.b * den.b * m
-        q = num.b * den.a - num.a * den.b
-        r = den.a * den.a - den.b * den.b * m
-        if r < 0:
-            p, q, r = -p, -q, -r
-        # nearest = floor((2p + r + 2q*sqrt(m)) / (2r))
-        return self._floor_ratio(2 * p + r, 2 * q, 2 * r)
-
-    def _floor_ratio(self, p: int, q: int, r: int) -> int:
-        """floor((p + q*sqrt(m))/r) with r > 0, exact."""
-        m = self.m
-        z = (p + _floor_mul_sqrt(q, m)) // r
-        # certify exactly: z*r <= p + q*sqrt(m) < (z+1)*r
-        while _int_le_sqrt((z + 1) * r - p, q, m):
-            z += 1
-        while not _int_le_sqrt(z * r - p, q, m):
-            z -= 1
-        return z
 
 
 # -- witness canonicalization ----------------------------------------------------

@@ -99,14 +99,6 @@ def printed_rows(rows):
     return [[print_scalar(e) for e in row] for row in rows]
 
 
-def lattice_to_doc(lattice: EuclideanLattice, m: int | None = None) -> dict:
-    return {
-        "dim": lattice.rank,
-        "field": None if m is None else {"m": m},
-        "basis": printed_rows(lattice.basis),
-    }
-
-
 def matrix_from_doc(doc):
     """Returns (ExactMatrix, m or None)."""
     from .matrices import ExactMatrix

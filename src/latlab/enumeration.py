@@ -1,11 +1,12 @@
 """Shortest vectors of exact Gram matrices.
 
 A Gram matrix over Q or a real quadratic field Q(sqrt(m)) is scaled once by
-the lcm of its denominators into Z or Z[sqrt(m)] and its integral
-Gram-Schmidt data is computed once (:class:`IntegralGram`; a matrix already in
-the ring enters with scale 1 through :meth:`IntegralGram.in_ring`); one exact
-search in :mod:`latlab._svp` then runs over that ring, and the minimum is
-scaled back.
+the lcm of its denominators into Z or Z[sqrt(m)] by :func:`latlab.scalars.to_ring`,
+which also names that ring, and its integral Gram-Schmidt data is computed
+once (:class:`IntegralGram`; a matrix already in a ring enters with scale 1
+through :meth:`IntegralGram.in_ring`, which takes the ring); one exact search
+in :mod:`latlab._svp` then runs over that ring, and the ring's ``quotient``
+scales the minimum back.
 
 Over Z the search runs on an LLL-reduced basis (:func:`latlab._svp.lll`,
 exact and integral), whose tree is far smaller on a skewed basis, and ties
@@ -22,11 +23,9 @@ the search alone.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _svp
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError  # re-exported for callers
-from .scalars import clear_denominators, quadratic_field_of
+from .scalars import to_ring
 
 __all__ = [
     "IntegralGram",
@@ -47,46 +46,39 @@ class IntegralGram:
     """A positive-definite Gram matrix over Q or Q(sqrt(m)) scaled by the lcm
     of its denominators into Z or Z[sqrt(m)].
 
-    ``gram`` is the ring Gram matrix (scale times the given one), ``m`` is
-    None when that ring is Z, ``ring`` is the matching ring adapter of
-    :mod:`latlab._svp`, and ``d``/``lam`` are the leading minors and integral
-    Gram-Schmidt coefficients of the ring Gram matrix.  Raises ValueError for
-    an empty, mixed-field, imaginary-field or not positive-definite matrix.
+    ``gram`` is the ring Gram matrix (scale times the given one), ``ring`` is
+    its ring as :func:`latlab.scalars.to_ring` returns it (Z unless an entry
+    is irrational), and ``d``/``lam`` are the leading minors and integral
+    Gram-Schmidt coefficients of the ring Gram matrix; a ring value v of
+    degree k in the Gram entries is ``ring.quotient(v, scale ** k)`` in the
+    given field.  Raises ValueError for an empty, mixed-field,
+    imaginary-field or not positive-definite matrix.
     """
 
-    __slots__ = ("gram", "scale", "m", "ring", "d", "lam")
+    __slots__ = ("gram", "scale", "ring", "d", "lam")
 
     def __init__(self, gram):
         if len(gram) == 0:
             raise ValueError("empty Gram matrix")
-        m = quadratic_field_of(e for row in gram for e in row)
-        if m is not None and m < 0:
+        ring, scale, entries = to_ring(e for row in gram for e in row)
+        if ring.m is not None and ring.m < 0:
             raise ValueError("no exact ordering over an imaginary quadratic field")
-        scale, entries = clear_denominators((e for row in gram for e in row), m)
         entries = iter(entries)
-        self._set([[next(entries) for _ in row] for row in gram], scale, m)
+        self._set([[next(entries) for _ in row] for row in gram], scale, ring)
 
     @classmethod
-    def in_ring(cls, gram, m=None):
-        """The form of a Gram matrix already in the ring, with scale 1: ints
-        for m None, else QuadScalars with integer coordinates in Z[sqrt(m)]
-        for a real field (m > 1), some of which may be rational.  Nothing is
+    def in_ring(cls, gram, ring):
+        """The form of a Gram matrix already in ``ring``, with scale 1: ints
+        over Z, else QuadScalars with integer coordinates in Z[sqrt(m)] for a
+        real field (m > 1), some of which may be rational.  Nothing is
         cleared or checked but positive definiteness."""
         form = cls.__new__(cls)
-        form._set(gram, 1, m)
+        form._set(gram, 1, ring)
         return form
 
-    def _set(self, gram, scale, m):
-        self.gram = gram
-        self.ring = _svp.IntRing if m is None else _svp.QuadIntRing(m)
-        self.scale, self.m = scale, m
-        self.d, self.lam = _svp.integral_gso(gram)
-
-    def unscale(self, value, power=1):
-        """A ring value of degree ``power`` in the Gram entries, scaled back
-        to the field of the given matrix (a Fraction or a QuadScalar)."""
-        scale = self.scale ** power
-        return Fraction(value, scale) if self.m is None else value / scale
+    def _set(self, gram, scale, ring):
+        self.gram, self.scale, self.ring = gram, scale, ring
+        self.d, self.lam = _svp.integral_gso(gram, ring)
 
 
 def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=None):
@@ -110,7 +102,7 @@ def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=No
     if budget < 1:
         raise ValueError("node budget must be positive")
     gram, d, lam, basis = form.gram, form.d, form.lam, None
-    if box is None and accept is None and form.m is None and not _svp.is_lll_reduced(d, lam):
+    if box is None and accept is None and form.ring.m is None and not _svp.is_lll_reduced(d, lam):
         basis, gram, d, lam = _svp.lll(gram, form.ring)
     c0, seed = _svp.initial_bound(gram)
     if box is not None:
@@ -123,6 +115,6 @@ def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=No
                                             box, accept, basis=basis)
     except BudgetExceededError as exc:
         value, witness = exc.best
-        exc.best = form.unscale(value), witness
+        exc.best = form.ring.quotient(value, form.scale), witness
         raise
-    return form.unscale(value), witness, nodes
+    return form.ring.quotient(value, form.scale), witness, nodes

@@ -16,14 +16,13 @@ the systole characterizes relatively compact families of lattices.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from math import gcd
 
 from . import enumeration
 from .errors import NotPositiveDefiniteError
 from .matrices import ExactMatrix, promote_entry
-from .scalars import QuadScalar, quad_exact_div, sign
+from .scalars import QuadScalar, sign
 
 
 class EuclideanLattice:
@@ -118,7 +117,7 @@ def covol_sq(lattice: EuclideanLattice):
     """Squared covolume = determinant of the Gram matrix (exact, positive):
     the last leading minor of the scaled Gram matrix, scaled back."""
     form = lattice.form
-    return form.unscale(form.d[-1], lattice.rank)
+    return form.ring.quotient(form.d[-1], form.scale ** lattice.rank)
 
 
 def gso(lattice: EuclideanLattice):
@@ -130,7 +129,7 @@ def gso(lattice: EuclideanLattice):
     """
     form = lattice.form
     d, lam = form.d, form.lam
-    div = Fraction if form.m is None else operator.truediv
+    div = form.ring.quotient
     n = lattice.rank
     rows = [[div(lam[i][j], d[j + 1]) if j < i else Fraction(int(i == j))
              for j in range(n)] for i in range(n)]
@@ -370,9 +369,8 @@ def _reduce(form, witness, node_budget, pivot=None):
         minors = [[vv * gy[i][j] - gy[i][0] * gy[j][0] for j in range(1, n)]
                   for i in range(1, n)]
         if pivot is not None:
-            div = operator.floordiv if form.m is None else quad_exact_div
-            minors = [[div(e, pivot) for e in row] for row in minors]
-        sub_form = enumeration.IntegralGram.in_ring(minors, form.m)
+            minors = [[ring.exact_div(e, pivot) for e in row] for row in minors]
+        sub_form = enumeration.IntegralGram.in_ring(minors, ring)
         _, sub_witness, _ = enumeration.shortest_vector(sub_form, node_budget)
         sub = _reduce(sub_form, sub_witness, node_budget, vv)
     cols = [[y[r][0] for r in range(n)]]

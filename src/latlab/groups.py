@@ -19,8 +19,7 @@ from math import isqrt
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .matrices import ExactMatrix, fraction_free_adjugate
 from .numfield import NumberFieldDesc, ring_of_integers
-from .scalars import (QuadScalar, clear_denominators, conjugate, quadratic_field_of,
-                      sign)
+from .scalars import IntRing, QuadScalar, conjugate, sign, to_ring
 
 
 class DiagForm:
@@ -169,16 +168,16 @@ def is_definite(form: DiagForm, sigma: int = 0) -> bool:
 def preserves_form(g: ExactMatrix, form: DiagForm) -> bool:
     """Exact test transpose(g) * A * g == A for A = diag(coeffs).
 
-    With g = G/D and the coefficients c cleared of denominators in the same
-    ring (Z or Z[sqrt(m)]), this is sum_k G_ki c_k G_kj == D^2 c_i [i == j]
+    The entries of g and the coefficients are cleared of denominators
+    together into one ring (Z or Z[sqrt(m)]): g = G/D and A = diag(c)/D.
+    Then D^3 (g^T A g - A) = 0 is sum_k G_ki c_k G_kj == D^2 c_i [i == j]
     for i <= j: A is diagonal, so it weights rows, and no matrix is built.
     """
     n = form.nvars
     if g.rows != n or g.cols != n:
         raise ValueError("matrix size does not match the form")
-    m = quadratic_field_of(g.data + form.coeffs)
-    scale, entries = clear_denominators(g.data, m)
-    _, coeffs = clear_denominators(form.coeffs, m)
+    _, scale, values = to_ring(g.data + form.coeffs)
+    entries, coeffs = values[:n * n], values[n * n:]
     # the nonzero entries (k, G_kj) of each column j
     cols = [[(k, entries[k * n + j]) for k in range(n) if entries[k * n + j]]
             for j in range(n)]
@@ -199,7 +198,7 @@ def is_nilpotent(x: ExactMatrix) -> bool:
     """X^n = 0, cross-checked against the exact trace test tr(X^j) = 0."""
     if not x.is_square:
         raise ValueError("nilpotency is for square matrices")
-    _, entries = clear_denominators(x.data, quadratic_field_of(x.data))
+    _, _, entries = to_ring(x.data)
     return _ring_nilpotent(entries, x.rows)
 
 
@@ -208,7 +207,7 @@ def is_unipotent(g: ExactMatrix) -> bool:
     if not g.is_square:
         raise ValueError("unipotency is for square matrices")
     n = g.rows
-    scale, entries = clear_denominators(g.data, quadratic_field_of(g.data))
+    _, scale, entries = to_ring(g.data)
     for i in range(n):
         entries[i * n + i] -= scale
     return _ring_nilpotent(entries, n)
@@ -313,7 +312,7 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
     """
     if not g.is_square or g.rows < 2:
         raise ValueError("adjoint systole needs a square matrix of size >= 2")
-    gram, divisor, m = _adjoint_gram(g)
+    gram, divisor, ring = _adjoint_gram(g)
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be positive")
     n = g.rows
@@ -325,7 +324,7 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
     from . import enumeration       # loaded on first search: verdicts never load it
 
     value, coords, _ = enumeration.shortest_vector(
-        enumeration.IntegralGram.in_ring(gram, m), node_budget, box=coeff_bound,
+        enumeration.IntegralGram.in_ring(gram, ring), node_budget, box=coeff_bound,
         accept=forced_entry_in_box)
     entries = list(coords) + [-sum(coords[k] for k in diag)]
     return AdjointSystole(value / divisor, ExactMatrix(n, n, entries),
@@ -333,8 +332,8 @@ def adjoint_systole(g: ExactMatrix, coeff_bound: int, node_budget=None) -> Adjoi
 
 
 def _adjoint_gram(g: ExactMatrix):
-    """(gram, D^(2n), m): the Gram matrix of X -> ||g X g^-1||_F^2 on the
-    trace-zero basis, times D^(2n), in Z (m None) or Z[sqrt(m)], for g = G/D
+    """(gram, D^(2n), ring): the Gram matrix of X -> ||g X g^-1||_F^2 on the
+    trace-zero basis, times D^(2n), and its ring Z or Z[sqrt(m)], for g = G/D
     with G cleared of denominators; ValueError unless det g = 1.  A Gram
     matrix with no irrational entry is returned in Z, as ints.
 
@@ -344,9 +343,8 @@ def _adjoint_gram(g: ExactMatrix):
     G[a,i] adj[j,b] - [i == j] G[a,n-1] adj[n-1,b]: D^n times g E_ij g^-1.
     """
     n = g.rows
-    m = quadratic_field_of(g.data)
-    scale, entries = clear_denominators(g.data, m)
-    det, adj = fraction_free_adjugate(entries, n)
+    ring, scale, entries = to_ring(g.data)
+    det, adj = fraction_free_adjugate(entries, n, ring)
     if det != scale ** n:
         raise ValueError("matrix must have determinant 1")
     last = n - 1
@@ -365,9 +363,9 @@ def _adjoint_gram(g: ExactMatrix):
     for p, u in enumerate(images):
         for q in range(p, size):
             gram[p][q] = gram[q][p] = sum(map(operator.mul, u, images[q]))
-    if m is not None and not any(e.b for row in gram for e in row):
-        gram, m = [[e.a for e in row] for row in gram], None
-    return gram, scale ** (2 * n), m
+    if ring.m is not None and not any(e.b for row in gram for e in row):
+        gram, ring = [[e.a for e in row] for row in gram], IntRing
+    return gram, scale ** (2 * n), ring
 
 
 # -- isotropic vectors and the transvection witness ----------------------------------
@@ -429,8 +427,8 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     squares = [(u * u + w * w * sqm, 2 * u * w)
                for u, w in (((2 * p + q, q) if half else (2 * p, 2 * q))
                             for p, q in box)]
-    pairs = [(c, 0) if m is None else (c.a, c.b)
-             for c in clear_denominators(form.coeffs, m)[1]]
+    _, _, coeffs = to_ring(form.coeffs, m)
+    pairs = [(c, 0) if m is None else (c.a, c.b) for c in coeffs]
     e0, f0 = pairs[0]
     roots = {}
     for k, (s, t) in enumerate(squares):

@@ -3,10 +3,12 @@
 Entries are Fractions or QuadScalars (integers are promoted to Fraction on
 construction so that true division never falls back to floats).  There is one
 elimination, :func:`fraction_free_adjugate`: a Bareiss pass over the ring
-integers Z or Z[sqrt(m)] that never leaves the ring.  ``det``, ``inv`` and
-``solve`` write the matrix as G/D with G over the ring (one
-``scalars.clear_denominators``), run that pass once on G, and divide once at
-the end, so exact entries grow only as minors of G do.
+integers Z or Z[sqrt(m)] that never leaves the ring it is given.  ``det``,
+``inv`` and ``solve`` write the matrix as G/D with G over the ring (one
+``scalars.to_ring``, which also returns the ring), run that pass once on G,
+and divide once at the end, so exact entries grow only as minors of G do.
+The ring is Z[sqrt(m)] as soon as one entry is a QuadScalar, rational or not,
+so that results are QuadScalars exactly then.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .scalars import QuadScalar, clear_denominators, quad_exact_div, quadratic_field_of
+from .scalars import QuadScalar, quadratic_field_of, to_ring
 
 
 def promote_entry(entry):
@@ -25,13 +27,6 @@ def promote_entry(entry):
     if isinstance(entry, (Fraction, QuadScalar)):
         return entry
     raise TypeError("entries must be exact scalars, got %r" % (entry,))
-
-
-def _quotient(x, d):
-    """x / d for d != 0 in Z or Z[sqrt(m)] and x in its fraction field."""
-    if isinstance(x, QuadScalar) or isinstance(d, QuadScalar):
-        return x / d
-    return Fraction(x, d)
 
 
 class ExactMatrix:
@@ -164,6 +159,8 @@ class ExactMatrix:
     def trace(self):
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
+        if not self.rows:
+            return Fraction(0)
         acc = self.data[0]
         for i in range(1, self.rows):
             acc = acc + self.data[i * self.cols + i]
@@ -181,40 +178,43 @@ class ExactMatrix:
     # -- elimination ------------------------------------------------------------
 
     def _adjugate(self, what):
-        """(D, det G, adj G) for self = G/D with G over Z or Z[sqrt(m)], by one
-        fraction-free pass; adj G is None when self is singular."""
+        """(ring, D, det G, adj G) for self = G/D with G over the ring Z or
+        Z[sqrt(m)], by one fraction-free pass; adj G is None when self is
+        singular."""
         if not self.is_square:
             raise ValueError("%s needs a square matrix" % what)
         m = quadratic_field_of(self.data)
         if m is None:  # all rational: a QuadScalar entry still sets the field
             m = next((x.m for x in self.data if isinstance(x, QuadScalar)), None)
-        scale, ring = clear_denominators(self.data, m)
-        return (scale,) + fraction_free_adjugate(ring, self.rows)
+        ring, scale, entries = to_ring(self.data, m)
+        return (ring, scale) + fraction_free_adjugate(entries, self.rows, ring)
 
     def det(self):
         """det(G/D) = det G / D^n, and 1 for the 0 x 0 matrix.  A Fraction
         when no entry is a QuadScalar, else a QuadScalar in the entries' field
         (0 included)."""
-        scale, det, _ = self._adjugate("determinant")
-        return _quotient(det, scale ** self.rows)
+        ring, scale, det, _ = self._adjugate("determinant")
+        return ring.quotient(det, scale ** self.rows)
 
     def inv(self) -> "ExactMatrix":
         """(G/D)^-1 = D adj G / det G; ValueError if singular or 0 x 0.
         Entries are Fractions when no entry is a QuadScalar, else QuadScalars
         in the entries' field."""
-        scale, det, adj = self._adjugate("inverse")
+        ring, scale, det, adj = self._adjugate("inverse")
         if adj is None:
             raise ValueError("matrix is singular")
         n = self.rows
         return ExactMatrix.from_rows(
-            [[_quotient(scale * e, det) for e in adj[i * n:(i + 1) * n]] for i in range(n)])
+            [[ring.quotient(scale * e, det) for e in adj[i * n:(i + 1) * n]] for i in range(n)])
 
     def solve(self, rhs):
         """Solve self * x = rhs (rhs a flat vector) exactly; self square:
-        x = D adj G rhs / det G, with no inverse formed.  Errors as inv's;
-        Fractions when no entry of self or rhs is a QuadScalar, else
-        QuadScalars."""
-        scale, det, adj = self._adjugate("inverse")
+        x = D adj G rhs / det G, with no inverse formed.  Errors as inv's,
+        raised before rhs is read; Fractions when no entry of self or rhs is
+        a QuadScalar, else QuadScalars.  The ring is that of self alone, and
+        D adj G rhs, a Fraction or a QuadScalar, is divided by det G in its
+        own field."""
+        _, scale, det, adj = self._adjugate("inverse")
         if adj is None:
             raise ValueError("matrix is singular")
         n = self.rows
@@ -223,7 +223,7 @@ class ExactMatrix:
         rhs = [promote_entry(v) for v in rhs]
         if len(rhs) != n:
             raise ValueError("right-hand side has wrong length")
-        return [_quotient(scale * sum(map(operator.mul, adj[i * n:(i + 1) * n], rhs)), det)
+        return [scale * sum(map(operator.mul, adj[i * n:(i + 1) * n], rhs)) / det
                 for i in range(n)]
 
     def is_integral(self) -> bool:
@@ -240,11 +240,11 @@ class ExactMatrix:
         return "ExactMatrix(%r)" % (self.to_rows(),)
 
 
-def fraction_free_adjugate(entries, n: int):
-    """(det G, adj G) of the n x n matrix G with row-major entries in Z or
-    Z[sqrt(m)] (all ints, or all QuadScalars with integer coordinates); adj G
-    is row-major and G adj G = det G * I.  A singular G gives (0, None), and
-    n = 0 gives (1, []).
+def fraction_free_adjugate(entries, n: int, ring):
+    """(det G, adj G) of the n x n matrix G with row-major entries in
+    ``ring``, Z or Z[sqrt(m)] as :func:`latlab.scalars.to_ring` returns it;
+    adj G is row-major and G adj G = det G * I.  A singular G gives
+    (ring.zero, None), and n = 0 gives (ring.one, []).
 
     One fraction-free Gauss-Jordan pass on [G | I] (Bareiss 1968; Cohen, A
     Course in Computational Algebraic Number Theory, 2.2): step k replaces
@@ -254,13 +254,7 @@ def fraction_free_adjugate(entries, n: int):
     delta * I with delta = p_(n-1) = +-det G, the sign being that of the row
     swaps, and the right block as delta * G^-1.
     """
-    quad = bool(entries) and isinstance(entries[0], QuadScalar)
-    div = quad_exact_div if quad else operator.floordiv
-    if quad:
-        m = entries[0].m
-        one, zero = QuadScalar(1, 0, m), QuadScalar(0, 0, m)
-    else:
-        one, zero = 1, 0
+    div, one, zero = ring.exact_div, ring.one, ring.zero
     rows = [list(entries[i * n:(i + 1) * n]) + [one if j == i else zero for j in range(n)]
             for i in range(n)]
     prev, swaps = one, 0

@@ -20,7 +20,7 @@ from latlab.enumeration import IntegralGram
 from latlab.errors import BudgetExceededError
 from latlab.matrices import promote_entry
 from latlab.numfield import IntegerRing, ring_of_integers
-from latlab.scalars import QuadScalar, clear_denominators
+from latlab.scalars import QuadScalar, to_ring
 
 
 def random_integer_basis(rnd, n, lo=-5, hi=5):
@@ -331,7 +331,7 @@ def adjoint_box_scan(g, h):
             best_key = min(best_key, witness_key(coords))
     coords = best_key[1]
     witness = ExactMatrix(n, n, list(coords) + [-sum(coords[k] for k in diag)])
-    return form.unscale(best), witness
+    return form.ring.quotient(best, form.scale), witness
 
 
 def oracle_isotropic_search(form, height):
@@ -354,7 +354,7 @@ def _height_order(height: int):
 
 
 def _oracle_isotropic_rational(form, height: int):
-    _, d = clear_denominators(form.coeffs)
+    _, _, d = to_ring(form.coeffs)
     order = _height_order(height)
     d0 = d[0]
     terms = [[di * v * v for v in order] for di in d[1:]]
@@ -383,7 +383,7 @@ def _oracle_isotropic_quadratic(form, height: int, m: int):
     ring = ring_of_integers(form.field)
     half = ring.omega_is_half
     # coefficients as integer pairs e + f*sqrt(m), cleared of denominators
-    pairs = [(c.a, c.b) for c in clear_denominators(form.coeffs, m)[1]]
+    pairs = [(c.a, c.b) for c in to_ring(form.coeffs, m)[2]]
     order = _height_order(height)
     # ring coordinates (p, q) with x = p + q*omega, written (u + w*sqrt(m))/2
     cand = [(p, q) for p in order for q in order]

@@ -8,7 +8,8 @@ from latlab import _svp
 from latlab.enumeration import BudgetExceededError, IntegralGram, shortest_vector
 from latlab.errors import NotPositiveDefiniteError
 from latlab.matrices import ExactMatrix
-from latlab.scalars import QuadScalar
+from latlab import scalars
+from latlab.scalars import IntRing, QuadIntRing, QuadScalar
 
 from conftest import (
     brute_force_minimum,
@@ -127,13 +128,13 @@ def test_golden_node_counts_after_lll(golden, nodes):
 
 
 def test_nearest_helpers():
-    ring = _svp.QuadIntRing(2)
+    ring = QuadIntRing(2)
     # nearest integer to (3 + 2*sqrt(2)) / 2 = 2.914... -> 3
     num = QuadScalar(3, 2, 2)
     den = QuadScalar(2, 0, 2)
     assert ring.nearest(num, den) == 3
-    assert _svp.IntRing.nearest(-3, 2) == -1
-    assert _svp.IntRing.nearest(3, 2) == 2
+    assert IntRing.nearest(-3, 2) == -1
+    assert IntRing.nearest(3, 2) == 2
 
 
 def test_pure_fallback_on_huge_entries():
@@ -147,17 +148,21 @@ def test_pure_fallback_on_huge_entries():
 def test_quad_floor_helpers_are_exact(rnd):
     for _ in range(3000):
         m = rnd.choice([2, 3, 5, 7, 13])
-        ring = _svp.QuadIntRing(m)
+        ring = QuadIntRing(m)
         p = rnd.randint(-10**6, 10**6)
         q = rnd.randint(-10**6, 10**6)
         r = rnd.randint(1, 10**4)
         z = ring._floor_ratio(p, q, r)
         # z is certified by z*r <= p + q*sqrt(m) < (z+1)*r, both exact
-        assert _svp._int_le_sqrt(z * r - p, q, m)
-        assert not _svp._int_le_sqrt((z + 1) * r - p, q, m)
+        assert scalars._int_le_sqrt(z * r - p, q, m)
+        assert not scalars._int_le_sqrt((z + 1) * r - p, q, m)
 
 
 # -- integral Gram-Schmidt against the fraction-field oracle ----------------------
+
+
+def _ring(m):
+    return IntRing if m is None else QuadIntRing(m)
 
 
 def _ring_element(m):
@@ -199,33 +204,33 @@ def _oracle_integral_gso(gram):
     return d, lam
 
 
-def _check_against_oracle(gram):
+def _check_against_oracle(gram, ring):
     try:
         expected = _oracle_integral_gso(gram)
     except ValueError:
         with pytest.raises(ValueError):
-            _svp.integral_gso(gram)
+            _svp.integral_gso(gram, ring)
         return False
-    assert _svp.integral_gso(gram) == expected
+    assert _svp.integral_gso(gram, ring) == expected
     return True
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ring_square(symmetric=False))
 def test_integral_gso_matches_fraction_gso(case):
-    _, gram = case
-    if _check_against_oracle(gram):
+    m, gram = case
+    if _check_against_oracle(gram, _ring(m)):
         # the negated Gram matrix is negative definite
         negated = [[-e for e in row] for row in gram]
         with pytest.raises(ValueError):
-            _svp.integral_gso(negated)
+            _svp.integral_gso(negated, _ring(m))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ring_square(symmetric=True))
 def test_integral_gso_on_symmetric_matrices(case):
     # mostly indefinite: must raise exactly when the oracle does
-    _check_against_oracle(case[1])
+    _check_against_oracle(case[1], _ring(case[0]))
 
 
 # -- the iterative kernel against the recursive oracle --------------------------
@@ -300,8 +305,8 @@ def test_budget_error_carries_the_best_vector_so_far(rnd):
         gram = [[e * scale for e in row] for row in _gram_of(basis)]
         form = IntegralGram(gram)
         c0, seed = _svp.initial_bound(form.gram)
-        minimum = form.unscale(oracle_search(form.gram, form.d, form.lam, c0, seed,
-                                             10**6, form.ring)[0])
+        minimum = form.ring.quotient(oracle_search(form.gram, form.d, form.lam, c0, seed,
+                                                   10**6, form.ring)[0], form.scale)
         full_value, full_witness, nodes = shortest_vector(form)
         with pytest.raises(BudgetExceededError) as cut:
             shortest_vector(form, nodes - 1)
@@ -344,7 +349,7 @@ def _oracle_lll_reduced(gram):
 
 def test_is_lll_reduced_examples():
     def reduced(gram):
-        return _svp.is_lll_reduced(*_svp.integral_gso(gram))
+        return _svp.is_lll_reduced(*_svp.integral_gso(gram, IntRing))
     assert reduced([[1, 0], [0, 4]]) and reduced([[2, 1], [1, 2]])
     assert not reduced([[4, 0], [0, 1]])        # size-reduced, fails Lovasz
     assert not reduced([[2, 3], [3, 5]])        # fails size reduction
@@ -355,7 +360,7 @@ def _assert_lll_output(gram, ring):
     assert all(type(e) is int for col in basis for e in col)
     assert abs(ExactMatrix.from_rows(basis).det()) == 1
     assert reduced == _congruent(gram, basis)
-    assert (d, lam) == _svp.integral_gso(reduced)
+    assert (d, lam) == _svp.integral_gso(reduced, ring)
     assert _svp.is_lll_reduced(d, lam) and _oracle_lll_reduced(reduced)
 
 
@@ -366,34 +371,34 @@ def test_lll_on_seeded_inputs(rnd):
         n = rnd.randint(1, 8 if m is None else 4)
         if m is None:
             basis = random_integer_basis(rnd, n)
-            ring = _svp.IntRing
+            ring = IntRing
         else:
             basis = [[QuadScalar(rnd.randint(-3, 3), rnd.randint(-2, 2), m)
                       for _ in range(n)] for _ in range(n)]
-            ring = _svp.QuadIntRing(m)
+            ring = QuadIntRing(m)
         try:
-            _svp.integral_gso(_gram_of(basis))
+            _svp.integral_gso(_gram_of(basis), ring)
         except ValueError:
             continue
         _assert_lll_output(_gram_of(basis), ring)
     for n in (8, 10, 12):
         rows, _ = skewed_basis(rnd, n)
-        assert not _svp.is_lll_reduced(*_svp.integral_gso(_gram_of(rows)))
-        _assert_lll_output(_gram_of(rows), _svp.IntRing)
+        assert not _svp.is_lll_reduced(*_svp.integral_gso(_gram_of(rows), IntRing))
+        _assert_lll_output(_gram_of(rows), IntRing)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_ring_square(symmetric=False))
 def test_lll_invariants(case):
     m, gram = case
-    ring = _svp.IntRing if m is None else _svp.QuadIntRing(m)
+    ring = _ring(m)
     try:
-        _svp.integral_gso(gram)
+        _svp.integral_gso(gram, ring)
     except ValueError:
         with pytest.raises(NotPositiveDefiniteError):
             _svp.lll(gram, ring)
         return
-    assert _svp.is_lll_reduced(*_svp.integral_gso(gram)) == _oracle_lll_reduced(gram)
+    assert _svp.is_lll_reduced(*_svp.integral_gso(gram, ring)) == _oracle_lll_reduced(gram)
     _assert_lll_output(gram, ring)
 
 
@@ -409,7 +414,7 @@ def test_reduced_input_skips_lll(rnd, monkeypatch):
     grams = []
     for n in (3, 6, 9, 12):
         rows, _ = skewed_basis(rnd, n)
-        grams.append(_svp.lll(_gram_of(rows), _svp.IntRing)[1])
+        grams.append(_svp.lll(_gram_of(rows), IntRing)[1])
     grams.append([[1, 0], [0, 1]])
     _forbid_lll(monkeypatch)
     for gram in grams:
@@ -487,7 +492,7 @@ def test_shortest_vector_matches_oracle_on_seeded_inputs(rnd):
         c0, seed = _svp.initial_bound(form.gram)
         value, witness, _ = oracle_search(form.gram, form.d, form.lam, c0, seed,
                                           10**6, form.ring)
-        assert shortest_vector(form)[:2] == (form.unscale(value), witness)
+        assert shortest_vector(form)[:2] == (form.ring.quotient(value, form.scale), witness)
         checked += 1
     searched = 0
     for n in (8, 9, 10, 11, 12):

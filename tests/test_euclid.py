@@ -310,10 +310,10 @@ def test_reduce_entries_stay_minors(rnd, monkeypatch):
     widest = {}
     original = _svp.integral_gso
 
-    def spy(gram):
+    def spy(gram, ring):
         bits = max(abs(e).bit_length() for row in gram for e in row)
         widest[len(gram)] = max(widest.get(len(gram), 0), bits)
-        return original(gram)
+        return original(gram, ring)
 
     monkeypatch.setattr(_svp, "integral_gso", spy)
     for _ in range(20):

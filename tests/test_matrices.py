@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latlab.matrices import ExactMatrix, fraction_free_adjugate
-from latlab.scalars import QuadScalar
+from latlab.scalars import IntRing, QuadIntRing, QuadScalar
 
 from conftest import oracle_det, oracle_inv, oracle_solve
 
@@ -82,15 +82,16 @@ def _ring_matrix(draw):
     small = st.one_of(st.just(0), st.integers(-4, 4))
     entry = small if m is None else st.builds(lambda a, b: QuadScalar(a, b, m),
                                               small, small)
-    return draw(st.lists(entry, min_size=n * n, max_size=n * n)), n
+    ring = IntRing if m is None else QuadIntRing(m)
+    return draw(st.lists(entry, min_size=n * n, max_size=n * n)), n, ring
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ring_matrix())
 def test_fraction_free_adjugate_matches_exact_inverse(case):
-    entries, n = case
+    entries, n, ring = case
     g = ExactMatrix(n, n, entries)
-    det, adj = fraction_free_adjugate(entries, n)
+    det, adj = fraction_free_adjugate(entries, n, ring)
     assert det == oracle_det(g)
     if det == 0:
         assert adj is None
@@ -104,7 +105,7 @@ def test_fraction_free_adjugate_matches_exact_inverse(case):
 
 
 def test_fraction_free_adjugate_of_the_empty_matrix():
-    assert fraction_free_adjugate([], 0) == (1, [])
+    assert fraction_free_adjugate([], 0, IntRing) == (1, [])
 
 
 @st.composite
@@ -194,9 +195,10 @@ def test_result_type_rule_and_edge_cases():
     x = ExactMatrix.from_rows([[2, 1], [1, 1]]).solve([r2, 0])
     assert all(isinstance(v, QuadScalar) for v in x) and [str(v) for v in x] == \
         ["0+1*sqrt(2)", "0-1*sqrt(2)"]
-    # 0 x 0: determinant 1, no inverse; 1 x 1
+    # 0 x 0: determinant 1, trace 0, no inverse; 1 x 1
     empty = ExactMatrix(0, 0, [])
     assert type(empty.det()) is Fraction and empty.det() == 1
+    assert type(empty.trace()) is Fraction and empty.trace() == 0
     for call in (empty.inv, lambda: empty.solve([])):
         with pytest.raises(ValueError, match="matrix needs at least one row"):
             call()
@@ -205,3 +207,23 @@ def test_result_type_rule_and_edge_cases():
     assert one.solve([1]) == [Fraction(-3, 2)]
     with pytest.raises(ValueError, match="matrix is singular"):
         ExactMatrix.from_rows([[0]]).solve([1])
+
+
+def test_solve_reports_a_singular_matrix_before_mixing_fields():
+    """The ring is chosen from the matrix alone: a singular matrix over
+    Q(sqrt 2) with a Q(sqrt 3) right-hand side is reported singular, and a
+    regular one fails on mixing the fields, both as the oracle does."""
+    r2, r3 = QuadScalar(0, 1, 2), QuadScalar(0, 1, 3)
+    singular = ExactMatrix.from_rows([[r2, 1], [2, r2]])
+    regular = ExactMatrix.from_rows([[r2, 1], [1, r2]])
+    assert _outcome(singular.solve, [r3, 0]) == _outcome(oracle_solve, singular, [r3, 0]) \
+        == (ValueError, "matrix is singular")
+    assert _outcome(regular.solve, [r3, 0]) == _outcome(oracle_solve, regular, [r3, 0]) \
+        == (ValueError, "cannot mix Q(sqrt(2)) and Q(sqrt(3))")
+
+
+def test_imaginary_field_entries():
+    i = QuadScalar(0, 1, -1)
+    a = ExactMatrix.from_rows([[i, 1], [1, 2]])
+    assert a.det() == QuadScalar(-1, 2, -1) == oracle_det(a)
+    assert a.inv() == oracle_inv(a) and a * a.inv() == ExactMatrix.identity(2)

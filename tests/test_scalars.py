@@ -3,17 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latlab.scalars import (
+    IntRing,
+    QuadIntRing,
     QuadScalar,
-    clear_denominators,
     conjugate,
+    denominator_lcm,
     factorize,
     parse_scalar,
     print_scalar,
     quadratic_field_of,
     sign,
+    to_ring,
     validate_field_param,
 )
 
@@ -193,20 +196,87 @@ def test_ordering_operators():
     assert QuadScalar(1, 1, 2) >= QuadScalar(1, 1, 2)
 
 
-def test_clear_denominators_into_the_ring():
+_FRAC = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _field_values(draw):
+    """(m, values): values of Q (m None) or Q(sqrt(m)), m = 2 or 5, mixing
+    ints, Fractions with denominators, QuadScalars with b = 0 of any field
+    and (m given) irrational QuadScalars of Q(sqrt(m))."""
+    m = draw(st.sampled_from([None, 2, 5]))
+    kinds = [st.integers(-30, 30), _FRAC,
+             st.builds(lambda a, k: QuadScalar(a, 0, k), _FRAC, st.sampled_from([2, 3, 5]))]
+    if m is not None:
+        kinds.append(st.builds(lambda a, b: QuadScalar(a, b, m), _FRAC,
+                               _FRAC.filter(bool)))
+    return m, draw(st.lists(st.one_of(kinds), max_size=8))
+
+
+def _in_ring(entry, ring):
+    if ring.m is None:
+        return type(entry) is int
+    return (isinstance(entry, QuadScalar) and entry.m == ring.m
+            and type(entry.a) is int and type(entry.b) is int)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_values())
+@example((2, [Fraction(1, 2), QuadScalar(Fraction(1, 3), Fraction(1, 4), 2), 3,
+              QuadScalar(Fraction(2, 5), 0, 7)]))
+def test_to_ring_clears_denominators_into_the_ring(case):
+    m, values = case
+    ring, scale, entries = to_ring(values)
+    assert ring.m == quadratic_field_of(values)
+    assert scale == denominator_lcm(values) and len(entries) == len(values)
+    # entries are ints exactly when the ring is Z, and quotient returns to the field
+    assert all(_in_ring(e, ring) for e in entries)
+    assert all(ring.quotient(e, scale) == v for e, v in zip(entries, values))
+    if m is not None:
+        # an explicit field: Z[sqrt(m)] even for rational values
+        ring, scale, entries = to_ring(values, m)
+        assert ring.m == m and scale == denominator_lcm(values)
+        assert all(_in_ring(e, ring) and ring.quotient(e, scale) == v
+                   for e, v in zip(entries, values))
+        # a value outside the given field
+        with pytest.raises(ValueError, match="does not lie in Q\\(sqrt\\(3\\)\\)"):
+            to_ring(values + [QuadScalar(0, 1, m)], 3)
+    # mixed fields raise, unless every other value is rational
+    mixed = values + [QuadScalar(1, 1, 3)]
+    if quadratic_field_of(values) is None:
+        assert to_ring(mixed)[0].m == 3
+    else:
+        with pytest.raises(ValueError, match="cannot mix"):
+            to_ring(mixed)
+
+
+def test_to_ring_examples():
     half, r2 = Fraction(1, 2), QuadScalar(Fraction(1, 3), Fraction(1, 4), 2)
     values = [half, r2, 3, QuadScalar(Fraction(2, 5), 0, 7)]
-    assert quadratic_field_of(values) == 2
-    scale, ring = clear_denominators(values, 2)
-    assert scale == 60
-    assert ring == [QuadScalar(30, 0, 2), QuadScalar(20, 15, 2),
-                    QuadScalar(180, 0, 2), QuadScalar(24, 0, 2)]
-    assert all(type(x.a) is int and type(x.b) is int for x in ring)
-    assert clear_denominators([half, 3, QuadScalar(Fraction(2, 5), 0, 7)]) == (10, [5, 30, 4])
-    assert quadratic_field_of([half, 3]) is None
-    with pytest.raises(ValueError):
-        quadratic_field_of([r2, QuadScalar(0, 1, 3)])
-    with pytest.raises(ValueError):
-        clear_denominators([r2])
-    with pytest.raises(ValueError):
-        clear_denominators([r2], 3)
+    ring, scale, entries = to_ring(values)
+    assert ring.m == 2 and scale == 60
+    assert entries == [QuadScalar(30, 0, 2), QuadScalar(20, 15, 2),
+                       QuadScalar(180, 0, 2), QuadScalar(24, 0, 2)]
+    assert to_ring([half, 3, QuadScalar(Fraction(2, 5), 0, 7)]) == (IntRing, 10, [5, 30, 4])
+    assert to_ring([]) == (IntRing, 1, [])
+    with pytest.raises(TypeError):
+        to_ring([0.5])
+
+
+def _ring_element(m):
+    small = st.integers(-50, 50)
+    if m is None:
+        return small
+    return st.builds(lambda a, b: QuadScalar(a, b, m), small, small)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([None, 2, 5, -1]).flatmap(
+    lambda m: st.tuples(st.just(m), _ring_element(m), _ring_element(m).filter(bool))))
+def test_exact_div_and_quotient_invert_products(case):
+    m, x, y = case
+    ring = IntRing if m is None else QuadIntRing(m)
+    product = x * y
+    assert ring.exact_div(product, y) == x
+    assert ring.quotient(product, y) == x
+    assert _in_ring(ring.exact_div(product, y), ring)
