@@ -7,8 +7,11 @@ class BudgetExceededError(RuntimeError):
     """A bounded search ran out of its node/step budget.
 
     ``nodes`` is the number of nodes it visited and ``best`` the best
-    (value, witness) it had found, where the search reports them (the
-    shortest-vector enumeration does); otherwise both are None.
+    (value, witness) it had found, where the search reports them; otherwise
+    they are None.  The shortest-vector enumeration reports both.  The
+    isotropic search reports ``nodes``, the box points it counted: the
+    budget when its scan stops, 0 when one coordinate's box alone exceeds
+    the budget; it has no best value, so ``best`` stays None.
     """
 
     def __init__(self, message, budget=None, nodes=None, best=None):

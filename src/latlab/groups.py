@@ -392,13 +392,16 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     cleared of denominators 4*c*x^2 is the integer pair
     (e*s + f*t*m, e*t + f*s) with s = u^2 + w^2*m and t = 2*u*w.  A root
     table maps every value 4*c_0*x_0^2 over the box to its root x_0; the
-    (n-1)-fold box of the other coordinates is scanned in height order
-    (0, 1, -1, 2, -2, ...), and the first point whose negated sum is in the
-    table gives the zero.  Of the roots +-x_0 the table keeps the first in
-    height order, the one with p > 0, or p = 0 and q >= 0.  Raises
+    (n-1)-fold box of the other coordinates is scanned in lexicographic
+    height order (0, 1, -1, 2, -2, ...), and the first point whose negated
+    sum is in the table gives the zero.  The sum over the first n-2 of these
+    coordinates is taken once per prefix, and each value of the last one
+    then costs one table lookup.  Of the roots +-x_0 the table keeps the
+    first in height order, the one with p > 0, or p = 0 and q >= 0.  Raises
     BudgetExceededError when one coordinate's box has more than
-    ``node_budget`` points (enumeration.DEFAULT_NODE_BUDGET if None), or when
-    no zero is found among the first ``node_budget`` points of a larger scan.
+    ``node_budget`` points (errors.DEFAULT_NODE_BUDGET if None; ``nodes`` is
+    then 0), or when no zero is found among the first ``node_budget`` points
+    of a larger scan (``nodes`` is then the budget; the all-zero point counts).
     """
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -411,7 +414,7 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     if width > budget:
         raise BudgetExceededError(
             "isotropic search box of %d points per coordinate exceeds the "
-            "budget of %d" % (width, budget), budget=budget)
+            "budget of %d" % (width, budget), budget=budget, nodes=0)
     order = [0]
     for k in range(1, height + 1):
         order.extend((k, -k))
@@ -435,25 +438,32 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
         roots.setdefault((e0 * s + f0 * t * sqm, e0 * t + f0 * s), k)
     rows = [[(e * s + f * t * sqm, e * t + f * s) for s, t in squares]
             for e, f in pairs[1:]]
-    points = itertools.islice(itertools.product(range(width), repeat=len(rows)), budget)
-    next(points)  # the all-zero point, whose only root is 0
-    for idx in points:
+    lead, last = rows[:-1], rows[-1]
+    # the first ``budget`` points of the scan: ``full`` whole rows of the last
+    # coordinate, then the first ``rest`` points of one more
+    full, rest = divmod(budget, width)
+    prefixes = itertools.product(range(width), repeat=len(lead))
+    for count, prefix in enumerate(itertools.islice(prefixes, full + (rest > 0))):
         a = b = 0
-        for row, k in zip(rows, idx):
+        for row, k in zip(lead, prefix):
             ta, tb = row[k]
-            a += ta
-            b += tb
-        root = roots.get((-a, -b))
-        if root is not None:
-            vec = tuple(_as_field(p, m) + q * omega
-                        for p, q in (box[k] for k in (root,) + idx))
-            if form.value(vec) != 0:
-                raise AssertionError("isotropic candidate does not vanish")
-            return vec
+            a -= ta
+            b -= tb
+        # the all-zero point, whose only root is 0, is counted and skipped
+        start = 0 if count else 1
+        stop = width if count < full else rest
+        for j, (ta, tb) in enumerate(itertools.islice(last, start, stop), start):
+            root = roots.get((a - ta, b - tb))
+            if root is not None:
+                vec = tuple(_as_field(p, m) + q * omega
+                            for p, q in (box[k] for k in (root,) + prefix + (j,)))
+                if form.value(vec) != 0:
+                    raise AssertionError("isotropic candidate does not vanish")
+                return vec
     if width ** len(rows) > budget:
         raise BudgetExceededError(
             "isotropic search exceeded the budget of %d points" % budget,
-            budget=budget)
+            budget=budget, nodes=budget)
     return None
 
 
@@ -561,7 +571,7 @@ def uniformity_verdict(spec: GroupSpec, height: int = 10, node_budget=None) -> V
     produces an explicit unipotent witness against uniformity; otherwise the
     verdict is honestly inconclusive (a bounded search cannot prove
     anisotropy).  The isotropic search raises BudgetExceededError past
-    ``node_budget`` box points (enumeration.DEFAULT_NODE_BUDGET if None).
+    ``node_budget`` box points (errors.DEFAULT_NODE_BUDGET if None).
     """
     if spec.kind == "SL":
         witness = _elementary_unipotent(spec.n)

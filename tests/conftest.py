@@ -2,9 +2,10 @@
 shortest-vector oracle (box enumeration over the dual bound, no shared code
 path with the tree search), the recursive search that is the oracle of the
 iterative enumeration kernel, the Gram matrix and box scan that are the
-oracles of the adjoint systole, the per-point scan that is the oracle of
-the isotropic search, ExactMatrix-product oracles of the witness
-verification in latlab.groups, and the Fraction Gauss-Jordan eliminations
+oracles of the adjoint systole, the two per-point scans that are the
+oracles of the isotropic search (square roots, and the budgeted root-table
+scan), ExactMatrix-product oracles of the witness verification in
+latlab.groups, and the Fraction Gauss-Jordan eliminations
 that are the oracles of ExactMatrix.det, inv and solve."""
 
 import itertools
@@ -17,7 +18,8 @@ import pytest
 from latlab import EuclideanLattice, ExactMatrix
 from latlab._svp import canonical_witness, quad_form_value, witness_key
 from latlab.enumeration import IntegralGram
-from latlab.errors import BudgetExceededError
+from latlab.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
+from latlab.groups import _as_field, _form_m
 from latlab.matrices import promote_entry
 from latlab.numfield import IntegerRing, ring_of_integers
 from latlab.scalars import QuadScalar, to_ring
@@ -501,6 +503,70 @@ def _uw_to_ring_coords(u: int, w: int, half: bool):
 
 def _ring_coord_value(p: int, q: int, ring: IntegerRing) -> QuadScalar:
     return QuadScalar(Fraction(p), 0, ring.m) + q * ring.omega
+
+
+# The root-table scan that groups.isotropic_search replaced by one sum per
+# prefix, kept verbatim: it sums the n-1 row entries again at every point of
+# the first ``budget`` points of the box, and is the oracle of the budget
+# edges as well as of the first zero.
+def oracle_isotropic_scan(form, height, budget):
+    """groups.isotropic_search(form, height, budget) before each prefix's sum
+    was taken once."""
+    if height < 1:
+        raise ValueError("height must be at least 1")
+    budget = DEFAULT_NODE_BUDGET if budget is None else int(budget)
+    if budget < 1:
+        raise ValueError("node budget must be positive")
+    m = _form_m(form)
+    side = 2 * height + 1
+    width = side if m is None else side * side
+    if width > budget:
+        raise BudgetExceededError(
+            "isotropic search box of %d points per coordinate exceeds the "
+            "budget of %d" % (width, budget), budget=budget)
+    order = [0]
+    for k in range(1, height + 1):
+        order.extend((k, -k))
+    if m is None:
+        box = [(p, 0) for p in order]
+        sqm, half, omega = 0, False, 0
+    else:
+        ring = ring_of_integers(form.field)
+        box = [(p, q) for p in order for q in order]
+        sqm, half, omega = m, ring.omega_is_half, ring.omega
+    # (s, t) of x = (u + w*sqrt(m))/2: u = 2p + q, w = q if omega is half an
+    # integer, else u = 2p, w = 2q
+    squares = [(u * u + w * w * sqm, 2 * u * w)
+               for u, w in (((2 * p + q, q) if half else (2 * p, 2 * q))
+                            for p, q in box)]
+    _, _, coeffs = to_ring(form.coeffs, m)
+    pairs = [(c, 0) if m is None else (c.a, c.b) for c in coeffs]
+    e0, f0 = pairs[0]
+    roots = {}
+    for k, (s, t) in enumerate(squares):
+        roots.setdefault((e0 * s + f0 * t * sqm, e0 * t + f0 * s), k)
+    rows = [[(e * s + f * t * sqm, e * t + f * s) for s, t in squares]
+            for e, f in pairs[1:]]
+    points = itertools.islice(itertools.product(range(width), repeat=len(rows)), budget)
+    next(points)  # the all-zero point, whose only root is 0
+    for idx in points:
+        a = b = 0
+        for row, k in zip(rows, idx):
+            ta, tb = row[k]
+            a += ta
+            b += tb
+        root = roots.get((-a, -b))
+        if root is not None:
+            vec = tuple(_as_field(p, m) + q * omega
+                        for p, q in (box[k] for k in (root,) + idx))
+            if form.value(vec) != 0:
+                raise AssertionError("isotropic candidate does not vanish")
+            return vec
+    if width ** len(rows) > budget:
+        raise BudgetExceededError(
+            "isotropic search exceeded the budget of %d points" % budget,
+            budget=budget)
+    return None
 
 
 def gso_from_gram(gram):

@@ -32,6 +32,7 @@ from conftest import (
     oracle_adjoint_gram,
     oracle_inv,
     oracle_is_nilpotent,
+    oracle_isotropic_scan,
     oracle_isotropic_search,
     oracle_is_unipotent,
     oracle_preserves_form,
@@ -664,6 +665,44 @@ def test_isotropic_search_matches_oracle(form, height):
     _assert_search_matches_oracle(form, height)
 
 
+def _search_outcome(search, form, height, budget):
+    """("found", entries), ("none", None) or ("budget", error)."""
+    try:
+        found = search(form, height, budget)
+    except BudgetExceededError as exc:
+        return "budget", exc
+    if found is None:
+        return "none", None
+    return "found", [(type(x), repr(x)) for x in found]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_random_form(SEARCH_FIELDS),
+                 _isotropic_form(SEARCH_FIELDS, st.integers(2, 5), _ring_integer)
+                 .map(lambda form_and_vector: form_and_vector[0])),
+       st.integers(1, 3), st.data())
+def test_isotropic_search_budget_edges_match_scan(form, height, data):
+    """Budgets at and around one coordinate's box and the whole (n-1)-fold
+    box: the same vector as the per-point root-table scan, or the same
+    BudgetExceededError, whose ``nodes`` counts the points scanned."""
+    if form.field is not None:
+        height = min(height, QUADRATIC_HEIGHT[form.nvars])
+    side = 2 * height + 1
+    width = side if form.field is None else side * side
+    total = width ** (form.nvars - 1)
+    budget = data.draw(st.one_of(
+        st.sampled_from([width - 1, width, width + 1, total - 1, total, total + 1]),
+        st.integers(width - 1, total + 1)))
+    kind, found = _search_outcome(isotropic_search, form, height, budget)
+    expected = _search_outcome(oracle_isotropic_scan, form, height, budget)
+    assert kind == expected[0]
+    if kind == "budget":
+        assert str(found) == str(expected[1]) and found.budget == budget
+        assert found.nodes == (0 if width > budget else budget)
+    else:
+        assert found == expected[1]
+
+
 @pytest.mark.parametrize("m", SEARCH_FIELDS)
 def test_isotropic_search_finds_omega_vectors(m):
     # a form built around (1 + omega, 1, 1): the search finds a zero, the same
@@ -677,10 +716,22 @@ def test_isotropic_search_finds_omega_vectors(m):
 def test_isotropic_search_node_budget():
     f = DiagForm([1, 1, -7])
     assert isotropic_search(f, 3, node_budget=49) is None   # the whole 7 x 7 box
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as scan:
         isotropic_search(f, 3, node_budget=48)
-    with pytest.raises(BudgetExceededError):                # one coordinate: 7 points
+    assert scan.value.nodes == 48 and scan.value.best is None
+    with pytest.raises(BudgetExceededError) as box:         # one coordinate: 7 points
         isotropic_search(f, 3, node_budget=6)
+    assert box.value.nodes == 0 and box.value.best is None
+    # a budget that ends inside a row of the last coordinate
+    with pytest.raises(BudgetExceededError) as partial:
+        isotropic_search(f, 3, node_budget=10)
+    assert partial.value.nodes == 10
+    # the first zero of (1, 1, -2) is the ninth point, (x1, x2) = (1, 1): the
+    # second point of the second row of the last coordinate
+    assert isotropic_search(DiagForm([1, 1, -2]), 3, node_budget=9) == (1, 1, 1)
+    with pytest.raises(BudgetExceededError) as short:
+        isotropic_search(DiagForm([1, 1, -2]), 3, node_budget=8)
+    assert short.value.nodes == 8
     # a zero within the budget is returned although the box is larger
     assert isotropic_search(DiagForm([1, 1, -1]), 3, node_budget=7) == (1, 0, 1)
     # over Q(sqrt 2) one coordinate's box at height 3000 has 6001^2 points
