@@ -78,8 +78,17 @@ def _reduction_bound(rank, a):
     return bound if math.isfinite(bound) else None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise DocumentError, so that
+    :func:`run` reports them as one line on its ``err`` stream; its
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise DocumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latlab",
         description="exact lattice invariants, quadratic fields, and "
         "uniformity verdicts over JSON documents",
@@ -496,13 +505,11 @@ _COMMANDS = {
 def run(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
+    except SystemExit:  # --help, printed by argparse
+        return EXIT_OK
     except BudgetExceededError as exc:
         err.write("error: %s\n" % exc)
         return EXIT_BUDGET

@@ -169,19 +169,26 @@ def preserves_form(g: ExactMatrix, form: DiagForm) -> bool:
     """Exact test transpose(g) * A * g == A for A = diag(coeffs).
 
     The entries of g and the coefficients are cleared of denominators
-    together into one ring (Z or Z[sqrt(m)]): g = G/D and A = diag(c)/D.
-    Then D^3 (g^T A g - A) = 0 is sum_k G_ki c_k G_kj == D^2 c_i [i == j]
-    for i <= j: A is diagonal, so it weights rows, and no matrix is built.
+    together into one ring (Z or Z[sqrt(m)]): g = G/D and A = diag(c)/D, and
+    :func:`_ring_preserves` tests D^3 (g^T A g - A) = 0.
     """
     n = form.nvars
     if g.rows != n or g.cols != n:
         raise ValueError("matrix size does not match the form")
     _, scale, values = to_ring(g.data + form.coeffs)
-    entries, coeffs = values[:n * n], values[n * n:]
+    return _ring_preserves(values[:n * n], values[n * n:], scale * scale)
+
+
+def _ring_preserves(entries, coeffs, d2) -> bool:
+    """sum_k G_ki c_k G_kj == d2 c_i [i == j] for i <= j, for the n x n matrix
+    G with row-major ring entries and the n ring coefficients c: g = G/D
+    preserves diag(c) exactly when this holds with d2 = D^2.  The form is
+    diagonal, so it weights rows, and no matrix is built.
+    """
+    n = len(coeffs)
     # the nonzero entries (k, G_kj) of each column j
     cols = [[(k, entries[k * n + j]) for k in range(n) if entries[k * n + j]]
             for j in range(n)]
-    d2 = scale * scale
     for i in range(n):
         weighted = {k: coeffs[k] * x for k, x in cols[i]}
         for j in range(i, n):
@@ -471,84 +478,65 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
     """A nontrivial unipotent element of SO(f) built from an isotropic vector.
 
     Uses the transvection x -> x + b(x,v) w - b(x,w) v - (1/2) b(w,w) b(x,v) v
-    for some w orthogonal to v and independent of it; the result is
-    re-verified (preserves the form, unipotent, not the identity) before it
-    is returned.
+    for some w orthogonal to v and independent of it, built on ring integers.
+    The coefficients and v are cleared of denominators once, c = C/k and
+    v = V/k.  With p the first index of V_p != 0 and beta = C_p V_p, each
+    candidate w0 (e_k, then e_k + e_l for k < l) gives w = W/beta with
+    W = beta w0 - b_C(w0, V) e_p, skipped when W is proportional to V.  Then
+    g = G/D with G = X + D*I, D = 2 k^4 N(beta)^2 and
+    X_ij = s (C_j V_j W_i - C_j W_j V_i) - t C_j V_j V_i for
+    s = 2 k^2 beta conj(beta)^2 and t = b_C(W, W) conj(beta)^2.  G is
+    re-verified (preserves the form, X nilpotent, X != 0) before it is
+    divided by D once.
     """
     n = form.nvars
-    vector = tuple(_as_field(v, _form_m(form)) for v in vector)
+    m = _form_m(form)
+    vector = tuple(_as_field(v, m) for v in vector)
     if len(vector) != n:
         raise ValueError("vector length does not match the form")
-    if all(v == 0 for v in vector):
+    ring, k, values = to_ring(form.coeffs + vector, m)
+    coeffs, vec = values[:n], values[n:]
+    if not any(vec):
         raise ValueError("isotropic vector must be nonzero")
-    if form.value(vector) != 0:
+    cv = [c * x for c, x in zip(coeffs, vec)]
+    if sum(x * y for x, y in zip(cv, vec)) != 0:
         raise ValueError("vector is not isotropic for the form")
     if n < 3:
         raise ValueError(
             "degenerate transvection: binary forms have no nontrivial unipotent"
         )
-    # z with b(v, z) != 0 exists because the form is nondegenerate
-    z_idx = next(i for i, v in enumerate(vector) if v != 0)
-    zvec = _unit(z_idx, n, form)
-    bvz = form.bilinear(vector, zvec)
-    for w0 in _w_candidates(n, form):
-        t = form.bilinear(w0, vector) / bvz
-        w = tuple(wi - t * zi for wi, zi in zip(w0, zvec))
-        if _proportional(w, vector):
+    # b_C(V, e_p) = beta != 0 because the form is nondegenerate
+    p = next(i for i, x in enumerate(vec) if x)
+    beta = cv[p]
+    bar = conjugate(beta)
+    bar2, norm = bar * bar, beta * bar
+    d = 2 * k ** 4 * norm * norm
+    s = 2 * k * k * beta * bar2
+    scv = [s * y for y in cv]
+    pairs = itertools.combinations(range(n), 2)
+    for w0 in itertools.chain(((i,) for i in range(n)), pairs):
+        w = [beta if i in w0 else ring.zero for i in range(n)]
+        w[p] = w[p] - sum(cv[i] for i in w0)
+        if all(x * vec[p] == w[p] * y for x, y in zip(w, vec)):
+            continue    # W proportional to V would give X = 0
+        t = sum(c * x * x for c, x in zip(coeffs, w) if x) * bar2
+        # X_ij = s C_j V_j W_i - (s C_j W_j + t C_j V_j) V_i
+        tail = [s * c * x + t * y for c, x, y in zip(coeffs, w, cv)]
+        nil = [a * wi - b * vi for wi, vi in zip(w, vec) for a, b in zip(scv, tail)]
+        if not any(nil):
             continue
-        g = _transvection_matrix(form, vector, w)
-        if g.is_identity():
-            continue
-        if not preserves_form(g, form):
+        g = list(nil)
+        for i in range(0, n * n, n + 1):
+            g[i] = g[i] + d
+        if not _ring_preserves(g, coeffs, d * d):
             raise AssertionError("transvection fails to preserve the form")
-        if not is_unipotent(g):
+        if not _ring_nilpotent(nil, n):
             raise AssertionError("transvection is not unipotent")
-        return g
+        # callers keep verdicts, and a third of the entries repeat a value
+        # (zeros and ones above all): equal entries share one object
+        shared = {e: ring.quotient(e, d) for e in set(g)}
+        return ExactMatrix(n, n, [shared[e] for e in g])
     raise ValueError("degenerate transvection: no admissible companion vector")
-
-
-def _unit(k, n, form, l=None):
-    """e_k (or e_k + e_l) in the field of the form."""
-    m = _form_m(form)
-    return tuple(_as_field(1 if i in (k, l) else 0, m) for i in range(n))
-
-
-def _w_candidates(n, form):
-    for k in range(n):
-        yield _unit(k, n, form)
-    for k in range(n):
-        for l in range(k + 1, n):
-            yield _unit(k, n, form, l)
-
-
-def _proportional(u, v) -> bool:
-    """u is a multiple of v: u_i v_p == u_p v_i at the first nonzero v_p."""
-    p = next((i for i, x in enumerate(v) if x != 0), None)
-    if p is None:
-        return True
-    return all(ui * v[p] == u[p] * vi for ui, vi in zip(u, v))
-
-
-def _transvection_matrix(form: DiagForm, v, w) -> ExactMatrix:
-    """g_ij = [i == j] + c_j v_j w_i - c_j w_j v_i - (1/2) b(w, w) c_j v_j v_i,
-    the image of e_j under x -> x + b(x,v) w - b(x,w) v - (1/2) b(w,w) b(x,v) v
-    with b(e_j, x) = c_j x_j."""
-    n = form.nvars
-    m = _form_m(form)
-    one, zero = _as_field(1, m), _as_field(0, m)
-    half_ww = form.bilinear(w, w) / 2
-    bev = [c * x for c, x in zip(form.coeffs, v)]
-    bew = [c * x for c, x in zip(form.coeffs, w)]
-    # callers keep verdicts, and a third of the entries repeat a value (zeros
-    # and ones above all): equal entries share one object
-    shared = {}
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            e = ((one if i == j else zero) + bev[j] * w[i] - bew[j] * v[i]
-                 - half_ww * bev[j] * v[i])
-            entries.append(shared.setdefault(e, e))
-    return ExactMatrix(n, n, entries)
 
 
 # -- the verdict engine ---------------------------------------------------------------

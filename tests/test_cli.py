@@ -547,6 +547,18 @@ def test_error_paths_exit_one(tmp_path, write_doc):
     assert code == 1 and out == "" and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "error: argument command: invalid choice: 'frobnicate' "
+                     "(choose from 'lattice', 'field', 'group', 'resk', 'arith')\n"),
+    (["arith", "congruence"], "error: the following arguments are required: --m\n"),
+    (["group", "verdict", "so.json", "--height", "abc"],
+     "error: argument --height: invalid int value: 'abc'\n"),
+])
+def test_usage_errors_are_one_line_on_err(capsys, argv, message):
+    assert run_cli(argv) == (1, "", message)
+    assert capsys.readouterr() == ("", "")
+
+
 def test_budget_exhaustion_exit_three(write_doc, monkeypatch):
     doc = write_doc({"dim": 2, "field": None, "basis": [["1", "0"], ["0", "1"]]})
     code, out, err = run_cli(["--budget", "2", "lattice", "systole", doc])

@@ -36,6 +36,7 @@ from conftest import (
     oracle_isotropic_search,
     oracle_is_unipotent,
     oracle_preserves_form,
+    oracle_transvection,
     random_unimodular,
 )
 
@@ -753,3 +754,110 @@ def test_nilpotency_cross_check_raises_on_a_wrong_power(monkeypatch):
     monkeypatch.setattr(groups, "_sparse_row_times", lambda row, x_rows: {})
     with pytest.raises(AssertionError, match="disagree"):
         is_nilpotent(x)
+
+
+# -- the transvection on ring integers against the field-value build it replaced -----
+
+TRANSVECTION_FIELDS = [None, 2, 3, 5, 13, -1, -3]
+
+
+def _entry(m, big):
+    """A vector entry or coefficient: a rational with a denominator, a small
+    ring integer p + q*omega, or (over Q(sqrt m)) a QuadScalar with rational
+    coordinates."""
+    if m is None:
+        return st.one_of(_rational(big), _ring_integer(m))
+    return st.one_of(_rational(big), _ring_integer(m), _scalar(m, big))
+
+
+@st.composite
+def _transvection_case(draw):
+    """(form, isotropic vector) over Q or Q(sqrt m), n = 3..6, built around a
+    vector whose first ``zeros`` coordinates are 0."""
+    m = draw(st.sampled_from(TRANSVECTION_FIELDS))
+    n = draw(st.integers(3, 6))
+    zeros = draw(st.integers(0, n - 2))
+    big = draw(st.booleans())
+    v = [0] * zeros + [draw(_entry(m, big)) for _ in range(zeros, n - 1)]
+    v.append(draw(_entry(m, big).filter(lambda x: x != 0)))
+    d = [draw(_entry(m, False).filter(lambda x: x != 0)) for _ in range(n - 1)]
+    rest = sum((di * vi * vi for di, vi in zip(d, v)), Fraction(0))
+    assume(rest != 0)
+    return DiagForm(d + [-rest / (v[-1] * v[-1])], _field_desc(m)), tuple(v)
+
+
+def _entries(g):
+    return [(type(x), repr(x)) for x in g.data]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transvection_case())
+@example((DiagForm([Fraction(1, 2), 3, Fraction(-1, 2)]), (Fraction(3, 2), 0, Fraction(3, 2))))
+@example((DiagForm([1, 1, 1, -SQRT2], K2), (0, 0, 0, 0)))
+def test_transvection_matches_field_oracle(case):
+    """The witness equals the field-value build entry by entry, in type and
+    repr; a zero vector raises the same error."""
+    form, v = case
+    assert _outcome(unipotent_from_isotropic, form, v) == \
+        _outcome(oracle_transvection, form, v)
+
+
+def _outcome(build, form, v):
+    try:
+        return "witness", _entries(build(form, v))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("form, v, message", [
+    (DiagForm([1, 1, -1]), (1, 0), "vector length does not match the form"),
+    (DiagForm([1, 1, -2], K2), (0, SQRT2 - SQRT2, Fraction(0)),
+     "isotropic vector must be nonzero"),
+    (DiagForm([1, 1, -1]), (1, 1, 1), "vector is not isotropic for the form"),
+    (DiagForm([SQRT2, 1, -1], K2), (1, 0, 1), "vector is not isotropic for the form"),
+    (DiagForm([1, -1]), (1, 1), "degenerate transvection: binary forms have no "
+                                "nontrivial unipotent"),
+    (DiagForm([2, Fraction(-1, 2)], K2), (Fraction(1, 2), 1), "degenerate transvection: "
+     "binary forms have no nontrivial unipotent"),
+])
+def test_transvection_errors_match_field_oracle(form, v, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        unipotent_from_isotropic(form, v)
+    assert _outcome(unipotent_from_isotropic, form, v) == \
+        _outcome(oracle_transvection, form, v) == (ValueError, message)
+
+
+def test_transvection_clears_denominators_once(monkeypatch):
+    """One to_ring per witness; no ExactMatrix product and no field-value
+    re-verification."""
+    cases = [(DiagForm([Fraction(1, 2), 3, Fraction(-1, 2)]), (Fraction(3, 2), 0, Fraction(3, 2))),
+             (DiagForm([1, 1, -1, 5]), (0, 1, 1, 0)),
+             (DiagForm([SQRT2, 1, 1, -1], K2), (0, 1, 0, 1))]
+    for m, coeffs in ((5, [1, 1, -3]), (-3, [1, 1, 1])):
+        form = DiagForm(coeffs, _field_desc(m))
+        cases.append((form, isotropic_search(form, 2)))
+    expected = [_entries(unipotent_from_isotropic(form, v)) for form, v in cases]
+    calls = []
+    real = groups.to_ring
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("ExactMatrix product or field-value verification called")
+
+    monkeypatch.setattr(groups, "to_ring", counted)
+    monkeypatch.setattr(ExactMatrix, "__mul__", forbidden)
+    monkeypatch.setattr(groups, "preserves_form", forbidden)
+    monkeypatch.setattr(groups, "is_unipotent", forbidden)
+    for (form, v), before in zip(cases, expected):
+        calls.clear()
+        assert _entries(unipotent_from_isotropic(form, v)) == before
+        assert len(calls) == 1
+
+
+def test_transvection_rejects_a_vector_of_another_field():
+    r3 = QuadScalar(0, 1, 3)
+    with pytest.raises(ValueError, match=r"^0\+1\*sqrt\(3\) does not lie in Q\(sqrt\(2\)\)$"):
+        unipotent_from_isotropic(DiagForm([1, 1, -1], K2), (r3, 0, r3))
