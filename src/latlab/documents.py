@@ -34,6 +34,8 @@ def load_json(path: str):
             return json.load(handle)
     except FileNotFoundError:
         raise DocumentError("no such input document: %s" % path)
+    except OSError as exc:      # a directory, no permission, ...
+        raise DocumentError("cannot read input document %s: %s" % (path, exc.strerror))
     except json.JSONDecodeError as exc:
         raise DocumentError(
             "malformed JSON in %s at line %d column %d: %s"

@@ -534,6 +534,10 @@ def test_error_paths_exit_one(tmp_path, write_doc):
     code, out, err = run_cli(["lattice", "covol", missing])
     assert code == 1 and "no such input document" in err
 
+    code, out, err = run_cli(["lattice", "covol", str(tmp_path)])
+    assert (code, out) == (1, "")
+    assert err == "error: cannot read input document %s: Is a directory\n" % tmp_path
+
     singular = write_doc({"dim": 2, "field": None,
                           "basis": [["1", "1"], ["1", "1"]]})
     code, out, err = run_cli(["lattice", "covol", singular])
@@ -567,6 +571,51 @@ def test_budget_exhaustion_exit_three(write_doc, monkeypatch):
     monkeypatch.setenv("LATLAB_BUDGET", "2")
     code, out, err = run_cli(["lattice", "systole", doc])
     assert code == 3
+
+
+# the subcommands that run a search read LATLAB_BUDGET; the others ignore it
+SEARCHING = {("lattice", "systole"), ("lattice", "reduce"), ("lattice", "hermite"),
+             ("lattice", "mahler"), ("field", "embed"), ("group", "verdict"),
+             ("group", "adsys")}
+BUDGET_CALLS = {
+    ("lattice", "covol"): ["L"],
+    ("lattice", "systole"): ["L"],
+    ("lattice", "reduce"): ["L", "--a", "2"],
+    ("lattice", "hermite"): ["L"],
+    ("lattice", "mahler"): ["L", "L"],
+    ("field", "info"): ["F"],
+    ("field", "embed"): ["F"],
+    ("field", "signature"): ["F"],
+    ("group", "verdict"): ["G"],
+    ("group", "unipotent"): ["M"],
+    ("group", "adsys"): ["M"],
+    ("resk", "element"): ["S"],
+    ("resk", "matrix"): ["Q"],
+    ("arith", "index"): ["L", "L"],
+    ("arith", "commens"): ["L", "L"],
+    ("arith", "congruence"): ["M", "--m", "3"],
+}
+
+
+@pytest.mark.parametrize("key", list(BUDGET_CALLS), ids=" ".join)
+def test_only_searching_subcommands_read_latlab_budget(write_doc, monkeypatch, key):
+    assert set(BUDGET_CALLS) == set(cli._COMMANDS) and SEARCHING <= set(BUDGET_CALLS)
+    docs = {
+        "L": write_doc({"dim": 2, "field": None, "basis": [["1", "0"], ["0", "1"]]}),
+        "F": write_doc({"quad": 5}),
+        "G": write_doc({"kind": "SO", "coeffs": ["1", "1", "-1"], "field": {"quad": None}}),
+        "M": write_doc({"field": None, "matrix": [["2", "1"], ["1", "1"]]}),
+        "S": write_doc({"field": {"quad": 2}, "scalar": "1+2*sqrt(2)"}),
+        "Q": write_doc({"field": {"quad": 2}, "matrix": [["1", "0+1*sqrt(2)"], ["0", "1"]]}),
+    }
+    argv = list(key) + [docs.get(a, a) for a in BUDGET_CALLS[key]]
+    code, out, err = run_cli(argv)
+    assert code == 0 and out and err == ""
+    monkeypatch.setenv("LATLAB_BUDGET", "abc")
+    if key in SEARCHING:
+        assert run_cli(argv) == (1, "", "error: LATLAB_BUDGET must be an integer, got 'abc'\n")
+    else:
+        assert run_cli(argv) == (0, out, "")
 
 
 def test_quadratic_lattice_document(write_doc):

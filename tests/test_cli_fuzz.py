@@ -1,0 +1,254 @@
+"""Fuzz of `latlab` over every subcommand in both output formats.
+
+Two calls in three are tame: well-formed documents over Q or a real quadratic
+field with the options in range, so that most of them answer.  The others
+are wild: documents with wrong types, missing keys, wrong lengths, mixed or
+imaginary fields, 300-digit entries or rank-deficient bases; files that are
+missing, empty, not JSON or a directory, and malformed options.  --budget
+ranges over 1..20,000 and --height over 1..3.  Every call must end in exit
+code 0-3 without an exception: a success (0) or an inconclusive verdict (2)
+prints to `out` only, and an input error (1) or an exhausted budget (3)
+prints exactly one line to `err` only.
+"""
+
+import io
+import json
+import os
+import tempfile
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from latlab import cli
+
+MISSING = "<no file>"
+DIRECTORY = "<a directory>"
+
+REAL = (None, None, 2, 3, 5)
+IMAGINARY = (-1, -3)
+JUNK = st.sampled_from([None, True, 1.5, -7, "x", "", "1/0", "2+1*sqrt(3)",
+                        [], {}, [["1"]]])
+SMALL_BUDGETS = st.integers(1, 30)
+BUDGETS = SMALL_BUDGETS | st.integers(1, 20_000)
+HEIGHTS = st.integers(1, 3).map(str)
+BIG = st.builds(lambda v, sign: str(sign * v), st.integers(10 ** 299, 10 ** 300 - 1),
+                st.sampled_from((1, -1)))
+
+
+def _quadratic(m):
+    return st.builds("{}{:+d}*sqrt({})".format, st.integers(-3, 3), st.integers(-2, 2), m)
+
+
+def _field(m, key):
+    return None if m is None else {key: m}
+
+
+def _field_m(wild):
+    """The quadratic parameter of a document, None for Q."""
+    return st.sampled_from(REAL + IMAGINARY if wild else REAL)
+
+
+def _entries(m, wild):
+    """Scalar strings over Q or Q(sqrt(m)); when wild, also 300-digit entries
+    and entries of another field."""
+    entries = st.integers(-3, 3).map(str) | st.builds(
+        "{}/{}".format, st.integers(-3, 3), st.integers(1, 3))
+    if m is not None:
+        entries |= _quadratic(st.just(m))
+    if wild:
+        entries |= BIG | _quadratic(st.sampled_from((2, 3, 5)))
+    return entries
+
+
+@st.composite
+def _lattices(draw, wild, n=None, rational=False):
+    m = None if rational else draw(_field_m(wild))
+    n = n or draw(st.integers(1, 3))
+    entries = _entries(m, wild)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("triangular", "any") + (("deficient",) if wild else ())))
+    if shape == "triangular":           # full rank
+        nonzero = st.sampled_from(("1", "-1", "2", "3", "1/2", "-2/3"))
+        rows = [["0"] * i + [draw(nonzero)] + row[i + 1:] for i, row in enumerate(rows)]
+    elif shape == "deficient" and n > 1:
+        rows[-1] = list(rows[0])
+    return {"dim": n, "field": _field(m, "m"), "basis": rows}
+
+
+def _standard_lattice(n):
+    return {"dim": n, "field": None,
+            "basis": [[str(int(i == j)) for j in range(n)] for i in range(n)]}
+
+
+@st.composite
+def _matrices(draw, wild, rational=False):
+    m = None if rational else draw(_field_m(wild))
+    n = draw(st.sampled_from((2, 3, 2, 1)))
+    if not draw(st.booleans()):         # a product of integer shears: det 1
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+            i, j = draw(st.permutations(range(n)))[:2]
+            k = draw(st.integers(-3, 3))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        rows = [[str(e) for e in row] for row in rows]
+    else:
+        entries = _entries(m, wild)
+        cols = draw(st.sampled_from((n, n, n, 1, 2, 3)))
+        rows = [[draw(entries) for _ in range(cols)] for _ in range(n)]
+    return {"field": _field(m, "quad"), "matrix": rows}
+
+
+@st.composite
+def _fields(draw, wild):
+    if draw(st.booleans()):
+        quad = st.integers(-10, 10) if wild else st.sampled_from((2, 3, 5, 13, -1, -7))
+        return {"quad": draw(quad)}
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    return {"minpoly": coeffs + (draw(st.sampled_from(([1], [2], []))) if wild else [1])}
+
+
+@st.composite
+def _groups(draw, wild):
+    m = draw(_field_m(wild))
+    kind = draw(st.sampled_from(("SL", "SO", "anisotropic", "anisotropic")))
+    if kind == "SL":
+        return {"kind": "SL", "n": draw(st.integers(0 if wild else 2, 4)),
+                "field": {"quad": m}}
+    if kind == "anisotropic":   # x^2 + y^2 - p z^2 has no rational zero: exit 2
+        coeffs = ["1", "1", "-%d" % draw(st.sampled_from((3, 7, 11, 19)))]
+        return {"kind": "SO", "coeffs": coeffs, "field": {"quad": None}}
+    coeffs = draw(st.lists(_entries(m, wild), min_size=2, max_size=5))
+    return {"kind": "SO", "coeffs": coeffs, "field": {"quad": m}}
+
+
+@st.composite
+def _scalars(draw, wild):
+    m = draw(_field_m(wild))
+    return {"field": _field(m, "quad"), "scalar": draw(_entries(m, wild))}
+
+
+def _lists_in(value):
+    """Every list inside a JSON value."""
+    found = [value] if isinstance(value, list) else []
+    children = value.values() if isinstance(value, dict) else \
+        value if isinstance(value, list) else ()
+    for child in children:
+        found += _lists_in(child)
+    return found
+
+
+@st.composite
+def _mutated(draw, doc):
+    """`doc`, or `doc` with a key dropped, a value or an entry replaced by
+    junk, or a list one item short or long; or a file that is not a JSON
+    document."""
+    how = draw(st.sampled_from(("none", "drop", "junk", "list", "file")))
+    if how == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif how == "junk":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    elif how == "list" and _lists_in(doc):
+        target = draw(st.sampled_from(_lists_in(doc)))
+        change = draw(st.sampled_from(("pop", "append", "junk"))) if target else "append"
+        if change == "pop":
+            target.pop()
+        elif change == "append":
+            target.append(target[0] if target else "1")
+        else:
+            target[draw(st.integers(0, len(target) - 1))] = draw(JUNK)
+    elif how == "file":
+        return draw(st.sampled_from([MISSING, DIRECTORY, b"", b"{", b"[1, 2]", b"null",
+                                     b"\xff\xfe"]))
+    return doc
+
+
+@st.composite
+def _calls(draw, family, name):
+    """(argv, files): a call of `latlab family name` and the documents it names."""
+    wild = draw(st.integers(0, 2)) == 2
+    files = {}
+
+    def doc(documents):
+        key = "d%d.json" % len(files)
+        files[key] = draw(_mutated(draw(documents))) if wild else draw(documents)
+        return key
+
+    argv = ["--format", draw(st.sampled_from(("human", "json")))]
+    budget = draw(st.sampled_from((None, SMALL_BUDGETS, BUDGETS)))
+    if budget is not None:
+        argv += ["--budget", str(draw(budget))]
+    argv += [family, name]
+    if (family, name) == ("lattice", "mahler"):
+        n = None if wild else draw(st.integers(1, 3))      # None: mixed dimensions
+        argv += [doc(_lattices(wild, n)) for _ in range(draw(st.integers(1, 3)))]
+    elif (family, name) == ("lattice", "reduce"):
+        a = ("2", "5/2", "100", "10000") + (("1", "0", "-3", "x", "1/0") if wild else ())
+        argv += [doc(_lattices(wild)), "--a", draw(st.sampled_from(a))]
+    elif family == "lattice":
+        argv.append(doc(_lattices(wild)))
+    elif family == "field":
+        argv.append(doc(_fields(wild)))
+    elif name == "verdict":
+        argv += [doc(_groups(wild)), "--height", draw(HEIGHTS)]
+    elif name == "adsys":
+        argv += [doc(_matrices(wild)), "--height", draw(HEIGHTS)]
+    elif name in ("unipotent", "matrix"):
+        argv.append(doc(_matrices(wild)))
+    elif name == "element":
+        argv.append(doc(_scalars(wild)))
+    elif name in ("index", "commens"):
+        n = draw(st.integers(1, 3))
+        second = _lattices(wild, n, rational=True) | st.just(_standard_lattice(n))
+        argv += [doc(_lattices(wild, n, rational=True)), doc(second)]
+    else:
+        if draw(st.booleans()):
+            argv.append(doc(_matrices(wild, rational=True)))
+        argv += ["--m", str(draw(st.integers(-2 if wild else 1, 40)))]
+        if draw(st.booleans()):
+            argv += ["--n", str(draw(st.integers(0 if wild else 1, 5)))]
+    return argv, files
+
+
+def _run(call):
+    """Writes the call's files into a fresh directory and runs it in process."""
+    argv, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            path = os.path.join(tmp, name)
+            if content == DIRECTORY:
+                os.mkdir(path)
+            elif isinstance(content, bytes):
+                with open(path, "wb") as handle:
+                    handle.write(content)
+            elif content != MISSING:
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(content, handle)
+        argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv, out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_call_ends_in_one_exit_code():
+    reached = {}
+    for family, name in cli._COMMANDS:
+        codes = reached[family, name] = Counter()
+
+        # derandomized: the exit codes asserted below are reached on every run
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(_calls(family, name))
+        def check(call):
+            code, out, err = _run(call)
+            assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_INCONCLUSIVE,
+                            cli.EXIT_BUDGET)
+            if code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE):
+                assert out and err == ""
+            else:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1 \
+                    and err.endswith("\n")
+            codes[code] += 1
+
+        check()
+    # every subcommand both answers and refuses, and the calls reach all four codes
+    assert all(codes[cli.EXIT_OK] and codes[cli.EXIT_INPUT] for codes in reached.values())
+    assert set().union(*reached.values()) == {0, 1, 2, 3}, reached

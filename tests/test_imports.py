@@ -57,12 +57,16 @@ DOCS = {
     "sl.json": {"kind": "SL", "n": 3, "field": {"quad": None}},
     "matrix.json": {"field": None, "matrix": [["2", "1"], ["1", "1"]]},
     "scalar.json": {"field": {"quad": 2}, "scalar": "1+2*sqrt(2)"},
+    "qmatrix.json": {"field": {"quad": 2}, "matrix": [["1", "0+1*sqrt(2)"], ["0", "1"]]},
 }
 
 CALLS = [
     (["--help"], 0, set()),
     (["lattice", "systole", "lattice.json"], 0, SEARCH),
     (["lattice", "covol", "lattice.json"], 0, SEARCH),
+    (["lattice", "reduce", "lattice.json", "--a", "6"], 0, SEARCH),
+    (["lattice", "hermite", "lattice.json"], 0, SEARCH),
+    (["lattice", "mahler", "lattice.json", "lattice.json"], 0, SEARCH),
     (["field", "info", "field.json"], 0, {"numfield"}),
     (["field", "signature", "field.json"], 0, {"numfield"}),
     (["field", "embed", "field.json"], 0, SEARCH | {"numfield"}),
@@ -72,6 +76,7 @@ CALLS = [
     (["group", "adsys", "matrix.json"], 0,
      {"groups", "numfield", "matrices", "enumeration", "_svp"}),
     (["resk", "element", "scalar.json"], 0, {"resk", "numfield", "matrices"}),
+    (["resk", "matrix", "qmatrix.json"], 0, {"resk", "numfield", "matrices"}),
     (["arith", "congruence", "--m", "3"], 0, {"arith", "matrices"}),
     (["arith", "congruence", "matrix.json", "--m", "3"], 0, {"arith", "matrices"}),
     (["arith", "index", "lattice.json", "lattice.json"], 0, {"arith", "matrices"}),
@@ -88,6 +93,10 @@ def test_cli_call_loads_its_subcommand_path_only(tmp_path, argv, expected_code, 
             "out = io.StringIO()\n"
             "code = run(sys.argv[1:], out=out, err=out)")
     assert _child(code, *argv, cwd=str(tmp_path)) == (expected_code, FRONT | extra)
+
+
+def test_calls_cover_every_subcommand():
+    assert {tuple(argv[:2]) for argv, _, _ in CALLS[1:]} == set(cli._COMMANDS)
 
 
 def test_star_import_binds_all_names():
