@@ -20,7 +20,10 @@ Gram-Schmidt coefficients, the squared contribution of level i is
 which stays in the ring once multiplied by suf[i] = prod_{l>=i} d_l d_{l+1}.
 The search keeps W_i = (sum of the fixed terms above level i) * suf[i], so the
 level-i admissibility test  term_i <= C - sum_{l>i} term_l  becomes the pure
-ring inequality  T_i * suf[i+1] <= C * suf[i] - W_i.
+ring inequality  T_i * suf[i+1] <= C * suf[i] - W_i.  At a leaf,
+W_0 + T_0^2 suf[1] = x^T G x * suf[0], so the test that admits it also
+decides it: below the bound it is a new minimum (W_0 + T_0^2 suf[1]) / suf[0],
+at the bound a tie, and x^T G x is never evaluated.
 
 Traversal.  One loop over explicit per-level state replaces the recursion and
 keeps its visit order: level i sweeps up from its start (the rounded center
@@ -36,8 +39,9 @@ i+1, so a node costs O(1) amortized instead of an O(n) sum.
 
 Reduction.  The tree's size depends on the basis: on a skewed basis of Z^10
 it is thousands of nodes where an LLL-reduced basis of the same lattice
-takes a few hundred.  :func:`lll` reduces exactly, with integral
-Gram-Schmidt data throughout, and returns the transform H; :func:`search`
+takes a few hundred.  :func:`lll` reduces exactly, starting from the
+integral Gram-Schmidt data of the form and keeping it exact through every
+size reduction and exchange, and returns the transform H; :func:`search`
 with ``basis=H`` compares and returns candidates as H y, so that ties are
 broken in the caller's coordinates and the witness does not depend on the
 basis searched.
@@ -63,27 +67,21 @@ def integral_gso(gram, ring):
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        _gso_row(gram[i], i, d, lam, div)
+        row, lam_i = gram[i], lam[i]
+        for j in range(i + 1):
+            lam_j = lam[j]
+            u = row[j]
+            for k in range(j):
+                u = d[k + 1] * u - lam_i[k] * lam_j[k]
+                if k:
+                    u = div(u, d[k])
+            if j < i:
+                lam_i[j] = u
+            elif not u > 0:
+                raise NotPositiveDefiniteError("Gram matrix is not positive definite")
+            else:
+                d[i + 1] = u
     return d, lam
-
-
-def _gso_row(row, i, d, lam, div):
-    """Set lam[i][:i] and d[i+1] from row i of the Gram matrix and the
-    integral Gram-Schmidt data of rows 0..i-1."""
-    lam_i = lam[i]
-    for j in range(i + 1):
-        lam_j = lam[j]
-        u = row[j]
-        for k in range(j):
-            u = d[k + 1] * u - lam_i[k] * lam_j[k]
-            if k:
-                u = div(u, d[k])
-        if j < i:
-            lam_i[j] = u
-        elif not u > 0:
-            raise NotPositiveDefiniteError("Gram matrix is not positive definite")
-        else:
-            d[i + 1] = u
 
 
 # -- integral LLL ----------------------------------------------------------------
@@ -110,30 +108,29 @@ def is_lll_reduced(d, lam):
     return True
 
 
-def lll(gram, ring):
+def lll(gram, d, lam, ring):
     """Integral LLL reduction (delta = 3/4) of a positive-definite Gram matrix G
-    with entries in ``ring``.
+    with entries in ``ring``, starting from its integral Gram-Schmidt data
+    d, lam as :func:`integral_gso` returns them (which are not changed).
 
     Returns (basis, reduced, d, lam): ``basis`` lists the columns of a
     unimodular integer matrix H, ``reduced`` is H^T G H, and d, lam are its
     integral Gram-Schmidt data, kept exact by the REDI/SWAPI updates rather
-    than recomputed.  Size reduction shifts by ``ring.nearest``, so H stays
-    integral over Z[sqrt(m)] too.  Raises NotPositiveDefiniteError if G is
-    not positive definite.
+    than recomputed: a size reduction of b_k changes no b*_j and no later
+    row, and an exchange of b_(k-1) and b_k changes only d[k] among the
+    minors and, in the rows i > k, only lam[i][k-1] and lam[i][k].  Size
+    reduction shifts by ``ring.nearest``, so H stays integral over
+    Z[sqrt(m)] too.
     """
     n = len(gram)
     div = ring.exact_div
     nearest = ring.nearest
     g = [list(row) for row in gram]
     basis = [[int(i == j) for i in range(n)] for j in range(n)]
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    _gso_row(g[0], 0, d, lam, div)
-    k, k_max = 1, 0
+    d = list(d)
+    lam = [list(row) for row in lam]
+    k = 1
     while k < n:
-        if k > k_max:
-            k_max = k
-            _gso_row(g[k], k, d, lam, div)
         lam_k = lam[k]
         # size-reduce b_k against b_(k-1), test Lovasz, and only if it
         # passes size-reduce against b_(k-2), ..., b_0 (REDI, SWAPI)
@@ -163,7 +160,7 @@ def lll(gram, ring):
             for j in range(l):
                 lam_l[j], lam_k[j] = lam_k[j], lam_l[j]
             b = div(d[l] * d[k + 1] + mu * mu, d[k])
-            for i in range(k + 1, k_max + 1):
+            for i in range(k + 1, n):
                 lam_i = lam[i]
                 t = lam_i[k]
                 lam_i[k] = div(d[k + 1] * lam_i[l] - mu * t, d[k])
@@ -200,35 +197,17 @@ def witness_key(vec):
     return idx, vec
 
 
-def canonical_witness(vec):
-    return witness_key(vec)[1]
-
-
 # -- the search ---------------------------------------------------------------
 
 
-def quad_form_value(gram, x, zero):
-    """x^T G x in ring arithmetic."""
-    n = len(gram)
-    acc = zero
-    for i in range(n):
-        xi = x[i]
-        if not xi:
-            continue
-        acc = acc + gram[i][i] * (xi * xi)
-        for j in range(i + 1, n):
-            xj = x[j]
-            if xj:
-                acc = acc + gram[i][j] * (2 * xi * xj)
-    return acc
-
-
-def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None, basis=None):
-    """Minimize x^T G x over nonzero integer x; returns (value, witness, nodes).
+def search(d, lam, c0, seed, budget, ring, box=None, accept=None, basis=None):
+    """Minimize x^T G x over nonzero integer x, for the Gram matrix G with
+    integral Gram-Schmidt data d, lam; returns (value, witness, nodes).
 
     ``c0``/``seed`` give the starting bound (a diagonal entry and its unit
     vector).  The bound shrinks as soon as a shorter vector is found; equal
-    values are tie-broken by :func:`witness_key`.  Raises BudgetExceededError,
+    values are tie-broken by :func:`witness_key`.  A leaf is decided by its
+    bound test alone, so G itself is not needed.  Raises BudgetExceededError,
     carrying the best (value, witness) found so far, once more than
     ``budget`` nodes have been visited.
 
@@ -248,7 +227,7 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None, basis=No
     accepted vectors compete.  One of each pair {x, -x} is visited, so
     ``accept`` must be symmetric, and it must admit ``seed``.
     """
-    n = len(gram)
+    n = len(lam)
     zero = ring.zero
     nearest = ring.nearest
     den = [d[i] * d[i + 1] for i in range(n)]
@@ -259,8 +238,7 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None, basis=No
 
     caller = tuple if basis is None else lambda y: _image(basis, y)
     best_q = c0
-    best_vec = caller(seed)
-    best_key = witness_key(best_vec)
+    best_key = witness_key(caller(seed))
     # per level: x_i, t_i, the sweep's start and its t_i, its direction, W_i,
     # the bound and whether every coordinate above is zero; the current
     # level's x_i, t_i and direction live in xi, ti and up
@@ -284,7 +262,7 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None, basis=No
         if nodes > budget:
             raise BudgetExceededError(
                 "enumeration exceeded the node budget of %d" % budget,
-                budget=budget, nodes=budget, best=(best_q, canonical_witness(best_vec)),
+                budget=budget, nodes=budget, best=(best_q, best_key[1]),
             )
         tt = ti * ti * suf1[i]
         ok = not tt > bound[i]
@@ -317,18 +295,16 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None, basis=No
         if ok and (xi or not suffix_zero[0]):
             x[0] = xi
             if accept is None or accept(x):
-                value = quad_form_value(gram, x, zero)
-                if value < best_q:
-                    best_q = value
-                    best_vec = caller(x)
-                    best_key = witness_key(best_vec)
+                # w_0 + tt is x^T G x * suf[0], and bound[0] is
+                # best * suf[0] - w_0: the leaf's value is decided by tt
+                if tt < bound[0]:
+                    best_q = ring.exact_div(w[0] + tt, suf[0])
+                    best_key = witness_key(caller(x))
                     cap = [best_q * u for u in suf]
                     bound = [cap[k] - w[k] for k in range(n)]
-                elif value == best_q:
-                    vec = caller(x)
-                    key = witness_key(vec)
+                else:
+                    key = witness_key(caller(x))
                     if key < best_key:
-                        best_vec = vec
                         best_key = key
         # next value of the sweep at level i; a rejected value ends its
         # direction, and a finished level resumes the sweep of its parent
@@ -346,7 +322,7 @@ def search(gram, d, lam, c0, seed, budget, ring, box=None, accept=None, basis=No
                     break
             i += 1
             if i == n:
-                return best_q, canonical_witness(best_vec), nodes
+                return best_q, best_key[1], nodes
             xi, ti, up, ok = x[i], t[i], ups[i], True
 
 

@@ -53,15 +53,15 @@ def stabilizes(g: ExactMatrix, lattice: ZLattice) -> bool:
     """True iff g maps the lattice onto itself (so det g = +-1)."""
     if not g.is_square or g.rows != lattice.n:
         raise ValueError("matrix size does not match the lattice")
-    if g.det() == 0:
+    det = g.det()
+    if det == 0:
         raise ValueError("matrix is singular")
-    b = lattice.basis_matrix()
-    b_inv = b.inv()
-    fwd = b_inv * g * b
-    if not fwd.is_integral():
+    # B^-1 g B has determinant det g; integral with determinant +-1, its
+    # inverse is integral too
+    if det != 1 and det != -1:
         return False
-    bwd = b_inv * g.inv() * b
-    return bwd.is_integral()
+    b = lattice.basis_matrix()
+    return (b.inv() * g * b).is_integral()
 
 
 def commensurability_m(lattice: ZLattice, other: ZLattice) -> int:

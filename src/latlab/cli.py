@@ -11,6 +11,7 @@ where the exact value is beyond float range.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -442,7 +443,8 @@ def run(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):       # where argparse prints --help
+            args = build_parser().parse_args(argv)
         payload, lines, *code = _COMMANDS[args.command, args.subcommand].handler(args)
         _emit(payload, args.format, lines, out)
     except SystemExit:  # --help, printed by argparse
@@ -450,7 +452,7 @@ def run(argv=None, out=None, err=None) -> int:
     except BudgetExceededError as exc:
         err.write("error: %s\n" % exc)
         return EXIT_BUDGET
-    except (DocumentError, ValueError) as exc:
+    except ValueError as exc:       # DocumentError among them
         err.write("error: %s\n" % exc)
         return EXIT_INPUT
     return code[0] if code else EXIT_OK

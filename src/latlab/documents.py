@@ -36,6 +36,8 @@ def load_json(path: str):
         raise DocumentError("no such input document: %s" % path)
     except OSError as exc:      # a directory, no permission, ...
         raise DocumentError("cannot read input document %s: %s" % (path, exc.strerror))
+    except UnicodeDecodeError:
+        raise DocumentError("input document %s is not UTF-8 text" % path)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             "malformed JSON in %s at line %d column %d: %s"
@@ -125,11 +127,9 @@ def matrix_from_doc(doc):
         raise DocumentError(str(exc))
 
 
-def matrix_to_doc(matrix: ExactMatrix, m: int | None = None) -> dict:
-    return {
-        "field": None if m is None else {"quad": m},
-        "matrix": printed_rows(matrix.to_rows()),
-    }
+def matrix_to_doc(matrix: ExactMatrix) -> dict:
+    """A rational matrix as a matrix document."""
+    return {"field": None, "matrix": printed_rows(matrix.to_rows())}
 
 
 def numberfield_from_doc(doc) -> NumberFieldDesc:

@@ -5,13 +5,14 @@ the lcm of its denominators into Z or Z[sqrt(m)] by :func:`latlab.scalars.to_rin
 which also names that ring, and its integral Gram-Schmidt data is computed
 once (:class:`IntegralGram`; a matrix already in a ring enters with scale 1
 through :meth:`IntegralGram.in_ring`, which takes the ring); one exact search
-in :mod:`latlab._svp` then runs over that ring, and the ring's ``quotient``
-scales the minimum back.
+in :mod:`latlab._svp` then runs over that ring from that data, and the ring's
+``quotient`` scales the minimum back.
 
 Over Z the search runs on an LLL-reduced basis (:func:`latlab._svp.lll`,
-exact and integral), whose tree is far smaller on a skewed basis, and ties
-are broken in the caller's coordinates, so the value and the witness are
-those of a search on the given basis.  LLL is skipped, and the given basis
+exact and integral, started from the same Gram-Schmidt data), whose tree is
+far smaller on a skewed basis, and ties are broken in the caller's
+coordinates, so the value and the witness are those of a search on the
+given basis.  LLL is skipped, and the given basis
 searched as it is, when it is already LLL-reduced (an O(n^2) exact check on
 its Gram-Schmidt data, so the search is node for node the same), when a box
 or an accept predicate is given (a change of basis does not keep the box),
@@ -103,7 +104,7 @@ def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=No
         raise ValueError("node budget must be positive")
     gram, d, lam, basis = form.gram, form.d, form.lam, None
     if box is None and accept is None and form.ring.m is None and not _svp.is_lll_reduced(d, lam):
-        basis, gram, d, lam = _svp.lll(gram, form.ring)
+        basis, gram, d, lam = _svp.lll(gram, d, lam, form.ring)
     c0, seed = _svp.initial_bound(gram)
     if box is not None:
         assert box >= 1, "a box must contain the unit vectors"
@@ -111,7 +112,7 @@ def shortest_vector(form: IntegralGram, node_budget=None, *, box=None, accept=No
         assert accept(list(seed)) and accept([-t for t in seed]), \
             "accept must admit the unit-vector seed and its negative"
     try:
-        value, witness, nodes = _svp.search(gram, d, lam, c0, seed, budget, form.ring,
+        value, witness, nodes = _svp.search(d, lam, c0, seed, budget, form.ring,
                                             box, accept, basis=basis)
     except BudgetExceededError as exc:
         value, witness = exc.best

@@ -1,13 +1,15 @@
 """Shared helpers: random lattice generation, an independent brute-force
 shortest-vector oracle (box enumeration over the dual bound, no shared code
 path with the tree search), the recursive search that is the oracle of the
-iterative enumeration kernel, the Gram matrix and box scan that are the
+iterative enumeration kernel, the lazily built integral LLL that is the
+oracle of the LLL started from a form's Gram-Schmidt data, the Gram matrix and box scan that are the
 oracles of the adjoint systole, the two per-point scans that are the
 oracles of the isotropic search (square roots, and the budgeted root-table
 scan), ExactMatrix-product oracles of the witness verification in
 latlab.groups, the field-value transvection that is the oracle of the
 witness built on ring integers, and the Fraction Gauss-Jordan eliminations
-that are the oracles of ExactMatrix.det, inv and solve."""
+that are the oracles of ExactMatrix.det, inv and solve, and the
+two-inclusion stabilizer test that is the oracle of arith.stabilizes."""
 
 import itertools
 import random
@@ -17,9 +19,9 @@ from math import isqrt
 import pytest
 
 from latlab import EuclideanLattice, ExactMatrix
-from latlab._svp import canonical_witness, quad_form_value, witness_key
+from latlab._svp import witness_key
 from latlab.enumeration import IntegralGram
-from latlab.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
+from latlab.errors import DEFAULT_NODE_BUDGET, BudgetExceededError, NotPositiveDefiniteError
 from latlab.groups import _as_field, _form_m, is_unipotent, preserves_form
 from latlab.matrices import promote_entry
 from latlab.numfield import IntegerRing, ring_of_integers
@@ -199,6 +201,122 @@ def brute_force_minimum(gram):
 
     rec(0, [])
     return Fraction(best), minimizers
+
+
+# The leaf value and the canonical witness that latlab._svp.search computed
+# before it decided each leaf by its bound, kept verbatim: oracle_search and
+# adjoint_box_scan value their candidates with them.
+
+
+def canonical_witness(vec):
+    return witness_key(vec)[1]
+
+
+def quad_form_value(gram, x, zero):
+    """x^T G x in ring arithmetic."""
+    n = len(gram)
+    acc = zero
+    for i in range(n):
+        xi = x[i]
+        if not xi:
+            continue
+        acc = acc + gram[i][i] * (xi * xi)
+        for j in range(i + 1, n):
+            xj = x[j]
+            if xj:
+                acc = acc + gram[i][j] * (2 * xi * xj)
+    return acc
+
+
+# The integral LLL that latlab._svp.lll replaced, kept verbatim with its
+# Gram-Schmidt row: it computes each row lazily from the current Gram
+# matrix, where the fast path starts from the form's integral GSO and
+# updates every later row at an exchange; the four outputs must agree.
+
+
+def _gso_row(row, i, d, lam, div):
+    """Set lam[i][:i] and d[i+1] from row i of the Gram matrix and the
+    integral Gram-Schmidt data of rows 0..i-1."""
+    lam_i = lam[i]
+    for j in range(i + 1):
+        lam_j = lam[j]
+        u = row[j]
+        for k in range(j):
+            u = d[k + 1] * u - lam_i[k] * lam_j[k]
+            if k:
+                u = div(u, d[k])
+        if j < i:
+            lam_i[j] = u
+        elif not u > 0:
+            raise NotPositiveDefiniteError("Gram matrix is not positive definite")
+        else:
+            d[i + 1] = u
+
+
+def oracle_lll(gram, ring):
+    """Integral LLL reduction (delta = 3/4) of a positive-definite Gram matrix G
+    with entries in ``ring``.
+
+    Returns (basis, reduced, d, lam): ``basis`` lists the columns of a
+    unimodular integer matrix H, ``reduced`` is H^T G H, and d, lam are its
+    integral Gram-Schmidt data, kept exact by the REDI/SWAPI updates rather
+    than recomputed.  Size reduction shifts by ``ring.nearest``, so H stays
+    integral over Z[sqrt(m)] too.  Raises NotPositiveDefiniteError if G is
+    not positive definite.
+    """
+    n = len(gram)
+    div = ring.exact_div
+    nearest = ring.nearest
+    g = [list(row) for row in gram]
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    _gso_row(g[0], 0, d, lam, div)
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            _gso_row(g[k], k, d, lam, div)
+        lam_k = lam[k]
+        # size-reduce b_k against b_(k-1), test Lovasz, and only if it
+        # passes size-reduce against b_(k-2), ..., b_0 (REDI, SWAPI)
+        for l in range(k - 1, -1, -1):
+            t = 2 * lam_k[l]
+            if t > d[l + 1] or -t > d[l + 1]:
+                q = nearest(lam_k[l], d[l + 1])
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+                g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+                for row in g:
+                    row[k] = row[k] - q * row[l]
+                lam_k[l] = lam_k[l] - q * d[l + 1]
+                lam_l = lam[l]
+                for j in range(l):
+                    lam_k[j] = lam_k[j] - q * lam_l[j]
+            if l < k - 1:
+                continue
+            mu = lam_k[l]
+            if not 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * mu * mu:
+                continue
+            # exchange b_k and b_(k-1); lam[k][k-1] stays
+            basis[l], basis[k] = basis[k], basis[l]
+            g[l], g[k] = g[k], g[l]
+            for row in g:
+                row[l], row[k] = row[k], row[l]
+            lam_l = lam[l]
+            for j in range(l):
+                lam_l[j], lam_k[j] = lam_k[j], lam_l[j]
+            b = div(d[l] * d[k + 1] + mu * mu, d[k])
+            for i in range(k + 1, k_max + 1):
+                lam_i = lam[i]
+                t = lam_i[k]
+                lam_i[k] = div(d[k + 1] * lam_i[l] - mu * t, d[k])
+                lam_i[l] = div(b * t + mu * lam_i[k], d[k + 1])
+            d[k] = b
+            k = max(k - 1, 1)
+            break
+        else:
+            k += 1
+    return basis, g, d, lam
 
 
 # The recursive Fincke-Pohst search that latlab._svp.search replaced, kept
@@ -736,6 +854,23 @@ def oracle_is_nilpotent(x):
 
 def oracle_is_unipotent(g):
     return oracle_is_nilpotent(g - ExactMatrix.identity(g.rows))
+
+
+# Stabilizer membership by both inclusions, g L <= L and g^-1 L <= L, as
+# latlab.arith.stabilizes computed it before it read the determinant.
+def oracle_stabilizes(g, lattice):
+    """True iff g maps the lattice onto itself (so det g = +-1)."""
+    if not g.is_square or g.rows != lattice.n:
+        raise ValueError("matrix size does not match the lattice")
+    if g.det() == 0:
+        raise ValueError("matrix is singular")
+    b = lattice.basis_matrix()
+    b_inv = b.inv()
+    fwd = b_inv * g * b
+    if not fwd.is_integral():
+        return False
+    bwd = b_inv * g.inv() * b
+    return bwd.is_integral()
 
 
 @pytest.hookimpl(hookwrapper=True)

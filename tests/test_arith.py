@@ -16,7 +16,7 @@ from latlab.arith import (
 )
 from latlab.matrices import ExactMatrix
 
-from conftest import random_unimodular
+from conftest import oracle_stabilizes, random_unimodular
 
 
 def test_stabilizes_examples(rnd):
@@ -38,6 +38,47 @@ def test_stabilizes_scaled_basis():
     # lower shear picks up a 1/6 entry
     assert stabilizes(ExactMatrix.from_rows([[1, 1], [0, 1]]), lattice)
     assert not stabilizes(ExactMatrix.from_rows([[1, 0], [1, 1]]), lattice)
+
+
+def test_stabilizes_matches_oracle(rnd):
+    """360 seeded cases over Z^n and lattices with rational bases, n = 2..4:
+    g = B U B^-1 for unimodular U (stabilizes), integral conjugates of
+    determinant +-2 (B^-1 g B integral, its inverse not), and rational g of
+    determinant +-1 that conjugates U by diag(2, 1, ..., 1)."""
+    def diag(first, n):
+        return ExactMatrix.from_rows([[(first if i == 0 else 1) if i == j else 0
+                                       for j in range(n)] for i in range(n)])
+
+    outside = 0
+    for k in range(360):
+        n = rnd.randint(2, 4)
+        if k % 2:
+            lattice = ZLattice.standard(n)
+        else:
+            while True:
+                basis = [[Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(n)]
+                         for _ in range(n)]
+                if ExactMatrix.from_rows(basis).det() != 0:
+                    break
+            lattice = ZLattice(basis)
+        b = lattice.basis_matrix()
+        u = random_unimodular(rnd, n, steps=8, shear=3)
+        kind = k // 2 % 3
+        if kind == 1:
+            u = u * diag(rnd.choice((2, -2)), n)
+        elif kind == 2:
+            u = diag(2, n) * u * diag(Fraction(1, 2), n)
+        g = b * u * b.inv()
+        found = stabilizes(g, lattice)
+        assert found == oracle_stabilizes(g, lattice)
+        if kind == 0:
+            assert found
+        elif kind == 1:
+            assert abs(g.det()) == 2 and not found
+        else:
+            assert abs(g.det()) == 1
+            outside += not found
+    assert outside >= 60
 
 
 def test_commensurability_examples():

@@ -523,6 +523,15 @@ def test_arith_congruence_out_of_range_exit_one(argv):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_document_not_utf8_exits_one(tmp_path):
+    doc = tmp_path / "latin.json"
+    doc.write_bytes(b"\xff\xfe")
+    for fmt in ("human", "json"):
+        code, out, err = run_cli(["--format", fmt, "lattice", "covol", str(doc)])
+        assert (code, out) == (1, "")
+        assert err == "error: input document %s is not UTF-8 text\n" % doc
+
+
 def test_error_paths_exit_one(tmp_path, write_doc):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
@@ -651,7 +660,7 @@ def test_skewed_documents_answer_within_the_budget(write_doc, n):
     form = IntegralGram([[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows])
     c0, seed = _svp.initial_bound(form.gram)
     with pytest.raises(BudgetExceededError):
-        _svp.search(form.gram, form.d, form.lam, c0, seed, 20000, form.ring)
+        _svp.search(form.d, form.lam, c0, seed, 20000, form.ring)
 
     code, out, err = run_cli(["--budget", "20000", "--format", "json",
                               "lattice", "systole", doc])
@@ -704,7 +713,7 @@ def test_reduced_basis_output_unchanged(write_doc, monkeypatch, fmt, sub):
     if sub == "systole":
         # the top-level search runs on the given basis; the projected
         # lattices of a reduction may still be reduced first
-        def fail(gram, ring):
+        def fail(gram, d, lam, ring):
             raise AssertionError("LLL ran on a reduced basis")
         monkeypatch.setattr(_svp, "lll", fail)
     args = ["--format", fmt, "lattice", sub, doc] + (["--a", "338"] if sub == "reduce" else [])

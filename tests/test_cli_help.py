@@ -261,6 +261,5 @@ def test_help_text_is_unchanged(path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     out, err = io.StringIO(), io.StringIO()
     assert cli.run(path.split() + ["--help"], out=out, err=err) == cli.EXIT_OK
-    printed = capsys.readouterr()      # argparse prints help to sys.stdout
-    assert printed.out == HELP[path] and printed.err == ""
-    assert out.getvalue() == err.getvalue() == ""
+    assert out.getvalue() == HELP[path] and err.getvalue() == ""
+    assert capsys.readouterr() == ("", "")     # nothing on sys.stdout or sys.stderr

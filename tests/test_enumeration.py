@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,9 @@ from latlab.scalars import IntRing, QuadIntRing, QuadScalar
 
 from conftest import (
     brute_force_minimum,
+    canonical_witness,
     gso_from_gram,
+    oracle_lll,
     oracle_search,
     oracle_witness_key,
     random_integer_basis,
@@ -116,7 +119,7 @@ GOLDEN_NODES_AFTER_LLL = [11, 165, 32]
 def test_golden_node_counts(basis, value, witness, nodes):
     form = IntegralGram(_gram_of(basis))
     c0, seed = _svp.initial_bound(form.gram)
-    assert _svp.search(form.gram, form.d, form.lam, c0, seed, 10**6, form.ring) == \
+    assert _svp.search(form.d, form.lam, c0, seed, 10**6, form.ring) == \
         (value, witness, nodes)
 
 
@@ -240,8 +243,7 @@ def _outcome(kernel, form, budget, box=None, accept=None):
     """repr of (value, witness, nodes), or of the budget at which it gave up."""
     c0, seed = _svp.initial_bound(form.gram)
     try:
-        return repr(kernel(form.gram, form.d, form.lam, c0, seed, budget, form.ring,
-                           box, accept))
+        return repr(kernel(form.d, form.lam, c0, seed, budget, form.ring, box, accept))
     except BudgetExceededError as exc:
         return "budget %r" % exc.budget
 
@@ -259,7 +261,7 @@ def _assert_kernel_matches_oracle(gram, budget, box, accept_k):
         return False
     accept = None if accept_k is None else _first_coordinates_bounded(accept_k, box or 2)
     assert _outcome(_svp.search, form, budget, box, accept) == \
-        _outcome(oracle_search, form, budget, box, accept)
+        _outcome(partial(oracle_search, form.gram), form, budget, box, accept)
     return True
 
 
@@ -323,7 +325,7 @@ def test_budget_error_carries_the_best_vector_so_far(rnd):
         assert value == sum(gram[i][j] * witness[i] * witness[j]
                             for i in range(n) for j in range(n))
         assert value >= minimum and any(witness)
-        assert witness == _svp.canonical_witness(witness)
+        assert witness == canonical_witness(witness)
     assert exhausted >= 20
 
 
@@ -356,7 +358,7 @@ def test_is_lll_reduced_examples():
 
 
 def _assert_lll_output(gram, ring):
-    basis, reduced, d, lam = _svp.lll(gram, ring)
+    basis, reduced, d, lam = _svp.lll(gram, *_svp.integral_gso(gram, ring), ring)
     assert all(type(e) is int for col in basis for e in col)
     assert abs(ExactMatrix.from_rows(basis).det()) == 1
     assert reduced == _congruent(gram, basis)
@@ -396,14 +398,41 @@ def test_lll_invariants(case):
         _svp.integral_gso(gram, ring)
     except ValueError:
         with pytest.raises(NotPositiveDefiniteError):
-            _svp.lll(gram, ring)
+            _svp.integral_gso(gram, ring)
         return
     assert _svp.is_lll_reduced(*_svp.integral_gso(gram, ring)) == _oracle_lll_reduced(gram)
     _assert_lll_output(gram, ring)
 
 
+def _assert_lll_matches_oracle(gram, ring):
+    """The LLL started from the form's Gram-Schmidt data returns the lazy
+    oracle's basis, reduced Gram matrix, d and lam; both refuse a matrix
+    that is not positive definite."""
+    try:
+        d, lam = _svp.integral_gso(gram, ring)
+    except NotPositiveDefiniteError:
+        with pytest.raises(NotPositiveDefiniteError):
+            oracle_lll(gram, ring)
+        return
+    assert repr(_svp.lll(gram, d, lam, ring)) == repr(oracle_lll(gram, ring))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_square(symmetric=False))
+def test_lll_matches_oracle(case):
+    m, gram = case
+    _assert_lll_matches_oracle(gram, _ring(m))
+
+
+def test_lll_matches_oracle_on_skewed_bases(rnd):
+    for n in (8, 10, 12):
+        for _ in range(3):
+            rows, _ = skewed_basis(rnd, n)
+            _assert_lll_matches_oracle(_gram_of(rows), IntRing)
+
+
 def _forbid_lll(monkeypatch):
-    def fail(gram, ring):
+    def fail(gram, d, lam, ring):
         raise AssertionError("LLL ran")
     monkeypatch.setattr(_svp, "lll", fail)
 
@@ -414,15 +443,16 @@ def test_reduced_input_skips_lll(rnd, monkeypatch):
     grams = []
     for n in (3, 6, 9, 12):
         rows, _ = skewed_basis(rnd, n)
-        grams.append(_svp.lll(_gram_of(rows), IntRing)[1])
+        gram = _gram_of(rows)
+        grams.append(_svp.lll(gram, *_svp.integral_gso(gram, IntRing), IntRing)[1])
     grams.append([[1, 0], [0, 1]])
     _forbid_lll(monkeypatch)
     for gram in grams:
         form = IntegralGram(gram)
         assert _svp.is_lll_reduced(form.d, form.lam)
         c0, seed = _svp.initial_bound(form.gram)
-        assert shortest_vector(form) == _svp.search(form.gram, form.d, form.lam, c0,
-                                                    seed, 10**6, form.ring)
+        assert shortest_vector(form) == _svp.search(form.d, form.lam, c0, seed, 10**6,
+                                                    form.ring)
 
 
 def test_lll_skipped_with_box_accept_or_quadratic_ring(rnd, monkeypatch):
@@ -435,9 +465,8 @@ def test_lll_skipped_with_box_accept_or_quadratic_ring(rnd, monkeypatch):
     accept = _first_coordinates_bounded(2, 3)
     quad = IntegralGram(_gram_of(GOLDEN[2][0]))
     expected = [
-        _svp.search(form.gram, form.d, form.lam, c0, seed, 10**6, form.ring, 2),
-        _svp.search(form.gram, form.d, form.lam, c0, seed, 10**6, form.ring,
-                    None, accept),
+        _svp.search(form.d, form.lam, c0, seed, 10**6, form.ring, 2),
+        _svp.search(form.d, form.lam, c0, seed, 10**6, form.ring, None, accept),
         (GOLDEN[2][1], GOLDEN[2][2], GOLDEN[2][3]),
     ]
     _forbid_lll(monkeypatch)
