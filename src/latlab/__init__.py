@@ -39,7 +39,7 @@ _SUBMODULE_NAMES = {
 _HOME = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 
 # every submodule, so that latlab.<submodule> works without importing it first
-_SUBMODULES = set(_SUBMODULE_NAMES) | {"_svp", "cli", "documents", "enumeration"}
+_SUBMODULES = set(_SUBMODULE_NAMES) | {"_svp", "cli", "documents", "enumeration", "rings"}
 
 __all__ = sorted(_HOME)
 

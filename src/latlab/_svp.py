@@ -3,12 +3,12 @@
 The search runs over the Gram-Schmidt cone of an integral Gram matrix
 (Fincke-Pohst bounds, sweep order starting at the interval center) with every
 comparison done by exact ring arithmetic: Python integers for rational
-lattices, quadratic integers for lattices over a real quadratic field.  No
-decision ever touches floating point.
+lattices, :class:`latlab.rings.QuadInt` elements of Z[sqrt(m)] for lattices
+over a real quadratic field.  No decision ever touches floating point.
 
 Rings.  Every routine here takes the ring of its entries as an argument,
-:class:`latlab.scalars.IntRing` or :class:`latlab.scalars.QuadIntRing` as
-:func:`latlab.scalars.to_ring` returns it, and reads its zero, one, exact
+:class:`latlab.rings.IntRing` or :class:`latlab.rings.QuadIntRing` as
+:func:`latlab.rings.to_ring` returns it, and reads its zero, one, exact
 division and nearest integer from it; no entry's type is inspected.
 
 Scaled bookkeeping.  With ``d_k`` the leading principal minors of the Gram
@@ -57,7 +57,7 @@ def integral_gso(gram, ring):
 
     Fraction-free integral Gram-Schmidt (the recurrence of Cohen's integral
     LLL, Alg. 2.6.7) on a Gram matrix with entries in ``ring``
-    (:class:`latlab.scalars.IntRing` or ``QuadIntRing``): every intermediate
+    (:class:`latlab.rings.IntRing` or ``QuadIntRing``): every intermediate
     value is a minor of the Gram matrix, so each division by d_k is exact in
     Z or Z[sqrt(m)].  Raises NotPositiveDefiniteError (a ValueError) if the
     matrix is not positive definite.

@@ -1,7 +1,7 @@
 """Shortest vectors of exact Gram matrices.
 
 A Gram matrix over Q or a real quadratic field Q(sqrt(m)) is scaled once by
-the lcm of its denominators into Z or Z[sqrt(m)] by :func:`latlab.scalars.to_ring`,
+the lcm of its denominators into Z or Z[sqrt(m)] by :func:`latlab.rings.to_ring`,
 which also names that ring, and its integral Gram-Schmidt data is computed
 once (:class:`IntegralGram`; a matrix already in a ring enters with scale 1
 through :meth:`IntegralGram.in_ring`, which takes the ring); one exact search
@@ -16,17 +16,18 @@ given basis.  LLL is skipped, and the given basis
 searched as it is, when it is already LLL-reduced (an O(n^2) exact check on
 its Gram-Schmidt data, so the search is node for node the same), when a box
 or an accept predicate is given (a change of basis does not keep the box),
-and over Z[sqrt(m)], where the reduction costs more than it saves: on
-random 6-dimensional bases with entries in [-5, 5] it cuts the tree from
-59-85 to 17-18 nodes, but reduction and search take 1.7 times as long as
-the search alone.
+and over Z[sqrt(m)], where the reduction costs more than it saves: on 40
+random 6-dimensional bases with entries in [-5, 5] over Z[sqrt 2] and
+Z[sqrt 5] it cuts the tree from 46-94 to 13-25 nodes (quartiles), but
+reduction and search take 1.7 times as long as the search alone (0.54
+against 0.32 ms per basis on an x86-64 Xeon, Python 3.11).
 """
 
 from __future__ import annotations
 
 from . import _svp
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError  # re-exported for callers
-from .scalars import to_ring
+from .rings import to_ring
 
 __all__ = [
     "IntegralGram",
@@ -48,7 +49,7 @@ class IntegralGram:
     of its denominators into Z or Z[sqrt(m)].
 
     ``gram`` is the ring Gram matrix (scale times the given one), ``ring`` is
-    its ring as :func:`latlab.scalars.to_ring` returns it (Z unless an entry
+    its ring as :func:`latlab.rings.to_ring` returns it (Z unless an entry
     is irrational), and ``d``/``lam`` are the leading minors and integral
     Gram-Schmidt coefficients of the ring Gram matrix; a ring value v of
     degree k in the Gram entries is ``ring.quotient(v, scale ** k)`` in the
@@ -70,8 +71,8 @@ class IntegralGram:
     @classmethod
     def in_ring(cls, gram, ring):
         """The form of a Gram matrix already in ``ring``, with scale 1: ints
-        over Z, else QuadScalars with integer coordinates in Z[sqrt(m)] for a
-        real field (m > 1), some of which may be rational.  Nothing is
+        over Z, else :class:`latlab.rings.QuadInt` elements of Z[sqrt(m)] for
+        a real field (m > 1), some of which may be rational.  Nothing is
         cleared or checked but positive definiteness."""
         form = cls.__new__(cls)
         form._set(gram, 1, ring)

@@ -10,8 +10,8 @@ class BudgetExceededError(RuntimeError):
     (value, witness) it had found, where the search reports them; otherwise
     they are None.  The shortest-vector enumeration reports both.  The
     isotropic search reports ``nodes``, the box points it counted: the
-    budget when its scan stops, 0 when one coordinate's box alone exceeds
-    the budget; it has no best value, so ``best`` stays None.
+    budget when its scan stops, 0 when one coordinate's box or its tables
+    alone exceed the budget; it has no best value, so ``best`` stays None.
     """
 
     def __init__(self, message, budget=None, nodes=None, best=None):

@@ -19,7 +19,8 @@ from math import isqrt
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .matrices import ExactMatrix, fraction_free_adjugate
 from .numfield import NumberFieldDesc, ring_of_integers
-from .scalars import IntRing, QuadScalar, conjugate, sign, to_ring
+from .rings import IntRing, to_ring
+from .scalars import QuadScalar, conjugate, sign
 
 
 class DiagForm:
@@ -404,11 +405,18 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     sum is in the table gives the zero.  The sum over the first n-2 of these
     coordinates is taken once per prefix, and each value of the last one
     then costs one table lookup.  Of the roots +-x_0 the table keeps the
-    first in height order, the one with p > 0, or p = 0 and q >= 0.  Raises
-    BudgetExceededError when one coordinate's box has more than
-    ``node_budget`` points (errors.DEFAULT_NODE_BUDGET if None; ``nodes`` is
-    then 0), or when no zero is found among the first ``node_budget`` points
-    of a larger scan (``nodes`` is then the budget; the all-zero point counts).
+    first in height order, the one with p > 0, or p = 0 and q >= 0.  The zero
+    found is checked again, sum_k C_k X_k^2 = 0, in ring arithmetic on the
+    returned vector cleared of denominators, not on the tables.
+
+    Raises BudgetExceededError with ``nodes`` 0, before any table is built,
+    when one coordinate's box has more than ``node_budget`` points
+    (errors.DEFAULT_NODE_BUDGET if None), or when the tables would hold more
+    than max(node_budget, errors.DEFAULT_NODE_BUDGET) entries (n per point
+    of one coordinate's box), so that the budget bounds memory as well as
+    time.  Raises it with ``nodes`` the budget when no zero is found among
+    the first ``node_budget`` points of a larger scan (the all-zero point
+    counts).
     """
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -422,6 +430,11 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
         raise BudgetExceededError(
             "isotropic search box of %d points per coordinate exceeds the "
             "budget of %d" % (width, budget), budget=budget, nodes=0)
+    entries, cap = width * form.nvars, max(budget, DEFAULT_NODE_BUDGET)
+    if entries > cap:
+        raise BudgetExceededError(
+            "isotropic search tables of %d entries exceed the budget of %d"
+            % (entries, cap), budget=budget, nodes=0)
     order = [0]
     for k in range(1, height + 1):
         order.extend((k, -k))
@@ -464,7 +477,8 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
             if root is not None:
                 vec = tuple(_as_field(p, m) + q * omega
                             for p, q in (box[k] for k in (root,) + prefix + (j,)))
-                if form.value(vec) != 0:
+                _, _, xs = to_ring(vec, m)
+                if sum(c * x * x for c, x in zip(coeffs, xs)) != 0:
                     raise AssertionError("isotropic candidate does not vanish")
                 return vec
     if width ** len(rows) > budget:
@@ -508,7 +522,7 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
     # b_C(V, e_p) = beta != 0 because the form is nondegenerate
     p = next(i for i, x in enumerate(vec) if x)
     beta = cv[p]
-    bar = conjugate(beta)
+    bar = beta.conjugate()
     bar2, norm = bar * bar, beta * bar
     d = 2 * k ** 4 * norm * norm
     s = 2 * k * k * beta * bar2

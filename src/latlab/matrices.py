@@ -5,10 +5,12 @@ construction so that true division never falls back to floats).  There is one
 elimination, :func:`fraction_free_adjugate`: a Bareiss pass over the ring
 integers Z or Z[sqrt(m)] that never leaves the ring it is given.  ``det``,
 ``inv`` and ``solve`` write the matrix as G/D with G over the ring (one
-``scalars.to_ring``, which also returns the ring), run that pass once on G,
+``rings.to_ring``, which also returns the ring), run that pass once on G,
 and divide once at the end, so exact entries grow only as minors of G do.
 The ring is Z[sqrt(m)] as soon as one entry is a QuadScalar, rational or not,
-so that results are QuadScalars exactly then.
+so that results are QuadScalars exactly then; the pass itself runs on ints or
+:class:`latlab.rings.QuadInt` elements, which the ring's ``quotient`` and
+``lift`` turn back into field values.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .scalars import QuadScalar, quadratic_field_of, to_ring
+from .rings import to_ring
+from .scalars import QuadScalar, quadratic_field_of
 
 
 def promote_entry(entry):
@@ -211,10 +214,10 @@ class ExactMatrix:
         """Solve self * x = rhs (rhs a flat vector) exactly; self square:
         x = D adj G rhs / det G, with no inverse formed.  Errors as inv's,
         raised before rhs is read; Fractions when no entry of self or rhs is
-        a QuadScalar, else QuadScalars.  The ring is that of self alone, and
-        D adj G rhs, a Fraction or a QuadScalar, is divided by det G in its
-        own field."""
-        _, scale, det, adj = self._adjugate("inverse")
+        a QuadScalar, else QuadScalars.  The ring is that of self alone: adj G
+        and det G are lifted to its field, and D adj G rhs, a Fraction or a
+        QuadScalar, is divided by det G there."""
+        ring, scale, det, adj = self._adjugate("inverse")
         if adj is None:
             raise ValueError("matrix is singular")
         n = self.rows
@@ -223,8 +226,9 @@ class ExactMatrix:
         rhs = [promote_entry(v) for v in rhs]
         if len(rhs) != n:
             raise ValueError("right-hand side has wrong length")
-        return [scale * sum(map(operator.mul, adj[i * n:(i + 1) * n], rhs)) / det
-                for i in range(n)]
+        lift = ring.lift
+        return [scale * sum(map(operator.mul, map(lift, adj[i * n:(i + 1) * n]), rhs))
+                / lift(det) for i in range(n)]
 
     def is_integral(self) -> bool:
         """Every entry a rational integer."""
@@ -242,7 +246,7 @@ class ExactMatrix:
 
 def fraction_free_adjugate(entries, n: int, ring):
     """(det G, adj G) of the n x n matrix G with row-major entries in
-    ``ring``, Z or Z[sqrt(m)] as :func:`latlab.scalars.to_ring` returns it;
+    ``ring``, Z or Z[sqrt(m)] as :func:`latlab.rings.to_ring` returns it;
     adj G is row-major and G adj G = det G * I.  A singular G gives
     (ring.zero, None), and n = 0 gives (ring.one, []).
 

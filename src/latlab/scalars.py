@@ -8,19 +8,16 @@ exactly decidable; all comparisons below go through that sign computation and
 never touch floating point.
 
 Exact integer work runs on the ring integers Z or Z[sqrt(m)] of these
-fields.  :func:`to_ring` is the one way there: it clears the denominators of
-field values and returns the ring they landed in, :class:`IntRing` or
-:class:`QuadIntRing`, whose ``exact_div``, ``nearest`` and ``quotient`` every
-caller then uses instead of deciding the ring again.
+fields, in :mod:`latlab.rings`; :func:`denominator_lcm` and
+:func:`quadratic_field_of` are what it needs from here.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 Rational = Fraction
 
@@ -317,119 +314,6 @@ def quadratic_field_of(values):
             elif x.m != m:
                 raise ValueError("cannot mix Q(sqrt(%d)) and Q(sqrt(%d))" % (m, x.m))
     return m
-
-
-# -- ring integers -----------------------------------------------------------------
-
-
-class IntRing:
-    """Rational-integer coefficients; native Python int arithmetic."""
-
-    m = None
-    zero = 0
-    one = 1
-    exact_div = staticmethod(operator.floordiv)
-    # x / d back in Q, a Fraction
-    quotient = staticmethod(Fraction)
-
-    @staticmethod
-    def nearest(num, den):
-        """Nearest integer to num/den for den > 0 (ties round up)."""
-        return (2 * num + den) // (2 * den)
-
-
-def _floor_mul_sqrt(b: int, m: int) -> int:
-    """floor(b * sqrt(m)) for squarefree m > 1 (never a perfect square)."""
-    if b == 0:
-        return 0
-    r = isqrt(b * b * m)
-    return r if b > 0 else -r - 1
-
-
-def _int_le_sqrt(u: int, b: int, m: int) -> bool:
-    """Exact test u <= b*sqrt(m); equality cannot occur for b != 0."""
-    if b == 0:
-        return u <= 0
-    if b > 0:
-        return u <= 0 or u * u < b * b * m
-    return u < 0 and u * u > b * b * m
-
-
-class QuadIntRing:
-    """Coefficients in Z[sqrt(m)], QuadScalars with integer coordinates.
-    ``nearest`` needs the positive-root embedding, m > 1; the other
-    operations hold in imaginary fields too."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.zero = QuadScalar(0, 0, m)
-        self.one = QuadScalar(1, 0, m)
-
-    def exact_div(self, x: QuadScalar, y: QuadScalar) -> QuadScalar:
-        """x / y in Z[sqrt(m)] when the quotient is known to lie there:
-        x * conj(y) / norm(y), with integer division of each coordinate."""
-        m = self.m
-        norm = y.a * y.a - m * y.b * y.b
-        return QuadScalar((x.a * y.a - m * x.b * y.b) // norm,
-                          (x.b * y.a - x.a * y.b) // norm, m)
-
-    @staticmethod
-    def quotient(x, d):
-        """x / d back in Q(sqrt(m)), a QuadScalar."""
-        return x / d
-
-    def nearest(self, num: QuadScalar, den: QuadScalar) -> int:
-        """Nearest integer to num/den for den > 0 (ties round up)."""
-        m = self.m
-        # rationalize: num/den = (p + q*sqrt(m)) / r with integer p, q, r > 0
-        p = num.a * den.a - num.b * den.b * m
-        q = num.b * den.a - num.a * den.b
-        r = den.a * den.a - den.b * den.b * m
-        if r < 0:
-            p, q, r = -p, -q, -r
-        # nearest = floor((2p + r + 2q*sqrt(m)) / (2r))
-        return self._floor_ratio(2 * p + r, 2 * q, 2 * r)
-
-    def _floor_ratio(self, p: int, q: int, r: int) -> int:
-        """floor((p + q*sqrt(m))/r) with r > 0, exact."""
-        m = self.m
-        z = (p + _floor_mul_sqrt(q, m)) // r
-        # certify exactly: z*r <= p + q*sqrt(m) < (z+1)*r
-        while _int_le_sqrt((z + 1) * r - p, q, m):
-            z += 1
-        while not _int_le_sqrt(z * r - p, q, m):
-            z -= 1
-        return z
-
-
-def to_ring(values, m=None):
-    """(ring, scale, entries): the ring integers Z or Z[sqrt(m)], scale =
-    denominator_lcm(values), and every value times scale in that ring, as an
-    int over Z or a QuadScalar with integer coordinates over Z[sqrt(m)].
-
-    ``m`` None takes the field of the irrational values, so the ring is Z
-    when every value is rational (QuadScalars with b = 0 included).
-    ValueError if two quadratic fields mix, or if a value does not lie in
-    the given Q(sqrt(m)); TypeError for a value that is not an exact scalar.
-    """
-    values = list(values)
-    if m is None:
-        m = quadratic_field_of(values)
-    scale = denominator_lcm(values)
-    out = []
-    for x in values:
-        if isinstance(x, QuadScalar):
-            a, b = x.a, x.b
-            if b != 0 and x.m != m:
-                raise ValueError("%s does not lie in Q(sqrt(%d))" % (x, m))
-        else:
-            a, b = x, 0
-        a = a.numerator * (scale // a.denominator)
-        if m is None:
-            out.append(a)
-        else:
-            out.append(QuadScalar(a, b.numerator * (scale // b.denominator), m))
-    return (IntRing if m is None else QuadIntRing(m)), scale, out
 
 
 # -- parsing / printing ------------------------------------------------------

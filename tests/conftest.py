@@ -25,7 +25,8 @@ from latlab.errors import DEFAULT_NODE_BUDGET, BudgetExceededError, NotPositiveD
 from latlab.groups import _as_field, _form_m, is_unipotent, preserves_form
 from latlab.matrices import promote_entry
 from latlab.numfield import IntegerRing, ring_of_integers
-from latlab.scalars import QuadScalar, to_ring
+from latlab.rings import to_ring
+from latlab.scalars import QuadScalar
 
 
 def random_integer_basis(rnd, n, lo=-5, hi=5):

@@ -9,8 +9,9 @@ from latlab import _svp
 from latlab.enumeration import BudgetExceededError, IntegralGram, shortest_vector
 from latlab.errors import NotPositiveDefiniteError
 from latlab.matrices import ExactMatrix
-from latlab import scalars
-from latlab.scalars import IntRing, QuadIntRing, QuadScalar
+from latlab import rings
+from latlab.rings import IntRing, QuadIntRing, to_ring
+from latlab.scalars import QuadScalar
 
 from conftest import (
     brute_force_minimum,
@@ -119,7 +120,8 @@ GOLDEN_NODES_AFTER_LLL = [11, 165, 32]
 def test_golden_node_counts(basis, value, witness, nodes):
     form = IntegralGram(_gram_of(basis))
     c0, seed = _svp.initial_bound(form.gram)
-    assert _svp.search(form.d, form.lam, c0, seed, 10**6, form.ring) == \
+    got, got_witness, got_nodes = _svp.search(form.d, form.lam, c0, seed, 10**6, form.ring)
+    assert (form.ring.quotient(got, form.scale), got_witness, got_nodes) == \
         (value, witness, nodes)
 
 
@@ -157,8 +159,8 @@ def test_quad_floor_helpers_are_exact(rnd):
         r = rnd.randint(1, 10**4)
         z = ring._floor_ratio(p, q, r)
         # z is certified by z*r <= p + q*sqrt(m) < (z+1)*r, both exact
-        assert scalars._int_le_sqrt(z * r - p, q, m)
-        assert not scalars._int_le_sqrt((z + 1) * r - p, q, m)
+        assert rings._int_le_sqrt(z * r - p, q, m)
+        assert not rings._int_le_sqrt((z + 1) * r - p, q, m)
 
 
 # -- integral Gram-Schmidt against the fraction-field oracle ----------------------
@@ -166,6 +168,19 @@ def test_quad_floor_helpers_are_exact(rnd):
 
 def _ring(m):
     return IntRing if m is None else QuadIntRing(m)
+
+
+def _in_ring(gram, ring):
+    """A Gram matrix of field values with integer coordinates as the ring
+    elements the ring routines take (to_ring with scale 1)."""
+    _, _, flat = to_ring([e for row in gram for e in row], ring.m)
+    entries = iter(flat)
+    return [[next(entries) for _ in row] for row in gram]
+
+
+def _lifted(values, ring):
+    """Ring values (ints among them) back in the field, to meet a field oracle."""
+    return [x if type(x) is int else ring.lift(x) for x in values]
 
 
 def _ring_element(m):
@@ -212,9 +227,10 @@ def _check_against_oracle(gram, ring):
         expected = _oracle_integral_gso(gram)
     except ValueError:
         with pytest.raises(ValueError):
-            _svp.integral_gso(gram, ring)
+            _svp.integral_gso(_in_ring(gram, ring), ring)
         return False
-    assert _svp.integral_gso(gram, ring) == expected
+    d, lam = _svp.integral_gso(_in_ring(gram, ring), ring)
+    assert (_lifted(d, ring), [_lifted(row, ring) for row in lam]) == expected
     return True
 
 
@@ -226,7 +242,7 @@ def test_integral_gso_matches_fraction_gso(case):
         # the negated Gram matrix is negative definite
         negated = [[-e for e in row] for row in gram]
         with pytest.raises(ValueError):
-            _svp.integral_gso(negated, _ring(m))
+            _svp.integral_gso(_in_ring(negated, _ring(m)), _ring(m))
 
 
 @settings(max_examples=150, deadline=None)
@@ -363,7 +379,8 @@ def _assert_lll_output(gram, ring):
     assert abs(ExactMatrix.from_rows(basis).det()) == 1
     assert reduced == _congruent(gram, basis)
     assert (d, lam) == _svp.integral_gso(reduced, ring)
-    assert _svp.is_lll_reduced(d, lam) and _oracle_lll_reduced(reduced)
+    assert _svp.is_lll_reduced(d, lam)
+    assert _oracle_lll_reduced([_lifted(row, ring) for row in reduced])
 
 
 def test_lll_on_seeded_inputs(rnd):
@@ -378,11 +395,12 @@ def test_lll_on_seeded_inputs(rnd):
             basis = [[QuadScalar(rnd.randint(-3, 3), rnd.randint(-2, 2), m)
                       for _ in range(n)] for _ in range(n)]
             ring = QuadIntRing(m)
+        gram = _in_ring(_gram_of(basis), ring)
         try:
-            _svp.integral_gso(_gram_of(basis), ring)
+            _svp.integral_gso(gram, ring)
         except ValueError:
             continue
-        _assert_lll_output(_gram_of(basis), ring)
+        _assert_lll_output(gram, ring)
     for n in (8, 10, 12):
         rows, _ = skewed_basis(rnd, n)
         assert not _svp.is_lll_reduced(*_svp.integral_gso(_gram_of(rows), IntRing))
@@ -392,15 +410,17 @@ def test_lll_on_seeded_inputs(rnd):
 @settings(max_examples=100, deadline=None)
 @given(_ring_square(symmetric=False))
 def test_lll_invariants(case):
-    m, gram = case
+    m, field_gram = case
     ring = _ring(m)
+    gram = _in_ring(field_gram, ring)
     try:
         _svp.integral_gso(gram, ring)
     except ValueError:
         with pytest.raises(NotPositiveDefiniteError):
             _svp.integral_gso(gram, ring)
         return
-    assert _svp.is_lll_reduced(*_svp.integral_gso(gram, ring)) == _oracle_lll_reduced(gram)
+    assert _svp.is_lll_reduced(*_svp.integral_gso(gram, ring)) == \
+        _oracle_lll_reduced(field_gram)
     _assert_lll_output(gram, ring)
 
 
@@ -421,7 +441,7 @@ def _assert_lll_matches_oracle(gram, ring):
 @given(_ring_square(symmetric=False))
 def test_lll_matches_oracle(case):
     m, gram = case
-    _assert_lll_matches_oracle(gram, _ring(m))
+    _assert_lll_matches_oracle(_in_ring(gram, _ring(m)), _ring(m))
 
 
 def test_lll_matches_oracle_on_skewed_bases(rnd):

@@ -28,7 +28,9 @@ print(json.dumps([code, sorted(m[len("latlab."):] for m in sys.modules
 """
 
 FRONT = {"cli", "documents", "errors", "scalars"}
-SEARCH = {"euclid", "enumeration", "_svp", "matrices"}
+# matrices clears denominators into the ring integers, so it loads rings
+MATRICES = {"matrices", "rings"}
+SEARCH = {"euclid", "enumeration", "_svp"} | MATRICES
 
 
 def _child(code, *argv, cwd=None):
@@ -70,17 +72,17 @@ CALLS = [
     (["field", "info", "field.json"], 0, {"numfield"}),
     (["field", "signature", "field.json"], 0, {"numfield"}),
     (["field", "embed", "field.json"], 0, SEARCH | {"numfield"}),
-    (["group", "verdict", "so.json"], 0, {"groups", "numfield", "matrices"}),
-    (["group", "verdict", "sl.json"], 0, {"groups", "numfield", "matrices"}),
-    (["group", "unipotent", "matrix.json"], 0, {"groups", "numfield", "matrices"}),
+    (["group", "verdict", "so.json"], 0, {"groups", "numfield"} | MATRICES),
+    (["group", "verdict", "sl.json"], 0, {"groups", "numfield"} | MATRICES),
+    (["group", "unipotent", "matrix.json"], 0, {"groups", "numfield"} | MATRICES),
     (["group", "adsys", "matrix.json"], 0,
-     {"groups", "numfield", "matrices", "enumeration", "_svp"}),
-    (["resk", "element", "scalar.json"], 0, {"resk", "numfield", "matrices"}),
-    (["resk", "matrix", "qmatrix.json"], 0, {"resk", "numfield", "matrices"}),
-    (["arith", "congruence", "--m", "3"], 0, {"arith", "matrices"}),
-    (["arith", "congruence", "matrix.json", "--m", "3"], 0, {"arith", "matrices"}),
-    (["arith", "index", "lattice.json", "lattice.json"], 0, {"arith", "matrices"}),
-    (["arith", "commens", "lattice.json", "lattice.json"], 0, {"arith", "matrices"}),
+     {"groups", "numfield", "enumeration", "_svp"} | MATRICES),
+    (["resk", "element", "scalar.json"], 0, {"resk", "numfield"} | MATRICES),
+    (["resk", "matrix", "qmatrix.json"], 0, {"resk", "numfield"} | MATRICES),
+    (["arith", "congruence", "--m", "3"], 0, {"arith"} | MATRICES),
+    (["arith", "congruence", "matrix.json", "--m", "3"], 0, {"arith"} | MATRICES),
+    (["arith", "index", "lattice.json", "lattice.json"], 0, {"arith"} | MATRICES),
+    (["arith", "commens", "lattice.json", "lattice.json"], 0, {"arith"} | MATRICES),
 ]
 
 
@@ -93,6 +95,20 @@ def test_cli_call_loads_its_subcommand_path_only(tmp_path, argv, expected_code, 
             "out = io.StringIO()\n"
             "code = run(sys.argv[1:], out=out, err=out)")
     assert _child(code, *argv, cwd=str(tmp_path)) == (expected_code, FRONT | extra)
+
+
+@pytest.mark.parametrize("argv", [["field", "info", "field.json"],
+                                  ["field", "signature", "field.json"]])
+def test_front_end_and_field_calls_do_not_load_the_ring_module(tmp_path, argv):
+    """The ring integers (latlab.rings) are loaded only by the subcommands
+    that clear denominators, not by the front end nor by the field calls."""
+    assert "rings" not in _child("import latlab.cli; code = None")[1]
+    (tmp_path / "field.json").write_text(json.dumps(DOCS["field.json"]))
+    code = ("from latlab.cli import run\n"
+            "out = io.StringIO()\n"
+            "code = run(sys.argv[1:], out=out, err=out)")
+    exit_code, modules = _child(code, *argv, cwd=str(tmp_path))
+    assert exit_code == 0 and "rings" not in modules
 
 
 def test_calls_cover_every_subcommand():
@@ -127,7 +143,7 @@ def test_names_resolve_to_their_submodule_and_bind():
 
 def test_submodule_attribute_imports_it():
     code = "import latlab\ncode = latlab.resk.__name__"
-    assert _child(code) == ("latlab.resk", {"resk", "numfield", "matrices", "scalars"})
+    assert _child(code) == ("latlab.resk", {"resk", "numfield", "scalars"} | MATRICES)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from latlab.rings import IntRing, QuadInt, QuadIntRing, to_ring
 from latlab.scalars import (
-    IntRing,
-    QuadIntRing,
     QuadScalar,
     conjugate,
     denominator_lcm,
@@ -16,7 +15,6 @@ from latlab.scalars import (
     print_scalar,
     quadratic_field_of,
     sign,
-    to_ring,
     validate_field_param,
 )
 
@@ -216,7 +214,7 @@ def _field_values(draw):
 def _in_ring(entry, ring):
     if ring.m is None:
         return type(entry) is int
-    return (isinstance(entry, QuadScalar) and entry.m == ring.m
+    return (type(entry) is QuadInt and entry.m == ring.m
             and type(entry.a) is int and type(entry.b) is int)
 
 
@@ -255,8 +253,8 @@ def test_to_ring_examples():
     values = [half, r2, 3, QuadScalar(Fraction(2, 5), 0, 7)]
     ring, scale, entries = to_ring(values)
     assert ring.m == 2 and scale == 60
-    assert entries == [QuadScalar(30, 0, 2), QuadScalar(20, 15, 2),
-                       QuadScalar(180, 0, 2), QuadScalar(24, 0, 2)]
+    assert entries == [QuadInt(30, 0, 2), QuadInt(20, 15, 2),
+                       QuadInt(180, 0, 2), QuadInt(24, 0, 2)]
     assert to_ring([half, 3, QuadScalar(Fraction(2, 5), 0, 7)]) == (IntRing, 10, [5, 30, 4])
     assert to_ring([]) == (IntRing, 1, [])
     with pytest.raises(TypeError):
@@ -267,7 +265,7 @@ def _ring_element(m):
     small = st.integers(-50, 50)
     if m is None:
         return small
-    return st.builds(lambda a, b: QuadScalar(a, b, m), small, small)
+    return st.builds(lambda a, b: QuadInt(a, b, m), small, small)
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,5 +276,5 @@ def test_exact_div_and_quotient_invert_products(case):
     ring = IntRing if m is None else QuadIntRing(m)
     product = x * y
     assert ring.exact_div(product, y) == x
-    assert ring.quotient(product, y) == x
+    assert ring.quotient(product, y) == ring.lift(x)
     assert _in_ring(ring.exact_div(product, y), ring)
