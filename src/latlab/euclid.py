@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from . import enumeration
 from .errors import NotPositiveDefiniteError
-from .matrices import ExactMatrix, promote_entry
-from .scalars import QuadScalar, sign
+from .scalars import QuadScalar, as_fraction, promote_entry, sign
+
+if TYPE_CHECKING:   # imported where a matrix is built: lattice calls never load it
+    from .matrices import ExactMatrix
 
 
 class EuclideanLattice:
@@ -67,6 +70,8 @@ class EuclideanLattice:
 
     def basis_matrix(self) -> ExactMatrix:
         """Ambient x rank matrix whose columns are the basis vectors."""
+        from .matrices import ExactMatrix
+
         return ExactMatrix.from_rows(
             [[self.basis[j][i] for j in range(self.rank)] for i in range(self.ambient)]
         )
@@ -127,6 +132,8 @@ def gso(lattice: EuclideanLattice):
     Read off the integral data of the scaled Gram matrix: mu_ij = lam_ij /
     d_(j+1) and B_i = d_(i+1) / (d_i * scale).
     """
+    from .matrices import ExactMatrix
+
     form = lattice.form
     d, lam = form.d, form.lam
     div = form.ring.quotient
@@ -195,24 +202,18 @@ def mahler_report(family, node_budget=None) -> MahlerReport:
 
 def coefficients_of(lattice: EuclideanLattice, vector):
     """Integer coefficients of an ambient vector, or None if not in the lattice."""
+    from .matrices import ExactMatrix
+
     vector = [promote_entry(e) for e in vector]
     if len(vector) != lattice.ambient:
         raise ValueError("vector has wrong ambient dimension")
-    basis = lattice.basis_matrix()
     gram = ExactMatrix.from_rows(lattice.gram)
-    rhs = [
-        sum((basis[i, j] * vector[i] for i in range(lattice.ambient)),
-            start=Fraction(0))
-        for j in range(lattice.rank)
-    ]
-    coeffs = gram.solve(rhs)
+    coeffs = gram.solve([_dot(b, vector) for b in lattice.basis])
     out = []
     for c in coeffs:
-        f = Fraction(c) if not isinstance(c, QuadScalar) else None
-        if f is None:
-            if c.b != 0:
-                return None
-            f = Fraction(c.a)
+        if isinstance(c, QuadScalar) and c.b != 0:
+            return None
+        f = as_fraction(c)
         if f.denominator != 1:
             return None
         out.append(f.numerator)

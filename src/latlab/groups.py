@@ -61,11 +61,7 @@ class DiagForm:
         return ExactMatrix(n, n, entries)
 
     def value(self, vector):
-        acc = None
-        for d, v in zip(self.coeffs, vector):
-            term = d * (v * v)
-            acc = term if acc is None else acc + term
-        return acc
+        return self.bilinear(vector, vector)
 
     def bilinear(self, u, v):
         acc = None
@@ -523,8 +519,9 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
     p = next(i for i, x in enumerate(vec) if x)
     beta = cv[p]
     bar = beta.conjugate()
-    bar2, norm = bar * bar, beta * bar
-    d = 2 * k ** 4 * norm * norm
+    bar2 = bar * bar
+    norm = beta * beta if ring.m is None else (beta * bar).a    # N(beta), an int
+    d = 2 * k ** 4 * norm * norm    # an int too: quotient divides once per entry
     s = 2 * k * k * beta * bar2
     scv = [s * y for y in cv]
     pairs = itertools.combinations(range(n), 2)
@@ -633,17 +630,20 @@ def _binary_verdict(form: DiagForm) -> Verdict:
     By the compactness criterion for reductive groups (Godement; Borel and
     Harish-Chandra, Mostow and Tamagawa) the quotient is compact iff the
     torus is K-anisotropic, iff the form has no zero, iff -c1 c2 is not a
-    square in K.  When -c1 c2 = r^2, (r, c1) is isotropic and the witness is
-    the element of eigenvalues t = 2 and 1/t on the two isotropic lines:
+    square in K, tested on ring integers by :func:`_ring_square_root`.  When
+    -c1 c2 = r^2, (r, c1) is isotropic and the witness is the element of
+    eigenvalues t = 2 and 1/t on the two isotropic lines:
     [[p, q r / c1], [-q r / c2, p]] with p = (t + 1/t)/2, q = (t - 1/t)/2,
     re-verified (preserves the form, det 1, trace not +-2) before it is
     returned.
     """
     c1, c2 = form.coeffs
     m = _form_m(form)
-    target = -c1 * c2
+    ring, k, cleared = to_ring(form.coeffs, m)
+    x = -cleared[0] * cleared[1]
+    target = ring.quotient(x, k * k)
     field = "Q" if m is None else "Q(sqrt(%d))" % m
-    root = _square_root(target, m)
+    root = _ring_square_root(x, k, m)
     if root is None:
         return Verdict(
             Verdict.UNIFORM,
@@ -655,9 +655,7 @@ def _binary_verdict(form: DiagForm) -> Verdict:
     vec = (_as_field(root, m), _as_field(c1, m))
     p, q = _as_field(Fraction(5, 4), m), Fraction(3, 4)
     g = ExactMatrix(2, 2, [p, q * root / c1, -q * root / c2, p])
-    if form.value(vec) != 0:
-        raise AssertionError("isotropic vector of the binary form does not vanish")
-    if not preserves_form(g, form):
+    if not preserves_form(g, form):     # exactly when r^2 = -c1 c2: (r, c1) is isotropic
         raise AssertionError("split torus element fails to preserve the form")
     if g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] != 1 or g.trace() in (2, -2):
         raise AssertionError("split torus element is not split of determinant 1")
@@ -672,38 +670,32 @@ def _binary_verdict(form: DiagForm) -> Verdict:
     )
 
 
-def _square_root(x, m):
-    """r in Q (m None) or Q(sqrt(m)) with r * r == x, or None.
+def _ring_square_root(x, scale: int, m):
+    """r in Q (m None) or Q(sqrt(m)) with r * r == x / scale^2, or None, for
+    x = A + B sqrt(m) an int or a QuadInt; r is a Fraction when rational.
 
-    For x = a + b*sqrt(m) with b != 0, r = u + v*sqrt(m) needs
-    u^2 + m v^2 = a and 2 u v = b, so norm(x) = (u^2 - m v^2)^2 = s^2 and
-    u^2 = (a +- s)/2 with u != 0; a rational a is a square, or m times one.
+    A root of x is integral, so it lies in Z[sqrt(m)] ((u + v sqrt(m))/2
+    with u, v odd squares outside it).  For B = 0 it is sqrt(A) or
+    sqrt(A/m) sqrt(m).  For B != 0, u + v sqrt(m) needs u^2 + m v^2 = A and
+    2uv = B, so A^2 - m B^2 = s^2 and (2u)^2 = 2 (A + s), else 2 (A - s).
     """
-    a, b = (x.a, x.b) if isinstance(x, QuadScalar) else (x, 0)
-    a, b = Fraction(a), Fraction(b)
-    if b == 0:
-        r = _rational_root(a)
-        if r is not None or m is None:
-            return r
-        r = _rational_root(a / m)
-        return None if r is None else QuadScalar(0, r, m)
-    s = _rational_root(a * a - m * b * b)
+    a, b = (x, 0) if m is None else (x.a, x.b)
+    if not b:
+        r = _exact_isqrt(a)
+        if r is not None:
+            return Fraction(r, scale)
+        r = None if m is None or a % m else _exact_isqrt(a // m)
+        return None if r is None else QuadScalar(0, Fraction(r, scale), m)
+    s = _exact_isqrt(a * a - m * b * b)
     if s is None:
         return None
-    for u2 in ((a + s) / 2, (a - s) / 2):
-        u = _rational_root(u2)
-        if u:
-            root = QuadScalar(u, b / (2 * u), m)
-            if root * root == x:
-                return root
+    for t in (_exact_isqrt(2 * (a + s)), _exact_isqrt(2 * (a - s))):
+        if t:   # t = 2u
+            return QuadScalar(Fraction(t, 2 * scale), Fraction(b, t * scale), m)
     return None
 
 
-def _rational_root(q: Fraction):
-    """The nonnegative rational square root of q, or None."""
-    if q < 0:
-        return None
-    num, den = isqrt(q.numerator), isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        return None
-    return Fraction(num, den)
+def _exact_isqrt(n: int):
+    """The nonnegative integer square root of n, or None."""
+    r = isqrt(max(n, 0))
+    return r if r * r == n else None

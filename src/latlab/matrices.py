@@ -19,17 +19,7 @@ import operator
 from fractions import Fraction
 
 from .rings import to_ring
-from .scalars import QuadScalar, quadratic_field_of
-
-
-def promote_entry(entry):
-    """An exact scalar as stored: ints become Fractions, Fractions and
-    QuadScalars pass through; TypeError for anything else."""
-    if isinstance(entry, int):
-        return Fraction(entry)
-    if isinstance(entry, (Fraction, QuadScalar)):
-        return entry
-    raise TypeError("entries must be exact scalars, got %r" % (entry,))
+from .scalars import QuadScalar, promote_entry, quadratic_field_of
 
 
 class ExactMatrix:

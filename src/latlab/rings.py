@@ -194,8 +194,14 @@ class QuadIntRing:
         return QuadScalar(x.a, x.b, self.m)
 
     def quotient(self, x: QuadInt, d) -> QuadScalar:
-        """x / d back in Q(sqrt(m)), a QuadScalar; d an int or a QuadInt."""
-        return self.lift(x) / (d if type(d) is int else self.lift(d))
+        """x / d back in Q(sqrt(m)), a QuadScalar; d an int or a QuadInt.
+        A rational d divides each coordinate once; only an irrational d
+        takes the field division."""
+        if type(d) is QuadInt:
+            if d.b:
+                return self.lift(x) / self.lift(d)
+            d = d.a
+        return QuadScalar(Fraction(x.a, d), Fraction(x.b, d), self.m)
 
     def nearest(self, num: QuadInt, den: QuadInt) -> int:
         """Nearest integer to num/den for den > 0 (ties round up)."""

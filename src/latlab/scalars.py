@@ -288,6 +288,16 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def promote_entry(entry):
+    """An exact scalar as stored: ints become Fractions, Fractions and
+    QuadScalars pass through; TypeError for anything else."""
+    if isinstance(entry, int):
+        return Fraction(entry)
+    if isinstance(entry, (Fraction, QuadScalar)):
+        return entry
+    raise TypeError("entries must be exact scalars, got %r" % (entry,))
+
+
 def denominator_lcm(values) -> int:
     """Least common multiple of the denominators of the rational parts of
     exact scalars (both a and b of a QuadScalar); multiplying every value by

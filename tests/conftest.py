@@ -6,8 +6,9 @@ oracle of the LLL started from a form's Gram-Schmidt data, the Gram matrix and b
 oracles of the adjoint systole, the two per-point scans that are the
 oracles of the isotropic search (square roots, and the budgeted root-table
 scan), ExactMatrix-product oracles of the witness verification in
-latlab.groups, the field-value transvection that is the oracle of the
-witness built on ring integers, and the Fraction Gauss-Jordan eliminations
+latlab.groups, the field-value transvection and field square root that
+are the oracles of the witness and the binary verdict built on ring
+integers, and the Fraction Gauss-Jordan eliminations
 that are the oracles of ExactMatrix.det, inv and solve, and the
 two-inclusion stabilizer test that is the oracle of arith.stabilizes."""
 
@@ -777,6 +778,45 @@ def _transvection_matrix(form, v, w):
                  - half_ww * bev[j] * v[i])
             entries.append(shared.setdefault(e, e))
     return ExactMatrix(n, n, entries)
+
+
+# The field square root that groups._binary_verdict replaced by integer
+# square roots of the cleared -C1*C2, kept verbatim.
+def oracle_square_root(x, m):
+    """r in Q (m None) or Q(sqrt(m)) with r * r == x, or None.
+
+    For x = a + b*sqrt(m) with b != 0, r = u + v*sqrt(m) needs
+    u^2 + m v^2 = a and 2 u v = b, so norm(x) = (u^2 - m v^2)^2 = s^2 and
+    u^2 = (a +- s)/2 with u != 0; a rational a is a square, or m times one.
+    """
+    a, b = (x.a, x.b) if isinstance(x, QuadScalar) else (x, 0)
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        r = _rational_root(a)
+        if r is not None or m is None:
+            return r
+        r = _rational_root(a / m)
+        return None if r is None else QuadScalar(0, r, m)
+    s = _rational_root(a * a - m * b * b)
+    if s is None:
+        return None
+    for u2 in ((a + s) / 2, (a - s) / 2):
+        u = _rational_root(u2)
+        if u:
+            root = QuadScalar(u, b / (2 * u), m)
+            if root * root == x:
+                return root
+    return None
+
+
+def _rational_root(q: Fraction):
+    """The nonnegative rational square root of q, or None."""
+    if q < 0:
+        return None
+    num, den = isqrt(q.numerator), isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return Fraction(num, den)
 
 
 def gso_from_gram(gram):

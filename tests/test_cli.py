@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -219,14 +221,42 @@ def test_lattice_reduce_bound_beyond_float_range(write_doc, rank, entry, a):
     assert lines[1].endswith("bound C(n,a) beyond float range")
 
 
-def run_child(argv, **env_vars):
-    """`python -m latlab` in a child process on this checkout's sources."""
+def run_child(argv, preexec_fn=None, **env_vars):
+    """`python -m latlab` in a child process on this checkout's sources;
+    ``preexec_fn`` runs in the child before it starts."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "latlab"] + argv, env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=preexec_fn)
+
+
+def _limit_address_space():
+    limit = 300 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_exit_codes_hold_under_a_memory_limit(write_doc):
+    """With 300 MB of address space, set in the child only, large inputs keep
+    the exit-code contract: an answer exits 0 with nothing on stderr, a failed
+    precondition exits 1 with one line, and nothing raises a traceback."""
+    rnd = random.Random(11)
+    big = write_doc({"dim": 6, "field": None, "basis": [
+        [str(rnd.randrange(10**299, 10**300) * rnd.choice((1, -1))) for _ in range(6)]
+        for _ in range(6)]})
+    sl2 = write_doc({"field": None, "matrix": [["2", "1"], ["1", "1"]]})
+    calls = [(["group", "adsys", sl2, "--height", "300"], 0),
+             (["lattice", "systole", big], 0),
+             (["lattice", "covol", big], 0),
+             (["lattice", "reduce", big, "--a", "2"], 1)]
+    for argv, code in calls:
+        proc = run_child(argv, preexec_fn=_limit_address_space)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == (1 if code else 0)
+        assert (proc.stdout == "") == bool(code)
 
 
 def test_python_dash_m_entry_point(write_doc):

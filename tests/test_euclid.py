@@ -17,6 +17,7 @@ from latlab import (
     systole_sq,
 )
 from latlab import _svp
+from latlab.euclid import coefficients_of
 from latlab.matrices import ExactMatrix
 from latlab.scalars import QuadScalar, print_scalar
 
@@ -195,6 +196,22 @@ def test_project_examples():
     lat = EuclideanLattice([[2, 0], [1, 1]])
     proj = project_orthogonal(lat, (1, 1))
     assert covol_sq(proj) == 2
+
+
+def test_coefficients_of_recovers_lattice_vectors(rnd):
+    """Integer coefficients come back for lattice vectors, over Q and over
+    Q(sqrt 2) with a rank below the ambient dimension, and None for a vector
+    off the lattice or outside its span."""
+    r2 = QuadScalar(0, 1, 2)
+    lattices = [random_lattice(rnd, 3) for _ in range(5)]
+    lattices.append(EuclideanLattice([[1 + r2, Fraction(1, 3), 0], [r2, 2, 1]]))
+    for lat in lattices:
+        coeffs = [rnd.randint(-4, 4) for _ in range(lat.rank)]
+        vector = lat.vector(coeffs)
+        assert coefficients_of(lat, vector) == coeffs
+        half = [x / 2 for x in lat.vector([1] + [0] * (lat.rank - 1))]
+        assert coefficients_of(lat, [x + y for x, y in zip(vector, half)]) is None
+    assert coefficients_of(lattices[-1], [0, 0, 1]) is None
 
 
 def test_project_covolume_identity(rnd):

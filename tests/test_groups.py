@@ -25,6 +25,7 @@ from latlab.groups import (
 )
 from latlab.matrices import ExactMatrix
 from latlab.numfield import NumberFieldDesc, ring_of_integers
+from latlab.rings import to_ring
 from latlab.scalars import QuadScalar
 
 from conftest import (
@@ -36,6 +37,7 @@ from conftest import (
     oracle_isotropic_search,
     oracle_is_unipotent,
     oracle_preserves_form,
+    oracle_square_root,
     oracle_transvection,
     random_unimodular,
 )
@@ -501,6 +503,53 @@ def test_binary_verdict_by_construction(case):
         _assert_split_torus_witness(verdict, form)
     else:
         assert verdict.status == Verdict.UNIFORM and verdict.witness is None
+
+
+_ROOT_COORD = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _square_root_case(draw):
+    """(x, m, j): a value of Q or Q(sqrt m) with coordinates over random
+    denominators that is a square, m times a square, the square of an
+    element with both coordinates nonzero, or any value (most often not a
+    square), and an extra scale j of its cleared form."""
+    m = draw(st.sampled_from([None, 2, 3, 5, 13, -1, -3]))
+    u, v = draw(_ROOT_COORD), draw(_ROOT_COORD)
+    kind = draw(st.sampled_from(["square", "m square", "mixed square", "any"]))
+    if m is None:
+        x = u * u if kind == "square" else u
+    elif kind == "square":
+        x = u * u
+    elif kind == "m square":
+        x = m * u * u
+    elif kind == "mixed square":
+        assume(u and v)
+        x = QuadScalar(u, v, m) * QuadScalar(u, v, m)
+    else:
+        x = QuadScalar(u, v, m)
+    if m is not None and draw(st.booleans()):
+        x = QuadScalar(x, 0, m) if isinstance(x, Fraction) else x
+    return x, m, draw(st.integers(1, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square_root_case())
+@example((Fraction(9, 4), None, 1))
+@example((QuadScalar(Fraction(20, 9), 0, 5), 5, 2))             # 5 * (2/3)^2
+@example((QuadScalar(3, 2, 2), 2, 1))                           # (1 + sqrt 2)^2
+@example((QuadScalar(Fraction(3, 2), Fraction(1, 2), 5), 5, 3))  # ((1 + sqrt 5)/2)^2
+@example((Fraction(-3), -3, 1))                                 # sqrt(-3)^2
+def test_ring_square_root_matches_the_field_oracle(case):
+    """The binary verdict's square root of x = X/k, taken on X*k*j^2 over
+    (k*j)^2 with integer square roots, has the value and type of the field
+    square root it replaced (None for a non-square)."""
+    x, m, j = case
+    _, k, (cleared,) = to_ring([x], m)
+    got = groups._ring_square_root(cleared * (k * j * j), k * j, m)
+    expected = oracle_square_root(x, m)
+    assert repr(got) == repr(expected) and type(got) is type(expected)
+    assert got is None or got * got == x
 
 
 def test_group_spec_validation():

@@ -30,7 +30,8 @@ print(json.dumps([code, sorted(m[len("latlab."):] for m in sys.modules
 FRONT = {"cli", "documents", "errors", "scalars"}
 # matrices clears denominators into the ring integers, so it loads rings
 MATRICES = {"matrices", "rings"}
-SEARCH = {"euclid", "enumeration", "_svp"} | MATRICES
+# the lattice calls search on ring integers and build no ExactMatrix
+SEARCH = {"euclid", "enumeration", "_svp", "rings"}
 
 
 def _child(code, *argv, cwd=None):

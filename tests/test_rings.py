@@ -105,6 +105,35 @@ def test_ring_operations_match_the_field(case):
     assert type(z) is int and z <= shifted < z + 1
 
 
+# a nonzero divisor: an int (negative too), a rational QuadInt (c, 0) or an
+# irrational one (c, d != 0), as coordinates
+_NONZERO = _COORD.filter(bool)
+_DIVISORS = st.one_of(_NONZERO, st.tuples(_NONZERO, st.just(0)), st.tuples(_COORD, _NONZERO))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5]), _COORD, _COORD, _DIVISORS)
+@example(2, 7, -3, -4)              # a negative int
+@example(3, 10**30, 1, (-6, 0))     # a negative rational QuadInt
+@example(5, 1, 1, (1, 1))           # an irrational one
+def test_quotient_matches_the_field_division(m, a, b, d):
+    """quotient(x, d) is lift(x) / lift(d) in value and in type: a rational
+    divisor divides each coordinate once, an irrational one in the field."""
+    ring = QuadIntRing(m)
+    x = QuadInt(a, b, m)
+    c, e = (d, 0) if type(d) is int else d
+    if type(d) is tuple:
+        d = QuadInt(c, e, m)
+    assert repr(ring.quotient(x, d)) == repr(ring.lift(x) / QuadScalar(c, e, m))
+
+
+def test_quotient_by_zero_raises():
+    ring = QuadIntRing(2)
+    for zero in (0, ring.zero):
+        with pytest.raises(ZeroDivisionError):
+            ring.quotient(QuadInt(1, 1, 2), zero)
+
+
 def test_quad_int_ordering_in_an_imaginary_field():
     """Like QuadScalar, the order raises for an irrational element of an
     imaginary field and holds for a rational one."""
