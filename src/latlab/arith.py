@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .matrices import ExactMatrix
-from .scalars import denominator_lcm, factorize
+from .scalars import as_fraction, denominator_lcm, factorize
 
 CONGRUENCE_MAX_N = 16
 
@@ -139,7 +139,7 @@ def congruence_member(g: ExactMatrix, m: int) -> bool:
     for i in range(n):
         for j in range(n):
             target = 1 if i == j else 0
-            if (int(Fraction(g[i, j])) - target) % m != 0:
+            if (int(as_fraction(g[i, j])) - target) % m != 0:
                 return False
     return True
 

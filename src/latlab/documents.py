@@ -45,6 +45,14 @@ def load_json(path: str):
         )
 
 
+def _integer(doc, key):
+    """doc[key] when it is an int and not a bool, else DocumentError."""
+    value = doc[key]
+    if type(value) is not int:
+        raise DocumentError('"%s" must be an integer, got %s' % (key, json.dumps(value)))
+    return value
+
+
 def _field_m(doc, key_variants=("m", "quad")):
     """Extract the quadratic parameter from a field sub-document."""
     if doc is None:
@@ -53,12 +61,7 @@ def _field_m(doc, key_variants=("m", "quad")):
         raise DocumentError("field must be an object or null")
     for key in key_variants:
         if key in doc:
-            value = doc[key]
-            if value is None:
-                return None
-            if not isinstance(value, int):
-                raise DocumentError("field parameter must be an integer")
-            return value
+            return None if doc[key] is None else _integer(doc, key)
     raise DocumentError("field object needs one of the keys %r" % (key_variants,))
 
 
@@ -89,7 +92,7 @@ def basis_from_doc(doc):
             vectors.append([parse_scalar(s, m) for s in vec])
         except ValueError as exc:
             raise DocumentError(str(exc))
-    if "dim" in doc and doc["dim"] != len(vectors):
+    if "dim" in doc and _integer(doc, "dim") != len(vectors):
         raise DocumentError(
             'declared "dim" %r does not match the %d basis vectors'
             % (doc["dim"], len(vectors))
@@ -138,16 +141,15 @@ def numberfield_from_doc(doc) -> NumberFieldDesc:
     if not isinstance(doc, dict):
         raise DocumentError("field document must be an object")
     if "quad" in doc:
-        if not isinstance(doc["quad"], int):
-            raise DocumentError('"quad" must be an integer')
         try:
-            return NumberFieldDesc(m=doc["quad"])
+            return NumberFieldDesc(m=_integer(doc, "quad"))
         except ValueError as exc:
             raise DocumentError(str(exc))
     if "minpoly" in doc:
         coeffs = doc["minpoly"]
-        if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
-            raise DocumentError('"minpoly" must be a list of integers')
+        if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
+            raise DocumentError('"minpoly" must be a list of integers, got %s'
+                                % json.dumps(coeffs))
         try:
             return NumberFieldDesc(minpoly=coeffs)
         except ValueError as exc:
@@ -165,10 +167,10 @@ def group_from_doc(doc) -> GroupSpec:
     m = _field_m(doc.get("field"), ("quad", "m"))
     field = NumberFieldDesc(m=m) if m is not None else None
     if kind == "SL":
-        if "n" not in doc or not isinstance(doc["n"], int):
+        if "n" not in doc:
             raise DocumentError('SL group document needs an integer "n"')
         try:
-            return GroupSpec("SL", n=doc["n"], field=field)
+            return GroupSpec("SL", n=_integer(doc, "n"), field=field)
         except ValueError as exc:
             raise DocumentError(str(exc))
     if kind == "SO":

@@ -20,22 +20,27 @@ from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .matrices import ExactMatrix, fraction_free_adjugate
 from .numfield import NumberFieldDesc, ring_of_integers
 from .rings import IntRing, to_ring
-from .scalars import QuadScalar, conjugate, sign
+from .scalars import QuadScalar, conjugate
 
 
 class DiagForm:
-    """Diagonal quadratic form sum_i d_i x_i^2 over Q or Q(sqrt(m))."""
+    """Diagonal quadratic form sum_i d_i x_i^2 over Q or Q(sqrt(m)), cleared
+    of denominators once: d_i = C_i / scale for the C_i in ``ring_coeffs``,
+    elements of ``ring`` (Z or Z[sqrt(m)]), which the ring routines read."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "ring", "scale", "ring_coeffs")
 
     def __init__(self, coeffs, field: NumberFieldDesc | None = None):
-        coeffs = [self._coerce(c, field) for c in coeffs]
+        coeffs = tuple([c if type(c) is Fraction else self._coerce(c, field)
+                        for c in coeffs])
         if len(coeffs) < 2:
             raise ValueError("a diagonal form needs at least two coefficients")
-        if any(c == 0 for c in coeffs):
+        m = field.m if field is not None and field.is_quadratic else None
+        self.ring, self.scale, self.ring_coeffs = to_ring(coeffs, m)
+        if not all(self.ring_coeffs):
             raise ValueError("diagonal coefficients must be nonzero")
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     @staticmethod
     def _coerce(c, field):
@@ -154,12 +159,13 @@ def conjugate_form(form: DiagForm, sigma: int) -> DiagForm:
 
 
 def is_definite(form: DiagForm, sigma: int = 0) -> bool:
-    """All coefficient signs agree under the sigma-th real embedding."""
-    conj = conjugate_form(form, sigma)
-    if conj.field is not None and conj.field.is_quadratic and conj.field.m < 0:
+    """All coefficient signs agree under the sigma-th real embedding, read
+    on the ring coefficients C_k (or conj(C_k)): the scale is positive."""
+    if sigma != 0 and (sigma != 1 or monomorphism_count(form.field) != 2):
+        raise ValueError("invalid monomorphism index %r" % (sigma,))
+    if form.ring.m is not None and form.ring.m < 0:
         raise ValueError("definiteness needs a real embedding")
-    signs = {sign(c) for c in conj.coeffs}
-    return len(signs) == 1
+    return len({(c.conjugate() if sigma else c) > 0 for c in form.ring_coeffs}) == 1
 
 
 def preserves_form(g: ExactMatrix, form: DiagForm) -> bool:
@@ -383,10 +389,6 @@ def _as_field(c, m):
     return QuadScalar(Fraction(c), 0, m)
 
 
-def _form_m(form):
-    return form.field.m if form.field and form.field.is_quadratic else None
-
-
 def isotropic_search(form: DiagForm, height: int, node_budget=None):
     """A nonzero zero of the form with integer-ring coordinates of height <=
     ``height``, or None.
@@ -419,7 +421,7 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     if budget < 1:
         raise ValueError("node budget must be positive")
-    m = _form_m(form)
+    m = form.ring.m
     side = 2 * height + 1
     width = side if m is None else side * side
     if width > budget:
@@ -446,7 +448,7 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     squares = [(u * u + w * w * sqm, 2 * u * w)
                for u, w in (((2 * p + q, q) if half else (2 * p, 2 * q))
                             for p, q in box)]
-    _, _, coeffs = to_ring(form.coeffs, m)
+    coeffs = form.ring_coeffs
     pairs = [(c, 0) if m is None else (c.a, c.b) for c in coeffs]
     e0, f0 = pairs[0]
     roots = {}
@@ -489,23 +491,22 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
 
     Uses the transvection x -> x + b(x,v) w - b(x,w) v - (1/2) b(w,w) b(x,v) v
     for some w orthogonal to v and independent of it, built on ring integers.
-    The coefficients and v are cleared of denominators once, c = C/k and
-    v = V/k.  With p the first index of V_p != 0 and beta = C_p V_p, each
+    The form holds c = C/k_c cleared of denominators; v is cleared here,
+    v = V/k_v.  With p the first index of V_p != 0 and beta = C_p V_p, each
     candidate w0 (e_k, then e_k + e_l for k < l) gives w = W/beta with
     W = beta w0 - b_C(w0, V) e_p, skipped when W is proportional to V.  Then
-    g = G/D with G = X + D*I, D = 2 k^4 N(beta)^2 and
+    g = G/D with G = X + D*I, D = 2 k_c^2 k_v^2 N(beta)^2 and
     X_ij = s (C_j V_j W_i - C_j W_j V_i) - t C_j V_j V_i for
-    s = 2 k^2 beta conj(beta)^2 and t = b_C(W, W) conj(beta)^2.  G is
+    s = 2 k_c k_v beta conj(beta)^2 and t = b_C(W, W) conj(beta)^2.  G is
     re-verified (preserves the form, X nilpotent, X != 0) before it is
     divided by D once.
     """
     n = form.nvars
-    m = _form_m(form)
-    vector = tuple(_as_field(v, m) for v in vector)
+    ring, kc, coeffs = form.ring, form.scale, form.ring_coeffs
+    vector = tuple(_as_field(v, ring.m) for v in vector)
     if len(vector) != n:
         raise ValueError("vector length does not match the form")
-    ring, k, values = to_ring(form.coeffs + vector, m)
-    coeffs, vec = values[:n], values[n:]
+    _, kv, vec = to_ring(vector, ring.m)
     if not any(vec):
         raise ValueError("isotropic vector must be nonzero")
     cv = [c * x for c, x in zip(coeffs, vec)]
@@ -521,8 +522,8 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
     bar = beta.conjugate()
     bar2 = bar * bar
     norm = beta * beta if ring.m is None else (beta * bar).a    # N(beta), an int
-    d = 2 * k ** 4 * norm * norm    # an int too: quotient divides once per entry
-    s = 2 * k * k * beta * bar2
+    d = 2 * (kc * kv * norm) ** 2    # an int too: quotient divides once per entry
+    s = 2 * kc * kv * beta * bar2
     scv = [s * y for y in cv]
     pairs = itertools.combinations(range(n), 2)
     for w0 in itertools.chain(((i,) for i in range(n)), pairs):
@@ -585,20 +586,18 @@ def uniformity_verdict(spec: GroupSpec, height: int = 10, node_budget=None) -> V
         )
 
     form = spec.form
-    field = form.field
-    for idx in range(monomorphism_count(field)):
-        conj = conjugate_form(form, idx)
-        real_embedding = (
-            field is None or not field.is_quadratic or field.m > 0
-        )
-        if real_embedding and is_definite(conj, 0):
+    m = form.ring.m
+    # the real embeddings: one over Q, two over a real quadratic field
+    for idx in range(1 if m is None else 2 if m > 0 else 0):
+        if is_definite(form, idx):
+            name = sigma_name(form.field, idx)
             return Verdict(
                 Verdict.UNIFORM,
                 "the conjugate form under %s is definite, its real orthogonal "
                 "group is compact, and a compact group has no nontrivial "
-                "unipotent element" % sigma_name(field, idx),
+                "unipotent element" % name,
                 criterion="Godement criterion (definite conjugate)",
-                conjugate_name=sigma_name(field, idx),
+                conjugate_name=name,
             )
     if form.nvars == 2:
         return _binary_verdict(form)
@@ -638,9 +637,8 @@ def _binary_verdict(form: DiagForm) -> Verdict:
     returned.
     """
     c1, c2 = form.coeffs
-    m = _form_m(form)
-    ring, k, cleared = to_ring(form.coeffs, m)
-    x = -cleared[0] * cleared[1]
+    ring, k, m = form.ring, form.scale, form.ring.m
+    x = -form.ring_coeffs[0] * form.ring_coeffs[1]
     target = ring.quotient(x, k * k)
     field = "Q" if m is None else "Q(sqrt(%d))" % m
     root = _ring_square_root(x, k, m)
@@ -655,7 +653,9 @@ def _binary_verdict(form: DiagForm) -> Verdict:
     vec = (_as_field(root, m), _as_field(c1, m))
     p, q = _as_field(Fraction(5, 4), m), Fraction(3, 4)
     g = ExactMatrix(2, 2, [p, q * root / c1, -q * root / c2, p])
-    if not preserves_form(g, form):     # exactly when r^2 = -c1 c2: (r, c1) is isotropic
+    _, d, entries = to_ring(g.data, m)
+    # g preserves the form exactly when r^2 = -c1 c2: (r, c1) is isotropic
+    if not _ring_preserves(entries, form.ring_coeffs, d * d):
         raise AssertionError("split torus element fails to preserve the form")
     if g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] != 1 or g.trace() in (2, -2):
         raise AssertionError("split torus element is not split of determinant 1")

@@ -108,10 +108,8 @@ def res_stabilizer_check(g: ExactMatrix, ring: IntegerRing) -> bool:
     """
     if not g.is_square:
         raise ValueError("stabilizer check needs a square matrix")
-    det = g.det()
-    if det == 0:
-        raise ValueError("matrix is singular")
-    return entries_in_ring(g, ring) and entries_in_ring(g.inv(), ring)
+    inverse = g.inv()     # ValueError for a singular g, integral or not
+    return entries_in_ring(g, ring) and entries_in_ring(inverse, ring)
 
 
 def omega_basis_matrix(n: int, ring: IntegerRing) -> ExactMatrix:

@@ -23,11 +23,24 @@ from latlab import EuclideanLattice, ExactMatrix
 from latlab._svp import witness_key
 from latlab.enumeration import IntegralGram
 from latlab.errors import DEFAULT_NODE_BUDGET, BudgetExceededError, NotPositiveDefiniteError
-from latlab.groups import _as_field, _form_m, is_unipotent, preserves_form
 from latlab.matrices import promote_entry
 from latlab.numfield import IntegerRing, ring_of_integers
 from latlab.rings import to_ring
 from latlab.scalars import QuadScalar
+
+
+def _form_m(form):
+    """The m of a form over Q(sqrt(m)), None over Q."""
+    return form.field.m if form.field and form.field.is_quadratic else None
+
+
+def _as_field(c, m):
+    """c as a value of Q (m None) or Q(sqrt(m))."""
+    if m is None:
+        return Fraction(c)
+    if isinstance(c, QuadScalar):
+        return c
+    return QuadScalar(Fraction(c), 0, m)
 
 
 def random_integer_basis(rnd, n, lo=-5, hi=5):
@@ -463,7 +476,7 @@ def oracle_isotropic_search(form, height):
     box of the other coordinates, a divisibility test and an integer square
     root over Q, or the solutions of u^2 + w^2 m = s, 2uw = t over Q(sqrt(m)),
     tie-broken by (sign, |p|, |q|)."""
-    m = form.field.m if form.field and form.field.is_quadratic else None
+    m = _form_m(form)
     if m is None:
         return _oracle_isotropic_rational(form, height)
     return _oracle_isotropic_quadratic(form, height, m)
@@ -691,10 +704,10 @@ def oracle_isotropic_scan(form, height, budget):
 
 
 # The field-value transvection that groups.unipotent_from_isotropic replaced
-# by one ring build, kept verbatim: it picks the companion w with field
-# bilinear forms, fills the n^2 entries with Fraction or QuadScalar
-# products and verifies them with preserves_form and is_unipotent, which
-# clear denominators again.
+# by one ring build: it picks the companion w with field bilinear forms,
+# fills the n^2 entries with Fraction or QuadScalar products and verifies
+# them with the ExactMatrix-product oracles, so that it shares no check
+# with the ring build it is the oracle of.
 def oracle_transvection(form, vector):
     """groups.unipotent_from_isotropic(form, vector) before the transvection
     was built on ring integers.
@@ -728,9 +741,9 @@ def oracle_transvection(form, vector):
         g = _transvection_matrix(form, vector, w)
         if g.is_identity():
             continue
-        if not preserves_form(g, form):
+        if not oracle_preserves_form(g, form):
             raise AssertionError("transvection fails to preserve the form")
-        if not is_unipotent(g):
+        if not oracle_is_unipotent(g):
             raise AssertionError("transvection is not unipotent")
         return g
     raise ValueError("degenerate transvection: no admissible companion vector")

@@ -15,6 +15,7 @@ from latlab.arith import (
     sublattice_index,
 )
 from latlab.matrices import ExactMatrix
+from latlab.scalars import QuadScalar
 
 from conftest import oracle_stabilizes, random_unimodular
 
@@ -222,6 +223,11 @@ def test_congruence_member_examples():
         congruence_member(ExactMatrix.from_rows([[2, 0], [0, 1]]), 2)
     with pytest.raises(ValueError):
         congruence_member(ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, 2]]), 2)
+    # a rational matrix typed in Q(sqrt(2))
+    typed = ExactMatrix.from_rows([[QuadScalar(1, 0, 2), QuadScalar(2, 0, 2)],
+                                   [QuadScalar(0, 0, 2), QuadScalar(1, 0, 2)]])
+    assert congruence_member(typed, 2)
+    assert not congruence_member(typed, 3)
 
 
 def test_congruence_subgroup_closure(rnd):

@@ -590,6 +590,29 @@ def test_error_paths_exit_one(tmp_path, write_doc):
     assert code == 1 and out == "" and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, doc, message", [
+    (["lattice", "covol"], {"dim": True, "field": None, "basis": [["1"]]},
+     '"dim" must be an integer, got true'),
+    (["lattice", "covol"], {"dim": 1.0, "field": None, "basis": [["1"]]},
+     '"dim" must be an integer, got 1.0'),
+    (["lattice", "covol"], {"dim": 1, "field": {"m": 2.0}, "basis": [["1"]]},
+     '"m" must be an integer, got 2.0'),
+    (["field", "info"], {"minpoly": [True, 0, 1]},
+     '"minpoly" must be a list of integers, got [true, 0, 1]'),
+    (["field", "info"], {"quad": True}, '"quad" must be an integer, got true'),
+    (["group", "verdict"], {"kind": "SL", "n": True}, '"n" must be an integer, got true'),
+    (["group", "verdict"], {"kind": "SL", "n": 3.0}, '"n" must be an integer, got 3.0'),
+    (["group", "verdict"], {"kind": "SO", "coeffs": ["1", "-1"], "field": {"quad": False}},
+     '"quad" must be an integer, got false'),
+])
+def test_booleans_and_floats_are_not_integers(write_doc, argv, doc, message):
+    """JSON true and 1.0 are not the integers that "dim", "m"/"quad", "n" and
+    the "minpoly" entries require."""
+    for fmt in ("human", "json"):
+        assert run_cli(["--format", fmt] + argv + [write_doc(doc)]) == \
+            (1, "", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["frobnicate"], "error: argument command: invalid choice: 'frobnicate' "
                      "(choose from 'lattice', 'field', 'group', 'resk', 'arith')\n"),

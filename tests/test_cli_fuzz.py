@@ -2,13 +2,14 @@
 
 Two calls in three are tame: well-formed documents over Q or a real quadratic
 field with the options in range, so that most of them answer.  The others
-are wild: documents with wrong types, missing keys, wrong lengths, mixed or
-imaginary fields, 300-digit entries or rank-deficient bases; files that are
-missing, empty, not JSON or a directory, and malformed options.  --budget
-ranges over 1..20,000 and --height over 1..3.  Every call must end in exit
-code 0-3 without an exception: a success (0) or an inconclusive verdict (2)
-prints to `out` only, and an input error (1) or an exhausted budget (3)
-prints exactly one line to `err` only.
+are wild: documents with wrong types (true or 1.0 for an integer too),
+missing keys, wrong lengths, mixed or imaginary fields, 300-digit entries or
+rank-deficient bases; files that are missing, empty, not JSON or a
+directory, and malformed options.  --budget ranges over 1..20,000 and
+--height over 1..3.  Every call must end in exit code 0-3 without an
+exception: a success (0) or an inconclusive verdict (2) prints to `out`
+only, and an input error (1) or an exhausted budget (3) prints exactly one
+line to `err` only.
 """
 
 import io
@@ -26,8 +27,8 @@ DIRECTORY = "<a directory>"
 
 REAL = (None, None, 2, 3, 5)
 IMAGINARY = (-1, -3)
-JUNK = st.sampled_from([None, True, 1.5, -7, "x", "", "1/0", "2+1*sqrt(3)",
-                        [], {}, [["1"]]])
+JUNK = st.sampled_from([None, True, False, 1.5, 1.0, 2.0, -7, "x", "", "1/0",
+                        "2+1*sqrt(3)", [], {}, [["1"]]])
 SMALL_BUDGETS = st.integers(1, 30)
 BUDGETS = SMALL_BUDGETS | st.integers(1, 20_000)
 HEIGHTS = st.integers(1, 3).map(str)
@@ -72,7 +73,8 @@ def _lattices(draw, wild, n=None, rational=False):
         rows = [["0"] * i + [draw(nonzero)] + row[i + 1:] for i, row in enumerate(rows)]
     elif shape == "deficient" and n > 1:
         rows[-1] = list(rows[0])
-    return {"dim": n, "field": _field(m, "m"), "basis": rows}
+    dim = draw(st.sampled_from((n, n, float(n), n == 1))) if wild else n
+    return {"dim": dim, "field": _field(m, "m"), "basis": rows}
 
 
 def _standard_lattice(n):
@@ -101,9 +103,11 @@ def _matrices(draw, wild, rational=False):
 @st.composite
 def _fields(draw, wild):
     if draw(st.booleans()):
-        quad = st.integers(-10, 10) if wild else st.sampled_from((2, 3, 5, 13, -1, -7))
+        quad = st.integers(-10, 10) | st.sampled_from((True, 2.0)) if wild \
+            else st.sampled_from((2, 3, 5, 13, -1, -7))
         return {"quad": draw(quad)}
-    coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    coeff = st.integers(-6, 6) | st.sampled_from((True, 1.0)) if wild else st.integers(-6, 6)
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=4))
     return {"minpoly": coeffs + (draw(st.sampled_from(([1], [2], []))) if wild else [1])}
 
 
@@ -112,8 +116,8 @@ def _groups(draw, wild):
     m = draw(_field_m(wild))
     kind = draw(st.sampled_from(("SL", "SO", "anisotropic", "anisotropic")))
     if kind == "SL":
-        return {"kind": "SL", "n": draw(st.integers(0 if wild else 2, 4)),
-                "field": {"quad": m}}
+        n = st.integers(0, 4) | st.sampled_from((True, 3.0)) if wild else st.integers(2, 4)
+        return {"kind": "SL", "n": draw(n), "field": {"quad": m}}
     if kind == "anisotropic":   # x^2 + y^2 - p z^2 has no rational zero: exit 2
         coeffs = ["1", "1", "-%d" % draw(st.sampled_from((3, 7, 11, 19)))]
         return {"kind": "SO", "coeffs": coeffs, "field": {"quad": None}}

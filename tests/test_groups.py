@@ -26,7 +26,7 @@ from latlab.groups import (
 from latlab.matrices import ExactMatrix
 from latlab.numfield import NumberFieldDesc, ring_of_integers
 from latlab.rings import to_ring
-from latlab.scalars import QuadScalar
+from latlab.scalars import QuadScalar, conjugate, sign
 
 from conftest import (
     adjoint_box_scan,
@@ -75,6 +75,72 @@ def test_is_definite_examples():
     imaginary = DiagForm([QuadScalar(1, 1, -1), 1], NumberFieldDesc(m=-1))
     with pytest.raises(ValueError):
         is_definite(imaginary)
+
+
+DEFINITE_FIELDS = [None, 2, 3, 5, 13]
+
+
+@st.composite
+def _definite_case(draw):
+    """(form, sigma) over Q or Q(sqrt m): coefficients with denominators,
+    rational ones typed in the field among them, half of the forms made
+    definite at sigma by flipping coefficient signs there."""
+    m = draw(st.sampled_from(DEFINITE_FIELDS))
+    sigma = draw(st.integers(0, 0 if m is None else 1))
+    typed = st.builds(lambda x: QuadScalar(x, 0, m), _rational(False)) if m else st.nothing()
+    entry = st.one_of(_nonzero(m, draw(st.booleans())), typed.filter(lambda x: x != 0))
+    coeffs = draw(st.lists(entry, min_size=2, max_size=5))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from((1, -1)))
+        coeffs = [c * target * sign(conjugate(c) if sigma else c) for c in coeffs]
+    return DiagForm(coeffs, _field_desc(m)), sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(_definite_case())
+def test_is_definite_matches_field_signs(case):
+    """The signs of the ring coefficients decide what the signs of the field
+    coefficients, conjugated in QuadScalar arithmetic, decide."""
+    form, sigma = case
+    field_signs = {sign(conjugate(c) if sigma else c) for c in form.coeffs}
+    assert is_definite(form, sigma) == (len(field_signs) == 1)
+
+
+@pytest.mark.parametrize("form, sigma, message", [
+    (DiagForm([1, 1], NumberFieldDesc(m=-1)), 0, "definiteness needs a real embedding"),
+    (DiagForm([1, 1], NumberFieldDesc(m=-1)), 1, "definiteness needs a real embedding"),
+    (DiagForm([1, 1], NumberFieldDesc(m=-1)), 2, "invalid monomorphism index 2"),
+    (DiagForm([1, -1]), 1, "invalid monomorphism index 1"),
+    (DiagForm([SQRT2, 1], K2), 2, "invalid monomorphism index 2"),
+    (DiagForm([SQRT2, 1], K2), -1, "invalid monomorphism index -1"),
+])
+def test_is_definite_errors(form, sigma, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        is_definite(form, sigma)
+
+
+def test_form_is_cleared_once(monkeypatch):
+    """A form holds its coefficients cleared of denominators, and a verdict
+    clears nothing more of them: a definite or anisotropic form's verdict
+    calls to_ring never, a split binary form's once (the witness), and an
+    isotropic form's twice (the vector found, and the vector of the witness)."""
+    k3 = NumberFieldDesc(m=3)
+    form = DiagForm([Fraction(1, 2), QuadScalar(Fraction(1, 3), 1, 3)], k3)
+    assert (form.ring.m, form.scale) == (3, 6)
+    assert form.ring_coeffs == to_ring(form.coeffs, 3)[2]
+    cases = [(DiagForm([1, 2, Fraction(1, 3)]), 0), (DiagForm([-SQRT2, 1, 1], K2), 0),
+             (DiagForm([1, 1, -7]), 0), (DiagForm([Fraction(3, 2), Fraction(-1, 6)]), 1),
+             (DiagForm([1, -3]), 0), (DiagForm([1, Fraction(1, 2), -1], K2), 2),
+             (DiagForm([1, 1, -3], NumberFieldDesc(m=-1)), 2)]
+    expected = [uniformity_verdict(GroupSpec("SO", form=f), 2) for f, _ in cases]
+    calls = []
+    real = groups.to_ring
+    monkeypatch.setattr(groups, "to_ring", lambda *args: calls.append(args) or real(*args))
+    for (f, count), before in zip(cases, expected):
+        calls.clear()
+        after = uniformity_verdict(GroupSpec("SO", form=f), 2)
+        assert (after.status, after.reason) == (before.status, before.reason)
+        assert len(calls) == count, f
 
 
 def test_preserves_form_examples():
@@ -848,6 +914,22 @@ def test_transvection_matches_field_oracle(case):
     """The witness equals the field-value build entry by entry, in type and
     repr; a zero vector raises the same error."""
     form, v = case
+    assert _outcome(unipotent_from_isotropic, form, v) == \
+        _outcome(oracle_transvection, form, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_transvection_case(), _rational(False).filter(lambda r: r != 0))
+@example((DiagForm([Fraction(1, 3), 1, Fraction(-1, 3)]), (1, 0, 1)), Fraction(1, 2))
+@example((DiagForm([SQRT2 / 3, 1 - SQRT2 / 3, -1], K2), (1, 1, 1)), Fraction(5, 7))
+@example((DiagForm([1, Fraction(1, 4), Fraction(-5, 4)], NumberFieldDesc(m=5)),
+          (QuadScalar(1, 0, 5), QuadScalar(1, 0, 5), 1)), Fraction(1, 3))
+def test_transvection_of_a_rescaled_vector_matches_field_oracle(case, r):
+    """The vector is cleared apart from the form, v = V/k_v and c = C/k_c: a
+    vector rescaled by r, whose denominators then differ from the
+    coefficients', gives the field-value build's witness entry by entry."""
+    form, v = case
+    v = tuple(r * x for x in v)
     assert _outcome(unipotent_from_isotropic, form, v) == \
         _outcome(oracle_transvection, form, v)
 

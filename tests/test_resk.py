@@ -170,5 +170,9 @@ def test_stabilizer_routes_agree(rnd):
 def test_singular_rejected():
     ring2 = ring_of_integers(NumberFieldDesc(m=2))
     singular = ExactMatrix.from_rows([[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix is singular$"):
         res_stabilizer_check(singular, ring2)
+    # entries outside the ring do not hide the singularity
+    halves = ExactMatrix.from_rows([[Fraction(1, 2), 1], [Fraction(1, 2), 1]])
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        res_stabilizer_check(halves, ring2)
