@@ -11,6 +11,8 @@ All scalars cross the JSON boundary as strings in the exact grammar of
   group     {"kind": "SL", "n": n, "field": {"quad": m | null}}
             {"kind": "SO", "coeffs": [s, ...], "field": {"quad": m | null}}
   scalar    {"field": {"quad": m} | null, "scalar": s}
+
+A field object holds exactly one of the keys "m" and "quad", which mean the same.
 """
 
 from __future__ import annotations
@@ -53,16 +55,17 @@ def _integer(doc, key):
     return value
 
 
-def _field_m(doc, key_variants=("m", "quad")):
-    """Extract the quadratic parameter from a field sub-document."""
+def _field_m(doc):
+    """The quadratic parameter of a field sub-document, which holds exactly
+    one of the keys "m" and "quad"; None for Q."""
     if doc is None:
         return None
     if not isinstance(doc, dict):
         raise DocumentError("field must be an object or null")
-    for key in key_variants:
-        if key in doc:
-            return None if doc[key] is None else _integer(doc, key)
-    raise DocumentError("field object needs one of the keys %r" % (key_variants,))
+    keys = [key for key in ("m", "quad") if key in doc]
+    if len(keys) != 1:
+        raise DocumentError('field object needs exactly one of "m" and "quad"')
+    return None if doc[keys[0]] is None else _integer(doc, keys[0])
 
 
 def lattice_from_doc(doc) -> EuclideanLattice:
@@ -164,7 +167,7 @@ def group_from_doc(doc) -> GroupSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError('group document needs a "kind" key')
     kind = doc["kind"]
-    m = _field_m(doc.get("field"), ("quad", "m"))
+    m = _field_m(doc.get("field"))
     field = NumberFieldDesc(m=m) if m is not None else None
     if kind == "SL":
         if "n" not in doc:
@@ -189,7 +192,7 @@ def scalar_from_doc(doc):
     """Returns (scalar, m or None)."""
     if not isinstance(doc, dict) or "scalar" not in doc:
         raise DocumentError('scalar document needs a "scalar" key')
-    m = _field_m(doc.get("field"), ("quad", "m"))
+    m = _field_m(doc.get("field"))
     try:
         return parse_scalar(doc["scalar"], m), m
     except ValueError as exc:

@@ -237,7 +237,7 @@ def project_orthogonal(lattice: EuclideanLattice, vector) -> EuclideanLattice:
         raise ValueError("vector does not belong to the lattice")
     if all(c == 0 for c in coeffs):
         raise ValueError("cannot project along the zero vector")
-    if _vector_gcd(coeffs) != 1:
+    if gcd(*map(int, coeffs)) != 1:
         raise ValueError("projection direction must be a primitive lattice vector")
     completion = complete_primitive(coeffs)
     vsq = _dot(vector, vector)
@@ -247,13 +247,6 @@ def project_orthogonal(lattice: EuclideanLattice, vector) -> EuclideanLattice:
         t = _dot(y, vector) / vsq
         new_basis.append(tuple(yi - t * vi for yi, vi in zip(y, vector)))
     return EuclideanLattice(new_basis)
-
-
-def _vector_gcd(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(int(c)))
-    return g
 
 
 def _xgcd(a: int, b: int):
@@ -279,7 +272,7 @@ def complete_primitive(coeffs):
     builds the inverse of their product directly.
     """
     n = len(coeffs)
-    if _vector_gcd(coeffs) != 1:
+    if gcd(*map(int, coeffs)) != 1:
         raise ValueError("vector is not primitive")
     v = [int(c) for c in coeffs]
     out = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -20,7 +20,7 @@ from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .matrices import ExactMatrix, fraction_free_adjugate
 from .numfield import NumberFieldDesc, ring_of_integers
 from .rings import IntRing, to_ring
-from .scalars import QuadScalar, conjugate
+from .scalars import QuadScalar, as_fraction, conjugate
 
 
 class DiagForm:
@@ -383,7 +383,7 @@ def _adjoint_gram(g: ExactMatrix):
 
 def _as_field(c, m):
     if m is None:
-        return Fraction(c)
+        return as_fraction(c)
     if isinstance(c, QuadScalar):
         return c
     return QuadScalar(Fraction(c), 0, m)
@@ -492,14 +492,16 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
     Uses the transvection x -> x + b(x,v) w - b(x,w) v - (1/2) b(w,w) b(x,v) v
     for some w orthogonal to v and independent of it, built on ring integers.
     The form holds c = C/k_c cleared of denominators; v is cleared here,
-    v = V/k_v.  With p the first index of V_p != 0 and beta = C_p V_p, each
-    candidate w0 (e_k, then e_k + e_l for k < l) gives w = W/beta with
-    W = beta w0 - b_C(w0, V) e_p, skipped when W is proportional to V.  Then
-    g = G/D with G = X + D*I, D = 2 k_c^2 k_v^2 N(beta)^2 and
-    X_ij = s (C_j V_j W_i - C_j W_j V_i) - t C_j V_j V_i for
-    s = 2 k_c k_v beta conj(beta)^2 and t = b_C(W, W) conj(beta)^2.  G is
-    re-verified (preserves the form, X nilpotent, X != 0) before it is
-    divided by D once.
+    v = V/k_v.  With p the first index of V_p != 0 and beta = C_p V_p, the
+    companion w = W/beta, W = beta e_k - C_k V_k e_p, is b_C-orthogonal to V
+    for every k != p, and proportional to V exactly when supp(V) = {p, k}
+    (isotropy then makes the ratios agree).  So k is the first index outside
+    supp(V) if V has two nonzero coordinates, else the first k != p; n >= 3
+    makes it exist.  Then g = G/D with G = X + D*I, D = 2 k_c^2 k_v^2 N(beta)^2
+    and X_ij = s (C_j V_j W_i - C_j W_j V_i) - t C_j V_j V_i for
+    s = 2 k_c k_v beta conj(beta)^2 and t = b_C(W, W) conj(beta)^2; column p
+    of X, s beta W - (s C_p W_p + t beta) V, is nonzero.  G is re-verified
+    (preserves the form, X nilpotent, X != 0) before it is divided by D once.
     """
     n = form.nvars
     ring, kc, coeffs = form.ring, form.scale, form.ring_coeffs
@@ -517,38 +519,36 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
             "degenerate transvection: binary forms have no nontrivial unipotent"
         )
     # b_C(V, e_p) = beta != 0 because the form is nondegenerate
-    p = next(i for i, x in enumerate(vec) if x)
+    support = [i for i, x in enumerate(vec) if x]
+    p = support[0]
+    skip = support if len(support) == 2 else support[:1]
+    k = next(i for i in range(n) if i not in skip)
     beta = cv[p]
     bar = beta.conjugate()
     bar2 = bar * bar
     norm = beta * beta if ring.m is None else (beta * bar).a    # N(beta), an int
     d = 2 * (kc * kv * norm) ** 2    # an int too: quotient divides once per entry
     s = 2 * kc * kv * beta * bar2
+    w = [ring.zero] * n
+    w[k], w[p] = beta, -cv[k]
+    t = sum(c * x * x for c, x in zip(coeffs, w) if x) * bar2
+    # X_ij = s C_j V_j W_i - (s C_j W_j + t C_j V_j) V_i
     scv = [s * y for y in cv]
-    pairs = itertools.combinations(range(n), 2)
-    for w0 in itertools.chain(((i,) for i in range(n)), pairs):
-        w = [beta if i in w0 else ring.zero for i in range(n)]
-        w[p] = w[p] - sum(cv[i] for i in w0)
-        if all(x * vec[p] == w[p] * y for x, y in zip(w, vec)):
-            continue    # W proportional to V would give X = 0
-        t = sum(c * x * x for c, x in zip(coeffs, w) if x) * bar2
-        # X_ij = s C_j V_j W_i - (s C_j W_j + t C_j V_j) V_i
-        tail = [s * c * x + t * y for c, x, y in zip(coeffs, w, cv)]
-        nil = [a * wi - b * vi for wi, vi in zip(w, vec) for a, b in zip(scv, tail)]
-        if not any(nil):
-            continue
-        g = list(nil)
-        for i in range(0, n * n, n + 1):
-            g[i] = g[i] + d
-        if not _ring_preserves(g, coeffs, d * d):
-            raise AssertionError("transvection fails to preserve the form")
-        if not _ring_nilpotent(nil, n):
-            raise AssertionError("transvection is not unipotent")
-        # callers keep verdicts, and a third of the entries repeat a value
-        # (zeros and ones above all): equal entries share one object
-        shared = {e: ring.quotient(e, d) for e in set(g)}
-        return ExactMatrix(n, n, [shared[e] for e in g])
-    raise ValueError("degenerate transvection: no admissible companion vector")
+    tail = [s * c * x + t * y for c, x, y in zip(coeffs, w, cv)]
+    nil = [a * wi - b * vi for wi, vi in zip(w, vec) for a, b in zip(scv, tail)]
+    if not any(nil):
+        raise AssertionError("transvection is the identity")
+    g = list(nil)
+    for i in range(0, n * n, n + 1):
+        g[i] = g[i] + d
+    if not _ring_preserves(g, coeffs, d * d):
+        raise AssertionError("transvection fails to preserve the form")
+    if not _ring_nilpotent(nil, n):
+        raise AssertionError("transvection is not unipotent")
+    # callers keep verdicts, and a third of the entries repeat a value
+    # (zeros and ones above all): equal entries share one object
+    shared = {e: ring.quotient(e, d) for e in set(g)}
+    return ExactMatrix(n, n, [shared[e] for e in g])
 
 
 # -- the verdict engine ---------------------------------------------------------------

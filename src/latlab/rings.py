@@ -21,7 +21,8 @@ from .scalars import QuadScalar, denominator_lcm, quadratic_field_of, validate_f
 
 
 def _floor_mul_sqrt(b: int, m: int) -> int:
-    """floor(b * sqrt(m)) for squarefree m > 1 (never a perfect square)."""
+    """floor(b * sqrt(m)) for squarefree m > 1, exact: isqrt is exact, and
+    sqrt(m) is irrational, so floor(-|b| sqrt(m)) = -isqrt(b^2 m) - 1."""
     if b == 0:
         return 0
     r = isqrt(b * b * m)
@@ -204,7 +205,9 @@ class QuadIntRing:
         return QuadScalar(Fraction(x.a, d), Fraction(x.b, d), self.m)
 
     def nearest(self, num: QuadInt, den: QuadInt) -> int:
-        """Nearest integer to num/den for den > 0 (ties round up)."""
+        """Nearest integer to num/den for den > 0 (ties round up): with
+        num/den = (p + q*sqrt(m))/r, the floor of (2p + r + 2q*sqrt(m))/(2r),
+        one integer floor division (:meth:`_floor_ratio`)."""
         m = self.m
         # rationalize: num/den = (p + q*sqrt(m)) / r with integer p, q, r > 0
         p = num.a * den.a - num.b * den.b * m
@@ -212,19 +215,14 @@ class QuadIntRing:
         r = den.a * den.a - den.b * den.b * m
         if r < 0:
             p, q, r = -p, -q, -r
-        # nearest = floor((2p + r + 2q*sqrt(m)) / (2r))
         return self._floor_ratio(2 * p + r, 2 * q, 2 * r)
 
     def _floor_ratio(self, p: int, q: int, r: int) -> int:
-        """floor((p + q*sqrt(m))/r) with r > 0, exact."""
-        m = self.m
-        z = (p + _floor_mul_sqrt(q, m)) // r
-        # certify exactly: z*r <= p + q*sqrt(m) < (z+1)*r
-        while _int_le_sqrt((z + 1) * r - p, q, m):
-            z += 1
-        while not _int_le_sqrt(z * r - p, q, m):
-            z -= 1
-        return z
+        """floor((p + q*sqrt(m))/r) with r > 0, exact: it is
+        (p + floor(q*sqrt(m))) // r, since floor(floor(y)/r) = floor(y/r)
+        for every real y and integer r > 0, and :func:`_floor_mul_sqrt` is
+        exactly floor(q*sqrt(m))."""
+        return (p + _floor_mul_sqrt(q, self.m)) // r
 
 
 def to_ring(values, m=None):

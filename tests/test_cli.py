@@ -613,6 +613,28 @@ def test_booleans_and_floats_are_not_integers(write_doc, argv, doc, message):
             (1, "", "error: %s\n" % message)
 
 
+# one call per document kind whose "field" is a field object
+FIELD_DOCS = {
+    "lattice": (["lattice", "covol"], {"dim": 1, "basis": [["1"]]}),
+    "matrix": (["group", "unipotent"], {"matrix": [["1", "1"], ["0", "1"]]}),
+    "group": (["group", "verdict"], {"kind": "SO", "coeffs": ["1", "1", "-1"]}),
+    "scalar": (["resk", "element"], {"scalar": "1+2*sqrt(2)"}),
+}
+
+
+@pytest.mark.parametrize("kind", list(FIELD_DOCS))
+def test_field_object_needs_exactly_one_key(write_doc, kind):
+    """The keys "m" and "quad" mean the same in every document kind, and a
+    field object with both keys or neither exits 1 with one line."""
+    argv, doc = FIELD_DOCS[kind]
+    runs = [run_cli(["--format", "json"] + argv + [write_doc(dict(doc, field={key: 2}))])
+            for key in ("m", "quad")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    for field in ({"quad": 2, "m": 3}, {"m": 2, "quad": 2}, {}):
+        assert run_cli(argv + [write_doc(dict(doc, field=field))]) == \
+            (1, "", 'error: field object needs exactly one of "m" and "quad"\n')
+
+
 @pytest.mark.parametrize("argv, message", [
     (["frobnicate"], "error: argument command: invalid choice: 'frobnicate' "
                      "(choose from 'lattice', 'field', 'group', 'resk', 'arith')\n"),

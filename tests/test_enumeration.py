@@ -161,6 +161,15 @@ def test_quad_floor_helpers_are_exact(rnd):
         # z is certified by z*r <= p + q*sqrt(m) < (z+1)*r, both exact
         assert rings._int_le_sqrt(z * r - p, q, m)
         assert not rings._int_le_sqrt((z + 1) * r - p, q, m)
+    # up to 300 digits each, where one floor division has to be exact too
+    for _ in range(600):
+        m = rnd.choice([2, 3, 5, 7, 13])
+        ring = QuadIntRing(m)
+        p, q, r = (rnd.randint(-10**k, 10**k) for k in rnd.choices(range(1, 301), k=3))
+        r = abs(r) or 1
+        z = ring._floor_ratio(p, q, r)
+        assert rings._int_le_sqrt(z * r - p, q, m)
+        assert not rings._int_le_sqrt((z + 1) * r - p, q, m)
 
 
 # -- integral Gram-Schmidt against the fraction-field oracle ----------------------

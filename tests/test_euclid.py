@@ -17,7 +17,7 @@ from latlab import (
     systole_sq,
 )
 from latlab import _svp
-from latlab.euclid import coefficients_of
+from latlab.euclid import coefficients_of, complete_primitive
 from latlab.matrices import ExactMatrix
 from latlab.scalars import QuadScalar, print_scalar
 
@@ -196,6 +196,15 @@ def test_project_examples():
     lat = EuclideanLattice([[2, 0], [1, 1]])
     proj = project_orthogonal(lat, (1, 1))
     assert covol_sq(proj) == 2
+
+
+def test_complete_primitive_flips_a_negative_unit():
+    """(-1, 0, 0) ends its gcd steps at -1, so the completion flips the sign
+    of its first column; the projection along it keeps covol^2 1."""
+    out = complete_primitive((-1, 0, 0))
+    assert [row[0] for row in out] == [-1, 0, 0]
+    assert ExactMatrix.from_rows(out).det() in (1, -1)
+    assert covol_sq(project_orthogonal(EuclideanLattice.standard(3), (-1, 0, 0))) == 1
 
 
 def test_coefficients_of_recovers_lattice_vectors(rnd):

@@ -44,6 +44,9 @@ from conftest import (
 
 K2 = NumberFieldDesc(m=2)
 SQRT2 = QuadScalar(0, 1, 2)
+K5 = NumberFieldDesc(m=5)
+SQRT5 = QuadScalar(0, 1, 5)
+PHI = QuadScalar(Fraction(1, 2), Fraction(1, 2), 5)
 
 
 def _e(i, j, n):
@@ -910,9 +913,15 @@ def _entries(g):
 @given(_transvection_case())
 @example((DiagForm([Fraction(1, 2), 3, Fraction(-1, 2)]), (Fraction(3, 2), 0, Fraction(3, 2))))
 @example((DiagForm([1, 1, 1, -SQRT2], K2), (0, 0, 0, 0)))
+@example((DiagForm([1, -1, 1]), (1, 1, 0)))
+@example((DiagForm([1, 1, -1]), (0, 1, 1)))
+@example((DiagForm([2, -1, SQRT2], K2), (1, SQRT2, 0)))
+@example((DiagForm([1, SQRT5, -SQRT5, 1], K5), (0, PHI, PHI, 0)))
 def test_transvection_matches_field_oracle(case):
     """The witness equals the field-value build entry by entry, in type and
-    repr; a zero vector raises the same error."""
+    repr; a zero vector raises the same error.  In the examples with two
+    nonzero coordinates the companion's index k skips both: k = 2 for
+    v = (1, 1, 0), and k = 0 for v = (0, 1, 1)."""
     form, v = case
     assert _outcome(unipotent_from_isotropic, form, v) == \
         _outcome(oracle_transvection, form, v)
@@ -987,6 +996,28 @@ def test_transvection_clears_denominators_once(monkeypatch):
         calls.clear()
         assert _entries(unipotent_from_isotropic(form, v)) == before
         assert len(calls) == 1
+
+
+def test_transvection_over_q_reads_rational_quadscalars():
+    """Over Q, rational entries typed in a quadratic field give the witness
+    of their Fractions, and an irrational entry is refused in one line."""
+    form = DiagForm([1, 1, -1])
+    one = QuadScalar(1, 0, 2)
+    assert _entries(unipotent_from_isotropic(form, (one, 0, one))) == \
+        _entries(unipotent_from_isotropic(form, (Fraction(1), 0, Fraction(1))))
+    with pytest.raises(ValueError, match=r"^0\+1\*sqrt\(2\) is not rational$"):
+        unipotent_from_isotropic(form, (SQRT2, 0, SQRT2))
+
+
+def test_form_coefficients_of_another_field():
+    """A rational QuadScalar of another field is read as its Fraction; an
+    irrational one is refused."""
+    form = DiagForm([QuadScalar(3, 0, 5), 1, -1], K2)
+    assert form.coeffs == (Fraction(3), Fraction(1), Fraction(-1))
+    assert all(type(c) is Fraction for c in form.coeffs)
+    with pytest.raises(ValueError, match=r"^coefficient 0\+1\*sqrt\(5\) does not "
+                                         r"live in the declared field$"):
+        DiagForm([SQRT5, 1, -1], K2)
 
 
 def test_transvection_rejects_a_vector_of_another_field():

@@ -146,6 +146,13 @@ def test_field_mixing_rejected():
     assert QuadScalar(2, 0, 2) + QuadScalar(1, 1, 3) == QuadScalar(3, 1, 3)
 
 
+def test_rational_times_scalar_of_another_field():
+    """A rational scalar of Q(sqrt 3) times an irrational one of Q(sqrt 5)
+    is their product in Q(sqrt 5)."""
+    product = QuadScalar(Fraction(2, 3), 0, 3) * QuadScalar(1, 2, 5)
+    assert (product.a, product.b, product.m) == (Fraction(2, 3), Fraction(4, 3), 5)
+
+
 _COORD = st.one_of(st.integers(-20, 20),
                    st.fractions(min_value=-20, max_value=20, max_denominator=6))
 _QUAD = st.builds(QuadScalar, _COORD, st.one_of(st.just(0), _COORD),
