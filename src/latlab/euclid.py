@@ -1,9 +1,12 @@
 """Euclidean lattices with exact Gram data.
 
 A lattice is an ordered basis of vectors with exact scalar entries; its Gram
-matrix is cached at construction.  Covolume and systole are exposed squared
-(those stay in the scalar field); floats only appear in the Hermite margin
-and the reduction-constant bound, both of which involve pi.
+matrix is cached at construction.  The matrix is symmetric, so each entry is
+formed once per pair of basis vectors, n(n+1)/2 exact dot products for rank
+n, and mirrored; the reduction's congruence Y^T G Y is formed the same way.
+Covolume and systole are exposed squared (those stay in the scalar field);
+floats only appear in the Hermite margin and the reduction-constant bound,
+both of which involve pi.
 
 Two background facts carry no operation here but explain the invariants: a
 measurable set whose lattice translates are pairwise disjoint has volume at
@@ -51,8 +54,8 @@ class EuclideanLattice:
         self.basis = tuple(basis)
         self.rank = len(basis)
         self.ambient = ambient
-        self.gram = tuple(
-            tuple(_dot(u, v) for v in self.basis) for u in self.basis
+        self.gram = _symmetric(
+            [[_dot(u, v) for v in basis[:i + 1]] for i, u in enumerate(basis)]
         )
         try:
             self.form = enumeration.IntegralGram(self.gram)
@@ -77,9 +80,15 @@ class EuclideanLattice:
         )
 
     def vector(self, coeffs):
-        """The lattice vector with the given integer coefficients."""
+        """The lattice vector with the given integer coefficients: ints or
+        Fractions with denominator 1, ValueError for anything else."""
         if len(coeffs) != self.rank:
             raise ValueError("coefficient vector has wrong length")
+        for c in coeffs:
+            if not (isinstance(c, int)
+                    or isinstance(c, Fraction) and c.denominator == 1):
+                raise ValueError("lattice coefficients must be integers, got %s"
+                                 % (c,))
         return tuple(
             sum((self.basis[j][i] * coeffs[j] for j in range(self.rank)),
                 start=Fraction(0))
@@ -95,6 +104,14 @@ def _dot(u, v):
     for x, y in zip(u[1:], v[1:]):
         acc = acc + x * y
     return acc
+
+
+def _symmetric(low):
+    """The symmetric matrix, a tuple of rows, whose row i starts with the
+    i + 1 entries of ``low[i]`` (the entries on and below the diagonal)."""
+    n = len(low)
+    return tuple(tuple(low[i][j] if j <= i else low[j][i] for j in range(n))
+                 for i in range(n))
 
 
 class MahlerReport:
@@ -318,8 +335,11 @@ def reduce_bounded(lattice: EuclideanLattice, a, node_budget=None) -> EuclideanL
     projection onto v-perp, then lift each projected basis vector back with
     its component along v size-reduced below ||v||.
     """
-    a = Fraction(a)
-    if not a > 1:
+    try:
+        a = as_fraction(a)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or not a > 1:
         raise ValueError("parameter must be a rational greater than 1")
     if lattice.rank != lattice.ambient:
         raise ValueError("reduction expects a full-rank lattice")
@@ -379,9 +399,13 @@ def _reduce(form, witness, node_budget, pivot=None):
 
 
 def _congruent(gram, y, zero):
-    """Y^T G Y in ring arithmetic for an integer matrix Y (list of rows)."""
+    """Y^T G Y in ring arithmetic for an integer matrix Y (list of rows),
+    as a tuple of rows.  It is symmetric: the entries on and below the
+    diagonal are formed from G Y and mirrored."""
     n = len(gram)
     gy = [[sum((gram[i][k] * y[k][c] for k in range(n) if y[k][c]), start=zero)
            for c in range(n)] for i in range(n)]
-    return [[sum((y[k][r] * gy[k][c] for k in range(n) if y[k][r]), start=zero)
-             for c in range(n)] for r in range(n)]
+    return _symmetric(
+        [[sum((y[k][r] * gy[k][c] for k in range(n) if y[k][r]), start=zero)
+          for c in range(r + 1)] for r in range(n)]
+    )

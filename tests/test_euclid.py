@@ -16,9 +16,10 @@ from latlab import (
     reduction_constant,
     systole_sq,
 )
-from latlab import _svp
+from latlab import _svp, euclid
 from latlab.euclid import coefficients_of, complete_primitive
 from latlab.matrices import ExactMatrix
+from latlab.rings import IntRing, QuadInt, QuadIntRing
 from latlab.scalars import QuadScalar, print_scalar
 
 from conftest import (
@@ -76,10 +77,32 @@ def test_covol_is_gram_determinant(case, seed):
             EuclideanLattice(basis)
         return
     lattice = EuclideanLattice(basis)
+    assert repr(lattice.gram) == repr(tuple(map(tuple, gram)))
     assert covol_sq(lattice) == det
     assert print_scalar(covol_sq(lattice)) == print_scalar(det)
     u = random_unimodular(random.Random(seed), lattice.rank, steps=6, shear=3)
     assert covol_sq(apply_basis_change(lattice, u)) == det
+
+
+def test_gram_takes_one_dot_product_per_pair(rnd, monkeypatch):
+    calls = []
+    original = euclid._dot
+
+    def counting(u, v):
+        calls.append(1)
+        return original(u, v)
+
+    monkeypatch.setattr(euclid, "_dot", counting)
+    cases = [random_integer_basis(rnd, n, -3, 3) for n in range(1, 13)]
+    cases.append([[1, 2, 0, Fraction(1, 3), 5], [0, 1, -1, 2, 0], [3, 0, 1, 1, 1]])
+    for basis in cases:
+        calls.clear()
+        lattice = EuclideanLattice(basis)
+        n = lattice.rank
+        assert len(calls) == n * (n + 1) // 2
+        for i, u in enumerate(lattice.basis):
+            for j, v in enumerate(lattice.basis):
+                assert lattice.gram[i][j] == original(u, v)
 
 
 def test_gso_examples():
@@ -350,6 +373,52 @@ def test_reduce_entries_stay_minors(rnd, monkeypatch):
         assert transform.is_integral() and transform.det() in (1, -1)
     assert widest[7] <= 8 and sorted(widest) == [2, 3, 4, 5, 6, 7]
     assert max(widest.values()) <= 64
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([None, 2, 5]), st.integers(1, 7), st.integers(0, 2**32))
+def test_congruent_matches_triple_loop(m, n, seed):
+    rnd = random.Random(seed)
+    ring = IntRing() if m is None else QuadIntRing(m)
+    if m is None:
+        entry = lambda: rnd.randint(-9, 9)
+    else:
+        entry = lambda: QuadInt(rnd.randint(-9, 9), rnd.randint(-4, 4), m)
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = entry()
+    u = random_unimodular(rnd, n, steps=10, shear=4)
+    y = [[int(u[i, j]) for j in range(n)] for i in range(n)]
+    oracle = [[ring.zero for _ in range(n)] for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            for i in range(n):
+                for k in range(n):
+                    oracle[r][c] = oracle[r][c] + y[i][r] * gram[i][k] * y[k][c]
+    got = [list(row) for row in euclid._congruent(gram, y, ring.zero)]
+    assert got == oracle
+    assert repr(got) == repr(oracle)
+
+
+def test_vector_takes_integer_coefficients():
+    z2 = EuclideanLattice.standard(2)
+    assert z2.vector([3, -1]) == (3, -1)
+    assert z2.vector([Fraction(3), Fraction(-1)]) == (3, -1)
+    with pytest.raises(ValueError, match="must be integers"):
+        z2.vector([Fraction(1, 2), 0])
+    with pytest.raises(ValueError, match="must be integers"):
+        z2.vector([QuadScalar(1, 0, 2), 0])
+
+
+def test_reduce_reads_rational_parameter():
+    skew = EuclideanLattice([[1, 0], [100, 1]])
+    typed = reduce_bounded(skew, QuadScalar(3, 0, 2))
+    assert repr(typed.basis) == repr(reduce_bounded(skew, 3).basis)
+    for bad in (QuadScalar(3, 1, 2), "x", Fraction(1)):
+        with pytest.raises(ValueError) as info:
+            reduce_bounded(skew, bad)
+        assert str(info.value) == "parameter must be a rational greater than 1"
 
 
 def test_reduce_precondition_errors():
