@@ -78,23 +78,31 @@ def lattice_from_doc(doc) -> EuclideanLattice:
         raise DocumentError(str(exc))
 
 
+def _scalar_rows(doc, kind, key, row_name):
+    """(rows, m): the nonempty list of scalar-string rows under doc[key],
+    parsed in the field the document declares."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise DocumentError('%s document needs a "%s" key' % (kind, key))
+    m = _field_m(doc.get("field"))
+    rows = doc[key]
+    if not isinstance(rows, list) or not rows:
+        raise DocumentError("%s must be a nonempty list of %ss" % (key, row_name))
+    parsed = []
+    for row in rows:
+        if not isinstance(row, list):
+            raise DocumentError("each %s %s must be a list of scalar strings"
+                                % (key, row_name))
+        try:
+            parsed.append([parse_scalar(s, m) for s in row])
+        except ValueError as exc:
+            raise DocumentError(str(exc))
+    return parsed, m
+
+
 def basis_from_doc(doc):
     """The basis vectors of a lattice document as lists of scalars, without
     building the lattice."""
-    if not isinstance(doc, dict) or "basis" not in doc:
-        raise DocumentError('lattice document needs a "basis" key')
-    m = _field_m(doc.get("field"))
-    basis = doc["basis"]
-    if not isinstance(basis, list) or not basis:
-        raise DocumentError("basis must be a nonempty list of vectors")
-    vectors = []
-    for vec in basis:
-        if not isinstance(vec, list):
-            raise DocumentError("each basis vector must be a list of scalar strings")
-        try:
-            vectors.append([parse_scalar(s, m) for s in vec])
-        except ValueError as exc:
-            raise DocumentError(str(exc))
+    vectors, _ = _scalar_rows(doc, "lattice", "basis", "vector")
     if "dim" in doc and _integer(doc, "dim") != len(vectors):
         raise DocumentError(
             'declared "dim" %r does not match the %d basis vectors'
@@ -113,20 +121,7 @@ def matrix_from_doc(doc):
     """Returns (ExactMatrix, m or None)."""
     from .matrices import ExactMatrix
 
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise DocumentError('matrix document needs a "matrix" key')
-    m = _field_m(doc.get("field"))
-    rows = doc["matrix"]
-    if not isinstance(rows, list) or not rows:
-        raise DocumentError("matrix must be a nonempty list of rows")
-    parsed = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise DocumentError("each matrix row must be a list of scalar strings")
-        try:
-            parsed.append([parse_scalar(s, m) for s in row])
-        except ValueError as exc:
-            raise DocumentError(str(exc))
+    parsed, m = _scalar_rows(doc, "matrix", "matrix", "row")
     try:
         return ExactMatrix.from_rows(parsed), m
     except (ValueError, TypeError) as exc:

@@ -88,7 +88,7 @@ class GroupSpec:
                  form: DiagForm | None = None,
                  field: NumberFieldDesc | None = None):
         if kind == "SL":
-            if n is None or n < 2:
+            if type(n) is not int or n < 2:
                 raise ValueError("SL needs n >= 2")
             self.kind = "SL"
             self.n = n

@@ -10,7 +10,7 @@ Sturm sequences over Q.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .scalars import QuadScalar, sign, validate_field_param
 
@@ -32,13 +32,17 @@ class NumberFieldDesc:
             self.minpoly = None
             self.degree = 2
         else:
+            for c in minpoly:
+                if not (type(c) is int
+                        or isinstance(c, Fraction) and c.denominator == 1):
+                    raise ValueError("minimal polynomial coefficients must be "
+                                     "integers, got %r" % (c,))
             coeffs = [int(c) for c in minpoly]
             if len(coeffs) < 2:
                 raise ValueError("minimal polynomial must have degree >= 1")
             if coeffs[-1] != 1:
                 raise ValueError("minimal polynomial must be monic")
-            derivative = _poly_deriv([Fraction(c) for c in coeffs])
-            if _poly_gcd_degree(coeffs, derivative) != 0:
+            if len(sturm_chain(coeffs)[-1]) > 1:
                 raise ValueError("minimal polynomial must be squarefree")
             self.m = None
             self.minpoly = tuple(coeffs)
@@ -75,30 +79,23 @@ class IntegerRing:
     def m(self) -> int:
         return self.field.m
 
-    def contains(self, x) -> bool:
-        """Membership of a field element in Z[omega]."""
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x).denominator == 1
-        if not isinstance(x, QuadScalar):
-            return False
-        if x.b != 0 and x.m != self.m:
-            return False
-        a, b = Fraction(x.a), Fraction(x.b)
-        if self.omega_is_half:
-            # x = p + q*omega with omega = (1+sqrt(m))/2: q = 2b, p = a - b
-            return (2 * b).denominator == 1 and (a - b).denominator == 1
-        return a.denominator == 1 and b.denominator == 1
-
     def coordinates(self, x):
         """(p, q) with x = p + q*omega, or None when x is not in the ring."""
-        if not self.contains(x):
-            return None
         if isinstance(x, (int, Fraction)):
-            return int(Fraction(x)), 0
-        a, b = Fraction(x.a), Fraction(x.b)
-        if self.omega_is_half:
-            return int(a - b), int(2 * b)
-        return int(a), int(b)
+            a, b = Fraction(x), Fraction(0)
+        elif isinstance(x, QuadScalar) and (x.b == 0 or x.m == self.m):
+            a, b = Fraction(x.a), Fraction(x.b)
+        else:
+            return None
+        q = b / self.omega.b
+        p = a - q * self.omega.a
+        if p.denominator != 1 or q.denominator != 1:
+            return None
+        return int(p), int(q)
+
+    def contains(self, x) -> bool:
+        """Membership of a field element in Z[omega]."""
+        return self.coordinates(x) is not None
 
     def label(self) -> str:
         if self.omega_is_half:
@@ -109,30 +106,11 @@ class IntegerRing:
         return "IntegerRing(%s)" % self.label()
 
 
-class Signature:
+class Signature(NamedTuple):
     """Counts (r1, r2) of real monomorphisms and complex-conjugate pairs."""
 
-    __slots__ = ("r1", "r2")
-
-    def __init__(self, r1: int, r2: int):
-        self.r1 = r1
-        self.r2 = r2
-
-    def __eq__(self, other):
-        if isinstance(other, Signature):
-            return (self.r1, self.r2) == (other.r1, other.r2)
-        if isinstance(other, tuple):
-            return (self.r1, self.r2) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.r1, self.r2))
-
-    def __iter__(self):
-        return iter((self.r1, self.r2))
-
-    def __repr__(self):
-        return "Signature(r1=%d, r2=%d)" % (self.r1, self.r2)
+    r1: int
+    r2: int
 
 
 def ring_of_integers(field: NumberFieldDesc) -> IntegerRing:
@@ -181,17 +159,9 @@ def _poly_rem(num, den):
     return num
 
 
-def _poly_gcd_degree(p, q) -> int:
-    """Degree of gcd(p, q) over Q."""
-    a = _poly_trim([Fraction(c) for c in p])
-    b = _poly_trim([Fraction(c) for c in q])
-    while b:
-        a, b = b, _poly_rem(a, b)
-    return len(a) - 1
-
-
 def sturm_chain(p):
-    """The Sturm sequence of a squarefree rational polynomial."""
+    """The Sturm sequence of a rational polynomial p.  Its last term is
+    gcd(p, p') up to a unit, so it is constant exactly when p is squarefree."""
     chain = [list(p), _poly_deriv(p)]
     while len(chain[-1]) > 1:
         rem = _poly_rem(chain[-2], chain[-1])

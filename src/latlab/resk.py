@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .matrices import ExactMatrix
 from .numfield import IntegerRing
-from .scalars import QuadScalar
+from .scalars import QuadScalar, validate_field_param
 
 
 class RestrictedMatrix:
@@ -67,19 +67,17 @@ def res_matrix(g: ExactMatrix, m: int | None = None) -> RestrictedMatrix:
                 break
         if m is None:
             raise ValueError("specify m for a matrix with purely rational entries")
+    validate_field_param(m)
     n = g.rows
-    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
             e = g[i, j]
-            if not isinstance(e, QuadScalar):
-                e = QuadScalar(Fraction(e), 0, m)
-            elif e.b != 0 and e.m != m:
+            if isinstance(e, QuadScalar) and e.b != 0 and e.m != m:
                 raise ValueError("matrix entries live in different fields")
-            block = res_element(QuadScalar(e.a, e.b, m))
-            for r in range(2):
-                for c in range(2):
-                    rows[2 * i + r][2 * j + c] = block[r, c]
+            a, b = (e.a, e.b) if isinstance(e, QuadScalar) else (e, 0)
+            rows[2 * i][2 * j:2 * j + 2] = [a, m * b]
+            rows[2 * i + 1][2 * j:2 * j + 2] = [b, a]
     return RestrictedMatrix(n, m, ExactMatrix.from_rows(rows))
 
 
@@ -114,15 +112,10 @@ def res_stabilizer_check(g: ExactMatrix, ring: IntegerRing) -> bool:
 
 def omega_basis_matrix(n: int, ring: IntegerRing) -> ExactMatrix:
     """Block-diagonal change of basis from (1, sqrt(m)) to (1, omega) blocks."""
-    if ring.omega_is_half:
-        block = [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(1, 2)]]
-    else:
-        block = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
-        for r in range(2):
-            for c in range(2):
-                rows[2 * i + r][2 * i + c] = block[r][c]
+        rows[2 * i][2 * i:2 * i + 2] = [1, ring.omega.a]
+        rows[2 * i + 1][2 * i + 1] = ring.omega.b
     return ExactMatrix.from_rows(rows)
 
 

@@ -9,8 +9,10 @@ scan), ExactMatrix-product oracles of the witness verification in
 latlab.groups, the field-value transvection and field square root that
 are the oracles of the witness and the binary verdict built on ring
 integers, and the Fraction Gauss-Jordan eliminations
-that are the oracles of ExactMatrix.det, inv and solve, and the
-two-inclusion stabilizer test that is the oracle of arith.stabilizes."""
+that are the oracles of ExactMatrix.det, inv and solve, the
+two-inclusion stabilizer test that is the oracle of arith.stabilizes, and
+the Euclidean polynomial gcd that is the oracle of the squarefree test
+read off the Sturm chain."""
 
 import itertools
 import random
@@ -925,6 +927,28 @@ def oracle_stabilizes(g, lattice):
         return False
     bwd = b_inv * g.inv() * b
     return bwd.is_integral()
+
+
+def oracle_poly_gcd_degree(p, q) -> int:
+    """Degree of gcd(p, q) over Q for ascending coefficient lists, by the
+    Euclidean algorithm."""
+    def trim(r):
+        while r and r[-1] == 0:
+            r.pop()
+        return r
+
+    a = trim([Fraction(c) for c in p])
+    b = trim([Fraction(c) for c in q])
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            factor = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= factor * c
+            trim(r)         # the leading term is now zero
+        a, b = b, r
+    return len(a) - 1
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -613,6 +613,50 @@ def test_booleans_and_floats_are_not_integers(write_doc, argv, doc, message):
             (1, "", "error: %s\n" % message)
 
 
+_SQRT2_BASIS = {"dim": 2, "field": {"quad": 2}, "basis": [["0+1*sqrt(2)", "0"], ["0", "1"]]}
+_UNIT_BASIS = {"dim": 2, "field": None, "basis": [["1", "0"], ["0", "1"]]}
+_SO_DOC = {"kind": "SO", "coeffs": ["1", "1", "-1"], "field": None}
+
+
+@pytest.mark.parametrize("argv, docs, env, message", [
+    (["lattice", "covol", "D"], [dict(_UNIT_BASIS, dim=3)], None,
+     'declared "dim" 3 does not match the 2 basis vectors'),
+    (["lattice", "covol", "D"], [{"field": None, "basis": ["1"]}], None,
+     "each basis vector must be a list of scalar strings"),
+    (["group", "unipotent", "D"], [{"field": None}], None,
+     'matrix document needs a "matrix" key'),
+    (["group", "unipotent", "D"], [{"field": None, "matrix": ["1"]}], None,
+     "each matrix row must be a list of scalar strings"),
+    (["field", "info", "D"], [{}], None, 'field document needs "quad" or "minpoly"'),
+    (["group", "verdict", "D"], [{"kind": "SL"}], None,
+     'SL group document needs an integer "n"'),
+    (["group", "verdict", "D"], [{"kind": "SO"}], None,
+     'SO group document needs a "coeffs" list'),
+    (["group", "verdict", "D"], [{"kind": "SU", "n": 2}], None, "unknown group kind 'SU'"),
+    (["resk", "element", "D"], [{"field": {"quad": 2}, "scalar": 3}], None,
+     "scalar must be a string, got 3"),
+    (["arith", "index", "D", "D"], [_SQRT2_BASIS, _SQRT2_BASIS], None,
+     "this subcommand needs rational entries (field = null)"),
+    (["lattice", "reduce", "D", "--a", "two"], [_UNIT_BASIS], None,
+     "--a must be a rational number like 2 or 5/2"),
+    (["group", "verdict", "D", "--height", "0"], [_SO_DOC], None,
+     "--height must be positive"),
+    (["arith", "congruence", "D", "--m", "3"],
+     [{"field": {"quad": 2}, "matrix": [["1", "0+1*sqrt(2)"], ["0", "1"]]}], None,
+     "congruence membership needs a rational matrix"),
+    (["lattice", "systole", "D"], [_UNIT_BASIS], "0", "LATLAB_BUDGET must be positive"),
+])
+def test_input_errors_exit_one_with_one_line(write_doc, monkeypatch, argv, docs, env, message):
+    """Each malformed input exits 1 with exactly its one-line message."""
+    monkeypatch.delenv("LATLAB_BUDGET", raising=False)
+    if env is not None:
+        monkeypatch.setenv("LATLAB_BUDGET", env)
+    paths = iter([write_doc(doc) for doc in docs])
+    argv = [next(paths) if a == "D" else a for a in argv]
+    for fmt in ("human", "json"):
+        assert run_cli(["--format", fmt] + argv) == (1, "", "error: %s\n" % message)
+
+
 # one call per document kind whose "field" is a field object
 FIELD_DOCS = {
     "lattice": (["lattice", "covol"], {"dim": 1, "basis": [["1"]]}),

@@ -622,8 +622,9 @@ def test_ring_square_root_matches_the_field_oracle(case):
 
 
 def test_group_spec_validation():
-    with pytest.raises(ValueError):
-        GroupSpec("SL", n=1)
+    for n in (1, 2.5, "3", True, None):
+        with pytest.raises(ValueError, match="SL needs n >= 2"):
+            GroupSpec("SL", n=n)
     with pytest.raises(ValueError):
         GroupSpec("SO")
     with pytest.raises(ValueError):

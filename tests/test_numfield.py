@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import oracle_poly_gcd_degree
 from latlab import covol_sq
 from latlab.numfield import (
     NumberFieldDesc,
+    Signature,
     count_real_roots,
     field_norm,
     field_trace,
@@ -13,6 +15,7 @@ from latlab.numfield import (
     ring_of_integers,
     signature_poly,
     signature_quad,
+    sturm_chain,
 )
 from latlab.scalars import QuadScalar
 
@@ -36,6 +39,67 @@ def test_ring_membership():
     assert r5.coordinates(r5.omega) == (0, 1)
     r2 = ring_of_integers(NumberFieldDesc(m=2))
     assert not r2.contains(QuadScalar(Fraction(1, 2), Fraction(1, 2), 2))
+
+
+def test_coordinates_read_off_omega(rnd):
+    """p + q*omega has coordinates (p, q); (p + q*omega)/k is in the ring
+    exactly when k divides p and q, and otherwise has no coordinates."""
+    for m in (2, 3, 6, 7, -1, -2, 5, 13, 17, -3, -7, -15):
+        ring = ring_of_integers(NumberFieldDesc(m=m))
+        for _ in range(60):
+            p, q, k = rnd.randint(-30, 30), rnd.randint(-30, 30), rnd.randint(1, 4)
+            x = p + q * ring.omega
+            assert ring.coordinates(x) == (p, q) and ring.contains(x)
+            expected = (p // k, q // k) if p % k == 0 and q % k == 0 else None
+            assert ring.coordinates(x / k) == expected
+            assert ring.contains(x / k) is (expected is not None)
+        assert ring.coordinates(Fraction(-4, 2)) == (-2, 0)
+        assert ring.coordinates(Fraction(1, 2)) is None
+        other = 3 if m != 3 else 2
+        assert ring.coordinates(QuadScalar(5, 0, other)) == (5, 0)
+        assert ring.coordinates(QuadScalar(0, 1, other)) is None
+        assert ring.coordinates("1") is None and ring.coordinates(1.0) is None
+
+
+def test_signature_is_a_tuple():
+    sig = Signature(1, 1)
+    assert sig == (1, 1) and hash(sig) == hash((1, 1))
+    assert repr(sig) == "Signature(r1=1, r2=1)"
+    assert list(sig) == [1, 1] and (sig.r1, sig.r2) == (1, 1)
+    assert signature_poly([-2, 0, 0, 1]) == Signature(1, 1)
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_squarefree_verdict_matches_gcd_oracle(rnd):
+    """The last term of the Sturm chain is gcd(p, p') up to a unit, so the
+    minpoly is refused exactly when the Euclidean gcd has positive degree."""
+    verdicts = []
+    for trial in range(600):
+        if trial % 3 == 0:      # p * q^2 is never squarefree
+            q = [rnd.randint(-3, 3) for _ in range(rnd.randint(1, 2))] + [1]
+            p = [rnd.randint(-4, 4) for _ in range(rnd.randint(0, 2))] + [1]
+            poly = _poly_mul(p, _poly_mul(q, q))
+        else:
+            poly = [rnd.randint(-4, 4) for _ in range(rnd.randint(1, 6))] + [1]
+        derivative = [i * c for i, c in enumerate(poly)][1:]
+        gcd_degree = oracle_poly_gcd_degree(poly, derivative)
+        assert len(sturm_chain(poly)[-1]) - 1 == gcd_degree
+        try:
+            NumberFieldDesc(minpoly=poly)
+            squarefree = True
+        except ValueError as exc:
+            assert str(exc) == "minimal polynomial must be squarefree"
+            squarefree = False
+        assert squarefree == (gcd_degree == 0)
+        verdicts.append(squarefree)
+    assert verdicts.count(False) >= 200 and verdicts.count(True) >= 200
 
 
 def test_signature_quad():
@@ -149,5 +213,14 @@ def test_field_descriptor_validation():
         NumberFieldDesc(minpoly=[1, 2])   # not monic
     desc = NumberFieldDesc(minpoly=[-2, 0, 0, 1])
     assert desc.degree == 3 and not desc.is_quadratic
+    exact = NumberFieldDesc(minpoly=[Fraction(-4, 2), 0, 0, Fraction(1)])
+    assert exact.minpoly == (-2, 0, 0, 1) and repr(exact) == repr(desc)
+    assert all(type(c) is int for c in exact.minpoly)
+    for coeffs, bad in (([-2, 0, 0, 1.7], "1.7"), (["3", 0, 1], "'3'"),
+                        ([-2, 0, True], "True"), ([Fraction(1, 2), 0, 1], "Fraction(1, 2)")):
+        with pytest.raises(ValueError) as info:
+            NumberFieldDesc(minpoly=coeffs)
+        assert str(info.value) == \
+            "minimal polynomial coefficients must be integers, got %s" % bad
     with pytest.raises(ValueError):
         ring_of_integers(desc)
