@@ -18,7 +18,7 @@ CONGRUENCE_MAX_N = 16
 class ZLattice:
     """Full-rank Z-lattice in Q^n given by basis columns with rational entries."""
 
-    __slots__ = ("n", "basis")
+    __slots__ = ("n", "basis", "_matrix")
 
     def __init__(self, basis):
         basis = [tuple(Fraction(e) for e in v) for v in basis]
@@ -29,7 +29,9 @@ class ZLattice:
             raise ValueError("basis must be square (full rank)")
         self.n = n
         self.basis = tuple(basis)
-        if self.basis_matrix().det() == 0:
+        self._matrix = ExactMatrix.from_rows(
+            [[basis[j][i] for j in range(n)] for i in range(n)])
+        if self._matrix.det() == 0:
             raise ValueError("basis does not span Q^n")
 
     @classmethod
@@ -37,9 +39,7 @@ class ZLattice:
         return cls([[Fraction(int(i == j)) for i in range(n)] for j in range(n)])
 
     def basis_matrix(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(
-            [[self.basis[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
+        return self._matrix
 
     def scaled(self, c) -> "ZLattice":
         c = Fraction(c)

@@ -80,12 +80,12 @@ class EuclideanLattice:
         )
 
     def vector(self, coeffs):
-        """The lattice vector with the given integer coefficients: ints or
-        Fractions with denominator 1, ValueError for anything else."""
+        """The lattice vector with the given integer coefficients: ints (not
+        bools) or Fractions with denominator 1, ValueError for anything else."""
         if len(coeffs) != self.rank:
             raise ValueError("coefficient vector has wrong length")
         for c in coeffs:
-            if not (isinstance(c, int)
+            if not (isinstance(c, int) and not isinstance(c, bool)
                     or isinstance(c, Fraction) and c.denominator == 1):
                 raise ValueError("lattice coefficients must be integers, got %s"
                                  % (c,))

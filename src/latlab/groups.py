@@ -171,15 +171,24 @@ def is_definite(form: DiagForm, sigma: int = 0) -> bool:
 def preserves_form(g: ExactMatrix, form: DiagForm) -> bool:
     """Exact test transpose(g) * A * g == A for A = diag(coeffs).
 
-    The entries of g and the coefficients are cleared of denominators
-    together into one ring (Z or Z[sqrt(m)]): g = G/D and A = diag(c)/D, and
-    :func:`_ring_preserves` tests D^3 (g^T A g - A) = 0.
+    g = G/D as ``g.cleared()`` gives it and A = diag(C)/k as the form holds
+    it, so :func:`_ring_preserves` tests k D^2 (g^T A g - A) = 0.  ValueError
+    if both hold irrational entries, of different fields.
     """
     n = form.nvars
     if g.rows != n or g.cols != n:
         raise ValueError("matrix size does not match the form")
-    _, scale, values = to_ring(g.data + form.coeffs)
-    return _ring_preserves(values[:n * n], values[n * n:], scale * scale)
+    ring, scale, entries = g.cleared()
+    coeffs = form.ring_coeffs
+    if ring.m is not None and form.ring.m not in (None, ring.m):
+        # a side with no irrational entry is read as ints, whatever its field
+        if not any(e.b for e in entries):
+            entries = [e.a for e in entries]
+        elif not any(c.b for c in coeffs):
+            coeffs = [c.a for c in coeffs]
+        else:
+            raise ValueError("cannot mix Q(sqrt(%d)) and Q(sqrt(%d))" % (ring.m, form.ring.m))
+    return _ring_preserves(entries, coeffs, scale * scale)
 
 
 def _ring_preserves(entries, coeffs, d2) -> bool:
@@ -208,8 +217,7 @@ def is_nilpotent(x: ExactMatrix) -> bool:
     """X^n = 0, cross-checked against the exact trace test tr(X^j) = 0."""
     if not x.is_square:
         raise ValueError("nilpotency is for square matrices")
-    _, _, entries = to_ring(x.data)
-    return _ring_nilpotent(entries, x.rows)
+    return _ring_nilpotent(x.cleared()[2], x.rows)
 
 
 def is_unipotent(g: ExactMatrix) -> bool:
@@ -217,7 +225,8 @@ def is_unipotent(g: ExactMatrix) -> bool:
     if not g.is_square:
         raise ValueError("unipotency is for square matrices")
     n = g.rows
-    _, scale, entries = to_ring(g.data)
+    _, scale, entries = g.cleared()
+    entries = list(entries)     # a copy: the cleared entries are g's own
     for i in range(n):
         entries[i * n + i] -= scale
     return _ring_nilpotent(entries, n)
@@ -353,7 +362,7 @@ def _adjoint_gram(g: ExactMatrix):
     G[a,i] adj[j,b] - [i == j] G[a,n-1] adj[n-1,b]: D^n times g E_ij g^-1.
     """
     n = g.rows
-    ring, scale, entries = to_ring(g.data)
+    ring, scale, entries = g.cleared()
     det, adj = fraction_free_adjugate(entries, n, ring)
     if det != scale ** n:
         raise ValueError("matrix must have determinant 1")
@@ -653,7 +662,7 @@ def _binary_verdict(form: DiagForm) -> Verdict:
     vec = (_as_field(root, m), _as_field(c1, m))
     p, q = _as_field(Fraction(5, 4), m), Fraction(3, 4)
     g = ExactMatrix(2, 2, [p, q * root / c1, -q * root / c2, p])
-    _, d, entries = to_ring(g.data, m)
+    _, d, entries = g.cleared()     # in the form's ring: p is typed in its field
     # g preserves the form exactly when r^2 = -c1 c2: (r, c1) is isotropic
     if not _ring_preserves(entries, form.ring_coeffs, d * d):
         raise AssertionError("split torus element fails to preserve the form")

@@ -3,14 +3,15 @@
 Entries are Fractions or QuadScalars (integers are promoted to Fraction on
 construction so that true division never falls back to floats).  There is one
 elimination, :func:`fraction_free_adjugate`: a Bareiss pass over the ring
-integers Z or Z[sqrt(m)] that never leaves the ring it is given.  ``det``,
-``inv`` and ``solve`` write the matrix as G/D with G over the ring (one
-``rings.to_ring``, which also returns the ring), run that pass once on G,
-and divide once at the end, so exact entries grow only as minors of G do.
-The ring is Z[sqrt(m)] as soon as one entry is a QuadScalar, rational or not,
-so that results are QuadScalars exactly then; the pass itself runs on ints or
-:class:`latlab.rings.QuadInt` elements, which the ring's ``quotient`` and
-``lift`` turn back into field values.
+integers Z or Z[sqrt(m)] that never leaves the ring it is given.
+:meth:`ExactMatrix.cleared` writes a matrix as G/D with G over the ring, by
+one ``rings.to_ring``, and keeps that triple for ``det``, ``inv``, ``solve``,
+``is_integral`` and the ring tests of :mod:`latlab.groups`.  ``det``, ``inv``
+and ``solve`` run the pass once on G and divide once at the end, so exact
+entries grow only as minors of G do.  The ring is Z[sqrt(m)] as soon as one
+entry is a QuadScalar, rational or not, so that results are QuadScalars
+exactly then; the pass runs on ints or :class:`latlab.rings.QuadInt` elements,
+which the ring's ``quotient`` and ``lift`` turn back into field values.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .scalars import QuadScalar, promote_entry, quadratic_field_of
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_cleared")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = [promote_entry(e) for e in entries]
@@ -35,6 +36,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.data = tuple(entries)
+        self._cleared = None
 
     # -- constructors -------------------------------------------------------
 
@@ -170,16 +172,25 @@ class ExactMatrix:
 
     # -- elimination ------------------------------------------------------------
 
+    def cleared(self):
+        """(ring, D, G) with self = G/D, G the row-major tuple of entries over
+        Z or Z[sqrt(m)], m that of the irrational entries, else of the first
+        QuadScalar, else None; ValueError if fields mix.  One ``to_ring`` on
+        first use, kept: data is a tuple, and readers copy G to change it."""
+        if self._cleared is None:
+            m = quadratic_field_of(self.data)
+            if m is None:  # all rational: a QuadScalar entry still sets the field
+                m = next((x.m for x in self.data if isinstance(x, QuadScalar)), None)
+            ring, scale, entries = to_ring(self.data, m)
+            self._cleared = ring, scale, tuple(entries)
+        return self._cleared
+
     def _adjugate(self, what):
-        """(ring, D, det G, adj G) for self = G/D with G over the ring Z or
-        Z[sqrt(m)], by one fraction-free pass; adj G is None when self is
-        singular."""
+        """(ring, D, det G, adj G) for self = G/D as :meth:`cleared` gives
+        it, by one fraction-free pass; adj G is None when self is singular."""
         if not self.is_square:
             raise ValueError("%s needs a square matrix" % what)
-        m = quadratic_field_of(self.data)
-        if m is None:  # all rational: a QuadScalar entry still sets the field
-            m = next((x.m for x in self.data if isinstance(x, QuadScalar)), None)
-        ring, scale, entries = to_ring(self.data, m)
+        ring, scale, entries = self.cleared()
         return (ring, scale) + fraction_free_adjugate(entries, self.rows, ring)
 
     def det(self):
@@ -221,14 +232,9 @@ class ExactMatrix:
                 / lift(det) for i in range(n)]
 
     def is_integral(self) -> bool:
-        """Every entry a rational integer."""
-        for x in self.data:
-            if isinstance(x, QuadScalar):
-                if x.b != 0 or Fraction(x.a).denominator != 1:
-                    return False
-            elif Fraction(x).denominator != 1:
-                return False
-        return True
+        """Every entry a rational integer (D = 1, G rational); ValueError if fields mix."""
+        ring, scale, entries = self.cleared()
+        return scale == 1 and (ring.m is None or not any(e.b for e in entries))
 
     def __repr__(self):
         return "ExactMatrix(%r)" % (self.to_rows(),)

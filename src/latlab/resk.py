@@ -57,14 +57,14 @@ def res_element(x: QuadScalar) -> ExactMatrix:
 
 
 def res_matrix(g: ExactMatrix, m: int | None = None) -> RestrictedMatrix:
-    """Blockwise restriction of an n x n matrix over Q(sqrt(m))."""
+    """Blockwise restriction of an n x n matrix over Q(sqrt(m)), m that of g.cleared() if None."""
     if not g.is_square:
         raise ValueError("restriction needs a square matrix")
     if m is None:
-        for e in g.data:
-            if isinstance(e, QuadScalar):
-                m = e.m
-                break
+        try:
+            m = g.cleared()[0].m
+        except ValueError:
+            raise ValueError("matrix entries live in different fields") from None
         if m is None:
             raise ValueError("specify m for a matrix with purely rational entries")
     validate_field_param(m)

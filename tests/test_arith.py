@@ -14,6 +14,7 @@ from latlab.arith import (
     stabilizes,
     sublattice_index,
 )
+from latlab import matrices
 from latlab.matrices import ExactMatrix
 from latlab.scalars import QuadScalar
 
@@ -116,6 +117,21 @@ def test_sublattice_index_examples():
     assert sublattice_index(ZLattice([[2, 1], [0, 2]]), z2) == 4
     with pytest.raises(ValueError):
         sublattice_index(ZLattice([[Fraction(1, 2), 0], [0, 1]]), z2)
+
+
+def test_sublattice_index_clears_each_basis_once(monkeypatch):
+    """A lattice clears its basis matrix once, when it is built; the index
+    then reuses that matrix and clears only the transition matrix."""
+    calls = []
+    real = matrices.to_ring
+    monkeypatch.setattr(matrices, "to_ring",
+                        lambda values, m=None: calls.append(values) or real(values, m))
+    sub = ZLattice([[2, 1, Fraction(1, 3)], [0, 2, 0], [0, 0, 3]])
+    sup = ZLattice([[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 3)]])
+    assert len(calls) == 2
+    assert sublattice_index(sub, sup) == 36
+    assert calls.count(sub.basis_matrix().data) == calls.count(sup.basis_matrix().data) == 1
+    assert len(calls) == 3
 
 
 def test_index_power_law():

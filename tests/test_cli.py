@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latlab import cli
+from latlab import cli, groups, matrices
 from latlab.matrices import ExactMatrix
 from latlab.scalars import QuadScalar, print_scalar
 
@@ -390,6 +390,17 @@ def test_group_unipotent(write_doc):
     assert code == 0
     payload = loads_strict(out)
     assert payload["unipotent"] is True and payload["nilpotent"] is False
+
+
+def test_group_unipotent_clears_its_matrix_once(write_doc, monkeypatch):
+    """is_unipotent and is_nilpotent read one clearing of the matrix."""
+    calls = []
+    real = matrices.to_ring
+    for module in (matrices, groups):
+        monkeypatch.setattr(module, "to_ring", lambda *args: calls.append(args) or real(*args))
+    doc = write_doc({"field": None, "matrix": [["1", "1/2"], ["0", "1"]]})
+    assert run_cli(["group", "unipotent", doc]) == (0, "unipotent: yes\nnilpotent: no\n", "")
+    assert len(calls) == 1
 
 
 def test_group_adsys(write_doc):

@@ -409,6 +409,10 @@ def test_vector_takes_integer_coefficients():
         z2.vector([Fraction(1, 2), 0])
     with pytest.raises(ValueError, match="must be integers"):
         z2.vector([QuadScalar(1, 0, 2), 0])
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="^lattice coefficients must be integers, got %s$"
+                           % flag):
+            z2.vector([flag, 0])
 
 
 def test_reduce_reads_rational_parameter():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from latlab import groups
+from latlab import groups, matrices
 from latlab.enumeration import IntegralGram, shortest_vector
 from latlab.errors import BudgetExceededError
 from latlab.groups import (
@@ -138,7 +138,9 @@ def test_form_is_cleared_once(monkeypatch):
     expected = [uniformity_verdict(GroupSpec("SO", form=f), 2) for f, _ in cases]
     calls = []
     real = groups.to_ring
-    monkeypatch.setattr(groups, "to_ring", lambda *args: calls.append(args) or real(*args))
+    # a matrix is cleared in ExactMatrix.cleared, so both namespaces count
+    for module in (groups, matrices):
+        monkeypatch.setattr(module, "to_ring", lambda *args: calls.append(args) or real(*args))
     for (f, count), before in zip(cases, expected):
         calls.clear()
         after = uniformity_verdict(GroupSpec("SO", form=f), 2)
@@ -154,6 +156,19 @@ def test_preserves_form_examples():
         [[Fraction(5, 3), Fraction(4, 3)], [Fraction(4, 3), Fraction(5, 3)]])
     assert preserves_form(boost, DiagForm([1, -1]))
     assert not preserves_form(2 * ExactMatrix.identity(2), DiagForm([1, 1]))
+
+
+def test_preserves_form_reads_a_rational_side_as_ints():
+    """g and the form are cleared apart; a side with no irrational entry is
+    read as ints whatever field it is typed in, and two irrational sides of
+    different fields are refused with g's field first."""
+    identity = ExactMatrix.identity(3)
+    form = DiagForm([1, 1, SQRT2], K2)
+    assert preserves_form(QuadScalar(1, 0, 3) * identity, form)
+    with pytest.raises(ValueError, match=r"^cannot mix Q\(sqrt\(3\)\) and Q\(sqrt\(2\)\)$"):
+        preserves_form(QuadScalar(0, 1, 3) * identity, form)
+    for field in (K2, None):
+        assert not preserves_form(QuadScalar(0, 1, 3) * identity, DiagForm([1, 1, 1], field))
 
 
 def test_unipotent_examples():
@@ -990,6 +1005,7 @@ def test_transvection_clears_denominators_once(monkeypatch):
         raise AssertionError("ExactMatrix product or field-value verification called")
 
     monkeypatch.setattr(groups, "to_ring", counted)
+    monkeypatch.setattr(matrices, "to_ring", counted)
     monkeypatch.setattr(ExactMatrix, "__mul__", forbidden)
     monkeypatch.setattr(groups, "preserves_form", forbidden)
     monkeypatch.setattr(groups, "is_unipotent", forbidden)

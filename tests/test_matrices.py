@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latlab.groups import DiagForm, adjoint_systole, is_nilpotent, is_unipotent, preserves_form
 from latlab.matrices import ExactMatrix, fraction_free_adjugate
+from latlab.numfield import NumberFieldDesc
+from latlab.resk import res_matrix
 from latlab.rings import IntRing, QuadInt, QuadIntRing, to_ring
 from latlab.scalars import QuadScalar
 
@@ -229,3 +232,88 @@ def test_imaginary_field_entries():
     a = ExactMatrix.from_rows([[i, 1], [1, 2]])
     assert a.det() == QuadScalar(-1, 2, -1) == oracle_det(a)
     assert a.inv() == oracle_inv(a) and a * a.inv() == ExactMatrix.identity(2)
+
+
+def _slot_case(rnd, m):
+    """Row-major entries of a seeded n x n matrix, n = 1..3, over Q (m None)
+    or Q(sqrt(m)) with denominators; a fifth of the entries are rational
+    QuadScalars typed in Q(sqrt(3)) or Q(sqrt(7)).  Half the matrices are
+    unipotent upper triangular, so of determinant 1."""
+    n = rnd.randint(1, 3)
+
+    def entry():
+        a, roll = Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)), rnd.random()
+        if roll < 0.2:
+            return QuadScalar(a, 0, rnd.choice([3, 7]))
+        if m is None or roll < 0.5:
+            return a
+        return QuadScalar(a, Fraction(rnd.randint(-3, 3), rnd.randint(1, 2)), m)
+
+    unipotent = rnd.random() < 0.5
+    return [Fraction(i == j) if unipotent and j <= i else entry()
+            for i in range(n) for j in range(n)], n
+
+
+def _slot_readers(n):
+    size = max(n, 2)
+    over_q = DiagForm([1, -1, 2][:size])
+    over_k2 = DiagForm([1, QuadScalar(0, 1, 2), 1][:size], NumberFieldDesc(m=2))
+    return {
+        "det": ExactMatrix.det,
+        "inv": ExactMatrix.inv,
+        "solve": lambda g: g.solve(list(range(1, n + 1))),
+        "is_integral": ExactMatrix.is_integral,
+        "is_unipotent": is_unipotent,
+        "is_nilpotent": is_nilpotent,
+        "preserves_form": lambda g: preserves_form(g, over_q),
+        "preserves_form_k2": lambda g: preserves_form(g, over_k2),
+        "adjoint_systole": lambda g: adjoint_systole(g, 1),
+        "res_matrix": lambda g: res_matrix(g).matrix,
+    }
+
+
+def _read(reader, g):
+    try:
+        return repr(reader(g))
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def _rule_m(data):
+    """The m of the irrational entries, else of the first QuadScalar."""
+    irrational = {x.m for x in data if isinstance(x, QuadScalar) and x.b}
+    if irrational:
+        (m,) = irrational
+        return m
+    return next((x.m for x in data if isinstance(x, QuadScalar)), None)
+
+
+def test_cleared_slot_reads_the_same_in_any_order(rnd):
+    """Every reader of the cleared slot gives, in any order of calls on one
+    matrix (is_unipotent first in some), what it gives on a fresh matrix,
+    and the slot still holds to_ring(data, m) for the rule's m at the end."""
+    for m in (None, 2, 5, -1):
+        for _ in range(12):
+            data, n = _slot_case(rnd, m)
+            readers = _slot_readers(n)
+            fresh = {name: _read(f, ExactMatrix(n, n, data)) for name, f in readers.items()}
+            for run in range(3):
+                names = sorted(readers, key=lambda _: rnd.random())
+                if run == 0:
+                    names.remove("is_unipotent")
+                    names.insert(0, "is_unipotent")
+                g = ExactMatrix(n, n, data)
+                for name in names:
+                    assert _read(readers[name], g) == fresh[name], (name, names)
+                ring, scale, entries = g.cleared()
+                want_ring, want_scale, want = to_ring(data, _rule_m(data))
+                assert type(entries) is tuple
+                assert (ring.m, scale, repr(entries)) == \
+                    (want_ring.m, want_scale, repr(tuple(want)))
+
+
+def test_mixed_fields_are_refused_by_the_slot():
+    mixed = ExactMatrix(1, 2, [QuadScalar(0, 1, 3), QuadScalar(0, 1, 2)])
+    for reader in (mixed.cleared, mixed.is_integral):
+        with pytest.raises(ValueError, match=r"^cannot mix Q\(sqrt\(3\)\) and Q\(sqrt\(2\)\)$"):
+            reader()

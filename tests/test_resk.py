@@ -51,6 +51,21 @@ def test_res_matrix_unipotent_block():
     assert res_matrix(ExactMatrix.identity(3), m=2).matrix.is_identity()
 
 
+def test_res_matrix_takes_the_field_of_the_cleared_matrix():
+    """m None restricts over the field of the irrational entries, even when
+    a rational entry is typed in another field; two irrational fields and an
+    all-Fraction matrix are refused."""
+    g = ExactMatrix(2, 2, [QuadScalar(3, 0, 3), QuadScalar(0, 1, 2), 0, 1])
+    restricted = res_matrix(g)
+    assert restricted.m == 2
+    assert restricted.matrix == res_matrix(g, 2).matrix
+    assert restricted.matrix.to_rows()[:2] == [[3, 0, 0, 2], [0, 3, 1, 0]]
+    with pytest.raises(ValueError, match="^matrix entries live in different fields$"):
+        res_matrix(ExactMatrix(2, 2, [QuadScalar(0, 1, 3), QuadScalar(0, 1, 2), 0, 1]))
+    with pytest.raises(ValueError, match="^specify m for a matrix with purely rational entries$"):
+        res_matrix(ExactMatrix(2, 2, [Fraction(1, 2), 0, 0, 1]))
+
+
 def test_res_matrix_block_shape_validated():
     bad = ExactMatrix.from_rows([[1, 0], [0, 2]])
     with pytest.raises(ValueError):
