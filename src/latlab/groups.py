@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from fractions import Fraction
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .matrices import ExactMatrix, fraction_free_adjugate
-from .numfield import NumberFieldDesc, ring_of_integers
 from .rings import IntRing, to_ring
 from .scalars import QuadScalar, as_fraction, conjugate
+
+if TYPE_CHECKING:
+    from .numfield import NumberFieldDesc
 
 
 class DiagForm:
@@ -123,7 +127,8 @@ class Verdict:
     def __init__(self, status, reason, criterion, witness=None,
                  isotropic_vector=None, conjugate_name=None, search_bound=None):
         self.status = status
-        self.reason = reason
+        # verdicts of one kind share their reason text: keep one copy of it
+        self.reason = sys.intern(reason)
         self.criterion = criterion
         self.witness = witness
         self.isotropic_vector = isotropic_vector
@@ -398,23 +403,39 @@ def _as_field(c, m):
     return QuadScalar(Fraction(c), 0, m)
 
 
+def _packed(tables):
+    """The n tables of pairs (A, B), each pair as the int A*K + B with
+    K = 2*n*max|B| + 1.  The map is linear, and injective on the pairs with
+    |B| <= n*max|B| < K/2: every sum of at most n table values, or its
+    negative (see :func:`isotropic_search`)."""
+    base = 2 * len(tables) * max(abs(b) for row in tables for _, b in row) + 1
+    return [[a * base + b for a, b in row] for row in tables]
+
+
 def isotropic_search(form: DiagForm, height: int, node_budget=None):
     """A nonzero zero of the form with integer-ring coordinates of height <=
     ``height``, or None.
 
     Each ring element x = p + q*omega of the height box (q = 0 over Q) is
     written (u + w*sqrt(m))/2, so that for a coefficient c = e + f*sqrt(m)
-    cleared of denominators 4*c*x^2 is the integer pair
-    (e*s + f*t*m, e*t + f*s) with s = u^2 + w^2*m and t = 2*u*w.  A root
-    table maps every value 4*c_0*x_0^2 over the box to its root x_0; the
-    (n-1)-fold box of the other coordinates is scanned in lexicographic
+    cleared of denominators 4*c*x^2 = A + B*sqrt(m) with A = e*s + f*t*m,
+    B = e*t + f*s, s = u^2 + w^2*m and t = 2*u*w.  Each such value is kept
+    as the one integer key A*K + B, with K = 2*n*max|B| + 1 over the n tables
+    (K = 1 over Q, where B = 0).  The key is linear, so a sum of values is
+    the sum of their keys; and every sum of at most n table values, or its
+    negative, has |B| < K/2, so two distinct pairs in that range never share
+    a key: A*K + B = A'*K + B' gives (A - A')*K = B' - B with |B' - B| < K.
+
+    A root table maps every key of 4*c_0*x_0^2 over the box to its root x_0;
+    the (n-1)-fold box of the other coordinates is scanned in lexicographic
     height order (0, 1, -1, 2, -2, ...), and the first point whose negated
     sum is in the table gives the zero.  The sum over the first n-2 of these
     coordinates is taken once per prefix, and each value of the last one
-    then costs one table lookup.  Of the roots +-x_0 the table keeps the
-    first in height order, the one with p > 0, or p = 0 and q >= 0.  The zero
-    found is checked again, sum_k C_k X_k^2 = 0, in ring arithmetic on the
-    returned vector cleared of denominators, not on the tables.
+    then costs one int subtraction and one table lookup.  Of the roots +-x_0
+    the table keeps the first in height order, the one with p > 0, or p = 0
+    and q >= 0.  The zero found is checked again, sum_k C_k X_k^2 = 0, in
+    ring arithmetic on the returned vector cleared of denominators, not on
+    the tables.
 
     Raises BudgetExceededError with ``nodes`` 0, before any table is built,
     when one coordinate's box has more than ``node_budget`` points
@@ -449,6 +470,8 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
         box = [(p, 0) for p in order]
         sqm, half, omega = 0, False, 0
     else:
+        from .numfield import ring_of_integers
+
         ring = ring_of_integers(form.field)
         box = [(p, q) for p in order for q in order]
         sqm, half, omega = m, ring.omega_is_half, ring.omega
@@ -459,28 +482,24 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
                             for p, q in box)]
     coeffs = form.ring_coeffs
     pairs = [(c, 0) if m is None else (c.a, c.b) for c in coeffs]
-    e0, f0 = pairs[0]
+    tables = _packed([[(e * s + f * t * sqm, e * t + f * s) for s, t in squares]
+                      for e, f in pairs])
     roots = {}
-    for k, (s, t) in enumerate(squares):
-        roots.setdefault((e0 * s + f0 * t * sqm, e0 * t + f0 * s), k)
-    rows = [[(e * s + f * t * sqm, e * t + f * s) for s, t in squares]
-            for e, f in pairs[1:]]
-    lead, last = rows[:-1], rows[-1]
+    for k, key in enumerate(tables[0]):
+        roots.setdefault(key, k)
+    get = roots.get
+    lead, last = tables[1:-1], tables[-1]
     # the first ``budget`` points of the scan: ``full`` whole rows of the last
     # coordinate, then the first ``rest`` points of one more
     full, rest = divmod(budget, width)
     prefixes = itertools.product(range(width), repeat=len(lead))
     for count, prefix in enumerate(itertools.islice(prefixes, full + (rest > 0))):
-        a = b = 0
-        for row, k in zip(lead, prefix):
-            ta, tb = row[k]
-            a -= ta
-            b -= tb
+        a = -sum(map(list.__getitem__, lead, prefix))
         # the all-zero point, whose only root is 0, is counted and skipped
         start = 0 if count else 1
         stop = width if count < full else rest
-        for j, (ta, tb) in enumerate(itertools.islice(last, start, stop), start):
-            root = roots.get((a - ta, b - tb))
+        for j, t in enumerate(itertools.islice(last, start, stop), start):
+            root = get(a - t)
             if root is not None:
                 vec = tuple(_as_field(p, m) + q * omega
                             for p, q in (box[k] for k in (root,) + prefix + (j,)))
@@ -488,7 +507,7 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
                 if sum(c * x * x for c, x in zip(coeffs, xs)) != 0:
                     raise AssertionError("isotropic candidate does not vanish")
                 return vec
-    if width ** len(rows) > budget:
+    if width ** (len(tables) - 1) > budget:
         raise BudgetExceededError(
             "isotropic search exceeded the budget of %d points" % budget,
             budget=budget, nodes=budget)

@@ -778,6 +778,37 @@ def _random_form(draw, fields):
     return DiagForm([draw(_nonzero(m, False)) for _ in range(n)], _field_desc(m))
 
 
+def _large_irrational(m):
+    """Nonzero coefficients whose irrational part (over Q, the number itself)
+    has up to 50 digits, some at +-10^50, over denominators up to 12."""
+    big = st.one_of(st.integers(-10**50, 10**50),
+                    st.sampled_from([10**50, -10**50, 10**50 - 1]))
+    den = st.integers(1, 12)
+    if m is None:
+        scalar = st.builds(Fraction, big, den)
+    else:
+        scalar = st.builds(lambda a, b, d: QuadScalar(Fraction(a, d), Fraction(b, d), m),
+                           st.integers(-6, 6), big, den)
+    return scalar.filter(lambda x: x != 0)
+
+
+@st.composite
+def _large_irrational_form(draw):
+    """A form over Q, Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) or Q(sqrt 13) with
+    n = 3..5 coefficients of large irrational part: random, or built around
+    a small ring vector, so that the scan finds a zero."""
+    m = draw(st.sampled_from(SEARCH_FIELDS))
+    n = draw(st.integers(3, 5))
+    d = [draw(_large_irrational(m)) for _ in range(n - 1)]
+    if draw(st.booleans()):
+        return DiagForm(d + [draw(_large_irrational(m))], _field_desc(m))
+    v = [draw(_ring_integer(m)) for _ in range(n - 1)]
+    v.append(draw(_ring_integer(m).filter(lambda x: x != 0)))
+    rest = sum((di * vi * vi for di, vi in zip(d, v)), Fraction(0))
+    assume(rest != 0)
+    return DiagForm(d + [-rest / (v[-1] * v[-1])], _field_desc(m))
+
+
 def _assert_search_matches_oracle(form, height):
     found = isotropic_search(form, height)
     expected = oracle_isotropic_search(form, height)
@@ -788,14 +819,17 @@ def _assert_search_matches_oracle(form, height):
     return found
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.one_of(_random_form(SEARCH_FIELDS),
                  _isotropic_form(SEARCH_FIELDS, st.integers(2, 5), _ring_integer)
-                 .map(lambda form_and_vector: form_and_vector[0])),
+                 .map(lambda form_and_vector: form_and_vector[0]),
+                 _large_irrational_form()),
        st.integers(1, 3))
 def test_isotropic_search_matches_oracle(form, height):
-    """Random forms with denominators, and forms built around a small ring
-    vector, over Q, Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) and Q(sqrt 13)."""
+    """Random forms with denominators, forms built around a small ring
+    vector, and forms with 50-digit irrational parts (sums of B near K/2 in
+    the packed keys A*K + B), over Q, Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) and
+    Q(sqrt 13)."""
     if form.field is not None:
         height = min(height, QUADRATIC_HEIGHT[form.nvars])
     _assert_search_matches_oracle(form, height)
@@ -812,10 +846,11 @@ def _search_outcome(search, form, height, budget):
     return "found", [(type(x), repr(x)) for x in found]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(st.one_of(_random_form(SEARCH_FIELDS),
                  _isotropic_form(SEARCH_FIELDS, st.integers(2, 5), _ring_integer)
-                 .map(lambda form_and_vector: form_and_vector[0])),
+                 .map(lambda form_and_vector: form_and_vector[0]),
+                 _large_irrational_form()),
        st.integers(1, 3), st.data())
 def test_isotropic_search_budget_edges_match_scan(form, height, data):
     """Budgets at and around one coordinate's box and the whole (n-1)-fold
@@ -837,6 +872,33 @@ def test_isotropic_search_budget_edges_match_scan(form, height, data):
         assert found.nodes == (0 if width > budget else budget)
     else:
         assert found == expected[1]
+
+
+_PAIR_PART = st.one_of(st.integers(-3, 3), st.integers(-10**50, 10**50),
+                       st.sampled_from([10**50, -10**50]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(_PAIR_PART, _PAIR_PART), min_size=1, max_size=3),
+                min_size=2, max_size=5))
+@example([[(0, 1), (1, -1)], [(0, 1), (0, -1)]])   # K = 4*max|B| would collide
+@example([[(0, 10**50)] * 3] * 5)                   # |B| of a sum reaches n*max|B|
+def test_packed_keys_are_injective_on_reachable_sums(tables):
+    """Every signed sum of at most n table values, one per table, keeps its
+    own key: distinct pairs (A, B) in that range never share A*K + B, and
+    the key of a sum is the sum of the keys."""
+    packed = groups._packed(tables)
+    assert [len(row) for row in packed] == [len(row) for row in tables]
+    reach = {(0, 0): 0}
+    for row, keys in zip(tables, packed):
+        step = dict(reach)
+        for (a, b), key in reach.items():
+            for (ta, tb), tk in zip(row, keys):
+                for sign in (1, -1):
+                    pair = (a + sign * ta, b + sign * tb)
+                    assert step.setdefault(pair, key + sign * tk) == key + sign * tk
+        reach = step
+    assert len(set(reach.values())) == len(reach)
 
 
 @pytest.mark.parametrize("m", SEARCH_FIELDS)
