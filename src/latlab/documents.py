@@ -21,7 +21,7 @@ import json
 from typing import TYPE_CHECKING
 
 from .errors import DocumentError
-from .scalars import parse_scalar, print_scalar
+from .scalars import digit_limit, parse_scalar, print_scalar
 
 if TYPE_CHECKING:
     from .euclid import EuclideanLattice
@@ -45,6 +45,8 @@ def load_json(path: str):
             "malformed JSON in %s at line %d column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         )
+    except ValueError:          # json reads an integer through int()
+        raise DocumentError(digit_limit("an integer in %s" % path))
 
 
 def _integer(doc, key):
@@ -157,13 +159,15 @@ def numberfield_from_doc(doc) -> NumberFieldDesc:
 
 def group_from_doc(doc) -> GroupSpec:
     from .groups import DiagForm, GroupSpec
-    from .numfield import NumberFieldDesc
 
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError('group document needs a "kind" key')
     kind = doc["kind"]
     m = _field_m(doc.get("field"))
-    field = NumberFieldDesc(m=m) if m is not None else None
+    field = None
+    if m is not None:           # over Q the CLI child does not load numfield
+        from .numfield import NumberFieldDesc
+        field = NumberFieldDesc(m=m)
     if kind == "SL":
         if "n" not in doc:
             raise DocumentError('SL group document needs an integer "n"')

@@ -7,48 +7,30 @@ landed in, :class:`IntRing` or :class:`QuadIntRing`, whose ``exact_div``,
 ring again.  Over Z the elements are Python ints.  Over Z[sqrt(m)] they are
 :class:`QuadInt`: two ints and the ring's m, with none of the field
 validation and ``Fraction`` coercion a QuadScalar performs on every result.
-A QuadInt never leaves this layer: ``quotient`` (and ``lift``) turn it back
-into a QuadScalar, and it neither equals nor combines with one.
+Its sign, order, ``==``, ``hash`` and conjugation are those of the base it
+shares with QuadScalar, ``scalars._Quad``; only its comparison reads the int
+difference inline.  A QuadInt never leaves this layer: ``quotient`` (and
+``lift``) turn it back into a QuadScalar, and it neither equals nor combines
+with one.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import isqrt
 
-from .scalars import QuadScalar, denominator_lcm, quadratic_field_of, validate_field_param
-
-
-def _floor_mul_sqrt(b: int, m: int) -> int:
-    """floor(b * sqrt(m)) for squarefree m > 1, exact: isqrt is exact, and
-    sqrt(m) is irrational, so floor(-|b| sqrt(m)) = -isqrt(b^2 m) - 1."""
-    if b == 0:
-        return 0
-    r = isqrt(b * b * m)
-    return r if b > 0 else -r - 1
+from .scalars import (_NO_ORDER, QuadScalar, _floor_mul_sqrt, _int_le_sqrt, _Quad,
+                      denominator_lcm, quadratic_field_of, validate_field_param)
 
 
-def _int_le_sqrt(u: int, b: int, m: int) -> bool:
-    """Exact test u <= b*sqrt(m); equality cannot occur for b != 0."""
-    if b == 0:
-        return u <= 0
-    if b > 0:
-        return u <= 0 or u * u < b * b * m
-    return u < 0 and u * u > b * b * m
-
-
-class QuadInt:
+class QuadInt(_Quad):
     """An element a + b*sqrt(m) of Z[sqrt(m)]: int coordinates, and the m of
     its ring.  It adds, subtracts and multiplies with ints and with elements
     of its own ring (elements of two rings are never mixed here, and are not
-    checked for it).  The order is that of the positive-root embedding,
-    decided exactly on integers by :func:`_int_le_sqrt`; like
-    ``QuadScalar.sign`` it raises ValueError for an irrational element of an
-    imaginary field.  ``==`` and ``hash`` agree with those of the QuadScalar
-    of the same coordinates, but the two types never compare equal."""
+    checked for it); the rest is the base it shares with QuadScalar."""
 
-    __slots__ = ("a", "b", "m")
+    __slots__ = ()
+    _RATIONALS = (int,)
 
     def __init__(self, a: int, b: int, m: int):
         self.a = a
@@ -76,9 +58,6 @@ class QuadInt:
             return QuadInt(other - self.a, -self.b, self.m)
         return NotImplemented
 
-    def __neg__(self):
-        return QuadInt(-self.a, -self.b, self.m)
-
     def __mul__(self, other):
         if type(other) is QuadInt:
             a, b, oa, ob = self.a, self.b, other.a, other.b
@@ -89,14 +68,10 @@ class QuadInt:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadInt":
-        """Image under sqrt(m) -> -sqrt(m)."""
-        return QuadInt(self.a, -self.b, self.m)
-
-    # -- ordering ------------------------------------------------------------
-
     def _cmp(self, other):
-        """The sign of self - other, or NotImplemented."""
+        """The sign of self - other, or NotImplemented.  It reads the int
+        difference inline and builds no element: the search over Z[sqrt(m)]
+        compares at every node."""
         if type(other) is QuadInt:
             a, b = self.a - other.a, self.b - other.b
         elif type(other) is int:
@@ -106,46 +81,9 @@ class QuadInt:
         if not b:
             return (a > 0) - (a < 0)
         if self.m < 0:
-            raise ValueError("ordering undefined in the imaginary field Q(sqrt(%d))"
-                             % self.m)
+            raise ValueError(_NO_ORDER % self.m)
         # a + b*sqrt(m) > 0 iff -a <= b*sqrt(m), never equal for b != 0
         return 1 if _int_le_sqrt(-a, b, self.m) else -1
-
-    def sign(self) -> int:
-        """Exact sign at the positive-root embedding."""
-        return self._cmp(0)
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c >= 0
-
-    def __eq__(self, other):
-        if type(other) is QuadInt:
-            return (self.a == other.a and self.b == other.b
-                    and (not self.b or self.m == other.m))
-        if type(other) is int:
-            return not self.b and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
-
-    def __bool__(self):
-        return bool(self.a or self.b)
 
     def __repr__(self):
         return "QuadInt(%d, %d, %d)" % (self.a, self.b, self.m)

@@ -4,8 +4,11 @@ Rationals are plain ``fractions.Fraction``.  An element of Q(sqrt(m)) is a
 :class:`QuadScalar` ``a + b*sqrt(m)`` with rational ``a``, ``b`` and a fixed
 squarefree ``m``.  For ``m > 0`` the designated real embedding sends
 ``sqrt(m)`` to the positive root, which makes the sign of every element
-exactly decidable; all comparisons below go through that sign computation and
-never touch floating point.
+exactly decidable.  QuadScalar and the ring element ``rings.QuadInt`` share
+one base, :class:`_Quad`, whose one sign rule clears the positive
+denominators of a and b and decides on integers (:func:`_int_le_sqrt`); it
+also holds their order, ``==``, ``hash`` and conjugation, and nothing here
+touches floating point.
 
 Exact integer work runs on the ring integers Z or Z[sqrt(m)] of these
 fields, in :mod:`latlab.rings`; :func:`denominator_lcm` and
@@ -15,9 +18,10 @@ fields, in :mod:`latlab.rings`; :func:`denominator_lcm` and
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 Rational = Fraction
 
@@ -60,18 +64,99 @@ def validate_field_param(m: int) -> int:
     return m
 
 
-def _sign_of_rational(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _floor_mul_sqrt(b: int, m: int) -> int:
+    """floor(b * sqrt(m)) for squarefree m > 1, exact: isqrt is exact, and
+    sqrt(m) is irrational, so floor(-|b| sqrt(m)) = -isqrt(b^2 m) - 1."""
+    if b == 0:
+        return 0
+    r = isqrt(b * b * m)
+    return r if b > 0 else -r - 1
 
 
-class QuadScalar:
-    """An exact element a + b*sqrt(m) of the quadratic field Q(sqrt(m))."""
+def _int_le_sqrt(u: int, b: int, m: int) -> bool:
+    """Exact test u <= b*sqrt(m); equality cannot occur for b != 0."""
+    if b == 0:
+        return u <= 0
+    if b > 0:
+        return u <= 0 or u * u < b * b * m
+    return u < 0 and u * u > b * b * m
+
+
+_NO_ORDER = "ordering undefined in the imaginary field Q(sqrt(%d))"
+
+
+class _Quad:
+    """a + b*sqrt(m) with rational a, b: what :class:`QuadScalar` and
+    :class:`latlab.rings.QuadInt` share.  The order is that of the real
+    embedding sqrt(m) > 0, decided on integers by one rule, :meth:`sign`;
+    the order operators read a ``_cmp`` hook, the sign of self - other.
+    ``_RATIONALS`` are the rational types a subclass equals; values of two
+    subclasses never compare equal."""
 
     __slots__ = ("a", "b", "m")
+
+    def sign(self) -> int:
+        """Exact sign at the designated real embedding (m > 0 or rational):
+        that of the ints u + v*sqrt(m) got by clearing the positive
+        denominators of a and b."""
+        a, b = self.a, self.b
+        if not b:
+            return (a > 0) - (a < 0)
+        if self.m < 0:
+            raise ValueError(_NO_ORDER % self.m)
+        u = a.numerator * b.denominator
+        return 1 if _int_le_sqrt(-u, b.numerator * a.denominator, self.m) else -1
+
+    def _cmp(self, other):
+        """The sign of self - other."""
+        return (self - other).sign()
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self.a == other.a and self.b == other.b
+                    and (not self.b or self.m == other.m))
+        if isinstance(other, self._RATIONALS):
+            return not self.b and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        # an int and a Fraction of equal value hash alike
+        if not self.b:
+            return hash(self.a)
+        return hash((self.a, self.b, self.m))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __neg__(self):
+        return type(self)(-self.a, -self.b, self.m)
+
+    def conjugate(self):
+        """Image under the nontrivial field automorphism sqrt(m) -> -sqrt(m)."""
+        return type(self)(self.a, -self.b, self.m)
+
+
+class QuadScalar(_Quad):
+    """An exact element a + b*sqrt(m) of the quadratic field Q(sqrt(m))."""
+
+    __slots__ = ()
+    _RATIONALS = (int, Fraction)
 
     def __init__(self, a=0, b=0, m=None):
         if m is None:
@@ -85,67 +170,54 @@ class QuadScalar:
         self.b = b
         self.m = m
 
-    # -- field bookkeeping ------------------------------------------------
-
-    def _pair_of(self, other):
-        """Coerce other into (a, b) coordinates of this field, or None."""
-        if isinstance(other, QuadScalar):
-            if other.m == self.m or other.b == 0:
-                return other.a, other.b
-            if self.b == 0:
-                # self is rational: adopt the other field
-                return None  # handled by caller via reflected op
-            raise ValueError(
-                "cannot mix Q(sqrt(%d)) and Q(sqrt(%d))" % (self.m, other.m)
-            )
-        if isinstance(other, (int, Fraction)):
-            return other, 0
-        return None
-
     # -- ring operations ---------------------------------------------------
 
+    def _operand(self, other):
+        """(a, b, m): the coordinates of other and the field of the result,
+        or None for a value that is not an exact scalar.  A rational joins
+        the field of the other operand; two irrational operands of two
+        fields raise ValueError.  A rational self that joins other's field
+        adds no zero b, so the result keeps the types of other's coordinates."""
+        if isinstance(other, QuadScalar):
+            if other.m == self.m or not other.b:
+                return other.a, other.b, self.m
+            if self.b:
+                raise ValueError(
+                    "cannot mix Q(sqrt(%d)) and Q(sqrt(%d))" % (self.m, other.m))
+            return other.a, other.b, other.m
+        if isinstance(other, (int, Fraction)):
+            return other, 0, self.m
+        return None
+
     def __add__(self, other):
-        pair = self._pair_of(other)
-        if pair is None:
-            if isinstance(other, QuadScalar) and self.b == 0:
-                return QuadScalar(self.a + other.a, other.b, other.m)
+        op = self._operand(other)
+        if op is None:
             return NotImplemented
-        return QuadScalar(self.a + pair[0], self.b + pair[1], self.m)
+        a, b, m = op
+        return QuadScalar(self.a + a, self.b + b if m == self.m else b, m)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.m)
-
     def __sub__(self, other):
-        pair = self._pair_of(other)
-        if pair is None:
-            if isinstance(other, QuadScalar) and self.b == 0:
-                return QuadScalar(self.a - other.a, -other.b, other.m)
+        op = self._operand(other)
+        if op is None:
             return NotImplemented
-        return QuadScalar(self.a - pair[0], self.b - pair[1], self.m)
+        a, b, m = op
+        return QuadScalar(self.a - a, self.b - b if m == self.m else -b, m)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        pair = self._pair_of(other)
-        if pair is None:
-            if isinstance(other, QuadScalar) and self.b == 0:
-                return QuadScalar(self.a * other.a, self.a * other.b, other.m)
+        op = self._operand(other)
+        if op is None:
             return NotImplemented
-        oa, ob = pair
-        return QuadScalar(
-            self.a * oa + self.b * ob * self.m,
-            self.a * ob + self.b * oa,
-            self.m,
-        )
+        a, b, m = op
+        if m != self.m:
+            return QuadScalar(self.a * a, self.a * b, m)
+        return QuadScalar(self.a * a + self.b * b * m, self.a * b + self.b * a, m)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadScalar":
-        """Image under the nontrivial field automorphism sqrt(m) -> -sqrt(m)."""
-        return QuadScalar(self.a, -self.b, self.m)
 
     def norm(self):
         """a^2 - m*b^2, the product with the conjugate (a rational)."""
@@ -164,10 +236,9 @@ class QuadScalar:
 
     def __truediv__(self, other):
         if isinstance(other, QuadScalar):
-            if other.b == 0:
-                other = other.a
-            else:
+            if other.b:
                 return self * other.inverse()
+            other = other.a
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
@@ -192,63 +263,6 @@ class QuadScalar:
             k >>= 1
         return out
 
-    # -- ordering ----------------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign at the designated real embedding (m > 0 or rational)."""
-        if self.b == 0:
-            return _sign_of_rational(self.a)
-        if self.m < 0:
-            raise ValueError(
-                "ordering undefined in the imaginary field Q(sqrt(%d))" % self.m
-            )
-        sa = _sign_of_rational(self.a)
-        sb = _sign_of_rational(self.b)
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # a and b of opposite (nonzero) signs: compare a^2 against m*b^2;
-        # equality is impossible because sqrt(m) is irrational
-        if self.a * self.a > self.m * self.b * self.b:
-            return sa
-        return sb
-
-    def _cmp_sign(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, QuadScalar):
-            return diff.sign()
-        return _sign_of_rational(diff)
-
-    def __lt__(self, other):
-        return self._cmp_sign(other) < 0
-
-    def __le__(self, other):
-        return self._cmp_sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_sign(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp_sign(other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, QuadScalar):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.m == other.m and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(Fraction(self.a))
-        return hash((Fraction(self.a), Fraction(self.b), self.m))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
     # -- conversions ---------------------------------------------------------
 
     def __float__(self):
@@ -265,9 +279,7 @@ class QuadScalar:
 
 def sign(x) -> int:
     """Exact sign of a scalar at the designated real embedding."""
-    if isinstance(x, QuadScalar):
-        return x.sign()
-    return _sign_of_rational(x)
+    return x.sign() if isinstance(x, _Quad) else (x > 0) - (x < 0)
 
 
 def conjugate(x):
@@ -336,14 +348,22 @@ _QUAD_RE = re.compile(
 )
 
 
+def digit_limit(what: str) -> str:
+    """The message for an integer longer than Python converts to or from
+    text, sys.get_int_max_str_digits()."""
+    return "%s has more than %d digits, latlab's limit per integer" % (
+        what, sys.get_int_max_str_digits())
+
+
 def _fraction_from_text(text: str) -> Fraction:
-    compact = re.sub(r"\s+", "", text)
-    if "/" in compact:
-        num, den = compact.split("/")
-        if int(den) == 0:
-            raise ValueError("denominator must be positive in %r" % text)
-        return Fraction(int(num), int(den))
-    return Fraction(int(compact))
+    num, _, den = re.sub(r"\s+", "", text).partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:          # the grammar matched digits: only their number raises
+        raise ValueError(digit_limit("a scalar literal")) from None
+    if den == 0:
+        raise ValueError("denominator must be positive in %r" % text)
+    return Fraction(num, den)
 
 
 def parse_scalar(text: str, m: int | None = None):
@@ -366,7 +386,7 @@ def parse_scalar(text: str, m: int | None = None):
     if match is None:
         raise ValueError("not a valid scalar literal: %r" % text)
     a_text, op, b_text, m_text = match.groups()
-    m_lit = int(m_text)
+    m_lit = int(_fraction_from_text(m_text))     # under the same digit limit
     validate_field_param(m_lit)
     if m is not None and m_lit != m:
         raise ValueError(
@@ -380,26 +400,20 @@ def parse_scalar(text: str, m: int | None = None):
     return QuadScalar(a, b, m_lit)
 
 
-def _print_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+def _print_fraction(x) -> str:
+    try:
+        return str(Fraction(x))         # "n" or "n/d", in lowest terms
+    except ValueError:
+        raise ValueError(digit_limit("the result")) from None
 
 
 def print_scalar(x) -> str:
     """Print a scalar in the same grammar parse_scalar accepts (lowest terms)."""
     if isinstance(x, (int, Fraction)):
-        return _print_fraction(Fraction(x))
+        return _print_fraction(x)
     if isinstance(x, QuadScalar):
         if x.b == 0:
-            return _print_fraction(Fraction(x.a))
-        b = Fraction(x.b)
-        op = "+" if b > 0 else "-"
-        return "%s%s%s*sqrt(%d)" % (
-            _print_fraction(Fraction(x.a)),
-            op,
-            _print_fraction(abs(b)),
-            x.m,
-        )
+            return _print_fraction(x.a)
+        return "%s%s%s*sqrt(%d)" % (_print_fraction(x.a), "+" if x.b > 0 else "-",
+                                    _print_fraction(abs(x.b)), x.m)
     raise TypeError("not an exact scalar: %r" % (x,))

@@ -12,7 +12,8 @@ integers, and the Fraction Gauss-Jordan eliminations
 that are the oracles of ExactMatrix.det, inv and solve, the
 two-inclusion stabilizer test that is the oracle of arith.stabilizes, and
 the Euclidean polynomial gcd that is the oracle of the squarefree test
-read off the Sturm chain."""
+read off the Sturm chain, and the sign of a + b*sqrt(m) by squaring
+Fractions that is the oracle of the integer sign rule in latlab.scalars."""
 
 import itertools
 import random
@@ -470,6 +471,17 @@ def adjoint_box_scan(g, h):
     coords = best_key[1]
     witness = ExactMatrix(n, n, list(coords) + [-sum(coords[k] for k in diag)])
     return form.ring.quotient(best, form.scale), witness
+
+
+def oracle_quad_sign(a, b, m) -> int:
+    """The sign of a + b*sqrt(m), m > 1, for rational a and b, on Fractions:
+    a and b of one sign give it, and opposite signs compare a^2 against
+    m*b^2, never equal because sqrt(m) is irrational."""
+    a, b = Fraction(a), Fraction(b)
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == 0 or sa == sb:
+        return sb if sa == 0 else sa
+    return sa if a * a > m * b * b else sb
 
 
 def oracle_isotropic_search(form, height):

@@ -573,6 +573,29 @@ def test_document_not_utf8_exits_one(tmp_path):
         assert err == "error: input document %s is not UTF-8 text\n" % doc
 
 
+_TOO_LONG = "error: %s has more than %d digits, latlab's limit per integer\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_integers_beyond_the_digit_limit_exit_one(tmp_path, write_doc, fmt):
+    """A result or a literal longer than Python converts between int and text
+    exits 1 with latlab's limit, not Python's advice to raise it."""
+    limit = sys.get_int_max_str_digits()
+    square_too_long = write_doc({"dim": 1, "field": None, "basis": [["1" + "0" * 2499]]})
+    for sub in ("covol", "systole"):
+        assert run_cli(["--format", fmt, "lattice", sub, square_too_long]) == \
+            (1, "", _TOO_LONG % ("the result", limit))
+    digits = "1" + "0" * 4999
+    for literal in (digits, "1/" + digits, "1+1*sqrt(%s)" % digits):
+        doc = write_doc({"dim": 1, "field": None, "basis": [[literal]]})
+        assert run_cli(["--format", fmt, "lattice", "covol", doc]) == \
+            (1, "", _TOO_LONG % ("a scalar literal", limit))
+    field = tmp_path / "field.json"
+    field.write_text('{"quad": %s}' % digits)
+    assert run_cli(["--format", fmt, "field", "info", str(field)]) == \
+        (1, "", _TOO_LONG % ("an integer in %s" % field, limit))
+
+
 def test_error_paths_exit_one(tmp_path, write_doc):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

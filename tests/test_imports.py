@@ -73,8 +73,9 @@ CALLS = [
     (["field", "info", "field.json"], 0, {"numfield"}),
     (["field", "signature", "field.json"], 0, {"numfield"}),
     (["field", "embed", "field.json"], 0, SEARCH | {"numfield"}),
-    (["group", "verdict", "so.json"], 0, {"groups", "numfield"} | MATRICES),
-    (["group", "verdict", "sl.json"], 0, {"groups", "numfield"} | MATRICES),
+    # over Q a verdict needs no number field
+    (["group", "verdict", "so.json"], 0, {"groups"} | MATRICES),
+    (["group", "verdict", "sl.json"], 0, {"groups"} | MATRICES),
     # groups loads numfield only for the ring of integers of a quadratic field
     (["group", "unipotent", "matrix.json"], 0, {"groups"} | MATRICES),
     (["group", "adsys", "matrix.json"], 0, {"groups", "enumeration", "_svp"} | MATRICES),

@@ -2,9 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import operator
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import oracle_quad_sign
 from latlab.rings import IntRing, QuadInt, QuadIntRing, to_ring
 from latlab.scalars import (
     QuadScalar,
@@ -199,6 +202,59 @@ def test_ordering_operators():
     assert QuadScalar(0, 1, 2) > 1
     assert QuadScalar(0, 1, 2) < Fraction(3, 2)
     assert QuadScalar(1, 1, 2) >= QuadScalar(1, 1, 2)
+
+
+_HUGE = st.integers(-10**30, 10**30)
+_BIG_RATIONAL = st.one_of(_HUGE, st.integers(-3, 3),
+                          st.builds(Fraction, _HUGE, st.integers(1, 10**30)))
+_ORDER = [(operator.lt, lambda s: s < 0), (operator.le, lambda s: s <= 0),
+          (operator.gt, lambda s: s > 0), (operator.ge, lambda s: s >= 0),
+          (operator.eq, lambda s: s == 0), (operator.ne, lambda s: s != 0)]
+_FIELDS = [2, 3, 5, 13]
+
+
+@st.composite
+def _order_case(draw):
+    """(m, x, y, (a, b)): x of Q(sqrt(m)) and y one of: a value of the same
+    field, a rational QuadScalar of another field, an int or a Fraction;
+    y - x is a + b*sqrt(m)."""
+    m = draw(st.sampled_from(_FIELDS))
+    a, b = draw(_BIG_RATIONAL), draw(st.one_of(_BIG_RATIONAL, st.just(0)))
+    x = QuadScalar(a, b, m)
+    kind = draw(st.sampled_from(["field", "other field", "rational"]))
+    c = draw(_BIG_RATIONAL)
+    if kind == "rational":
+        return m, x, c, (c - a, -b)
+    d = draw(_BIG_RATIONAL) if kind == "field" else 0
+    y_m = m if kind == "field" else draw(st.sampled_from([k for k in _FIELDS if k != m]))
+    return m, x, QuadScalar(c, d, y_m), (c - a, d - b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_order_case(), st.booleans())
+@example((2, QuadScalar(1, -1, 2), 0, (-1, 1)), False)
+@example((5, QuadScalar(Fraction(10**30, 10**30 - 1), 0, 5), QuadScalar(1, 0, 3),
+          (Fraction(-1, 10**30 - 1), 0)), True)
+def test_sign_and_order_match_the_fraction_oracle(case, swap):
+    """sign() and the six comparisons, on either side of a rational value of
+    another field, an int or a Fraction, agree with the sign by squaring
+    Fractions."""
+    m, x, y, (a, b) = case
+    assert x.sign() == oracle_quad_sign(x.a, x.b, m)
+    left, right, s = (y, x, oracle_quad_sign(a, b, m)) if swap else \
+        (x, y, -oracle_quad_sign(a, b, m))
+    for op, test in _ORDER:
+        assert op(left, right) == test(s)
+
+
+@given(_HUGE, _HUGE, st.sampled_from(_FIELDS))
+def test_quad_scalar_hashes_like_the_quad_int(a, b, m):
+    assert hash(QuadScalar(Fraction(a), Fraction(b), m)) == hash(QuadInt(a, b, m))
+
+
+def test_order_against_another_type_raises():
+    with pytest.raises(TypeError):
+        QuadScalar(1, 1, 2) < object()
 
 
 _FRAC = st.fractions(min_value=-20, max_value=20, max_denominator=12)
