@@ -60,6 +60,14 @@ def _emit(payload: dict, fmt: str, human_lines, out) -> None:
             out.write(line + "\n")
 
 
+def _int_result(n: int) -> int:
+    """n, once :func:`print_scalar` has checked that it converts to text: an
+    int beyond the digit limit exits 1 with latlab's limit, like any printed
+    result, and an int within it stays a JSON number."""
+    print_scalar(n)
+    return n
+
+
 def _sqrt_approx(value):
     """sqrt(value) as a float, or None when value is beyond float range."""
     try:
@@ -319,16 +327,16 @@ def _resk_matrix(args):
 def _arith_index(args):
     from . import arith
 
-    index = arith.sublattice_index(_zlattice_from(args.sublattice),
-                                   _zlattice_from(args.superlattice))
+    index = _int_result(arith.sublattice_index(_zlattice_from(args.sublattice),
+                                               _zlattice_from(args.superlattice)))
     return {"index": index}, ["sublattice index = %d" % index]
 
 
 def _arith_commens(args):
     from . import arith
 
-    value = arith.commensurability_m(_zlattice_from(args.first),
-                                     _zlattice_from(args.second))
+    value = _int_result(arith.commensurability_m(_zlattice_from(args.first),
+                                                 _zlattice_from(args.second)))
     return {"m": value}, ["smallest m with m*L <= L' <= (1/m)*L: %d" % value]
 
 
@@ -343,7 +351,7 @@ def _arith_congruence(args):
         return ({"member": member, "modulus": args.m},
                 ["congruent to the identity mod %d: %s"
                  % (args.m, "yes" if member else "no")])
-    index = arith.congruence_index(args.n, args.m)
+    index = _int_result(arith.congruence_index(args.n, args.m))
     return ({"index": index, "modulus": args.m, "n": args.n},
             ["[SL_%d(Z) : principal congruence subgroup mod %d] = %d"
              % (args.n, args.m, index)])

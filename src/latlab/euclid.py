@@ -1,9 +1,12 @@
 """Euclidean lattices with exact Gram data.
 
 A lattice is an ordered basis of vectors with exact scalar entries; its Gram
-matrix is cached at construction.  The matrix is symmetric, so each entry is
-formed once per pair of basis vectors, n(n+1)/2 exact dot products for rank
-n, and mirrored; the reduction's congruence Y^T G Y is formed the same way.
+matrix is cached at construction, also for a lattice derived from another.
+The matrix is symmetric, so each entry is formed once per pair of basis
+vectors, n(n+1)/2 exact dot products for rank n, and mirrored; the
+reduction's congruence Y^T G Y is formed the same way.  A lattice that
+:func:`reduce_bounded` derives by a unimodular change of basis takes no dot
+product: its ring Gram matrix is that congruence of its parent's.
 Covolume and systole are exposed squared (those stay in the scalar field);
 floats only appear in the Hermite margin and the reduction-constant bound,
 both of which involve pi.
@@ -25,7 +28,8 @@ from typing import TYPE_CHECKING
 
 from . import enumeration
 from .errors import NotPositiveDefiniteError
-from .scalars import QuadScalar, as_fraction, promote_entry, sign
+from .rings import QuadInt, to_ring
+from .scalars import QuadScalar, as_fraction, promote_entry, quadratic_field_of, sign
 
 if TYPE_CHECKING:   # imported where a matrix is built: lattice calls never load it
     from .matrices import ExactMatrix
@@ -61,6 +65,41 @@ class EuclideanLattice:
             self.form = enumeration.IntegralGram(self.gram)
         except NotPositiveDefiniteError:
             raise ValueError("basis vectors are linearly dependent") from None
+
+    def _changed_basis(self, t) -> "EuclideanLattice":
+        """The same lattice on the basis B*T, for a unimodular integer T (a
+        list of rows), built from this lattice's ring data without a dot
+        product or a second clearing.
+
+        Its form is T^T (sG) T, with this form's scale s and ring: the lcm of
+        the Gram denominators, and whether an entry is irrational, belong to
+        the lattice, not to the basis.  The basis is cleared once into its
+        own ring, multiplied there and lifted back entry by entry.  The field
+        Gram matrix is lifted through the basis's ring, so over Q(sqrt(m)) a
+        rational entry stays a QuadScalar, as a dot product gives it.
+        """
+        n, form = self.rank, self.form
+        flat = [e for v in self.basis for e in v]
+        m = quadratic_field_of(flat)
+        if m is None:   # rational values typed in a field stay in it
+            m = next((e.m for e in flat if isinstance(e, QuadScalar)), None)
+        ring, scale, entries = to_ring(flat, m)
+        rows = [entries[r * self.ambient:(r + 1) * self.ambient] for r in range(n)]
+        basis = tuple(
+            tuple(ring.quotient(sum((t[r][c] * rows[r][i] for r in range(n) if t[r][c]),
+                                    start=ring.zero), scale)
+                  for i in range(self.ambient))
+            for c in range(n))
+        ring_gram = _congruent(form.gram, t, form.ring.zero)
+        low = [row[:i + 1] for i, row in enumerate(ring_gram)]
+        if ring.m is not None and form.ring.m is None:   # a rational Gram matrix
+            low = [[QuadInt(x, 0, ring.m) for x in row] for row in low]
+        out = EuclideanLattice.__new__(EuclideanLattice)
+        out.basis, out.rank, out.ambient = basis, n, self.ambient
+        out.gram = _symmetric([[ring.quotient(x, form.scale) for x in row] for row in low])
+        out.form = enumeration.IntegralGram.__new__(enumeration.IntegralGram)
+        out.form._set([list(row) for row in ring_gram], form.scale, form.ring)
+        return out
 
     @property
     def dim(self) -> int:
@@ -333,7 +372,10 @@ def reduce_bounded(lattice: EuclideanLattice, a, node_budget=None) -> EuclideanL
     Requires syst > 1/a and covol < a (both checked exactly on squares).
     Follows the inductive construction: take a shortest vector v, reduce the
     projection onto v-perp, then lift each projected basis vector back with
-    its component along v size-reduced below ||v||.
+    its component along v size-reduced below ||v||.  All of it runs on the
+    ring Gram matrix and gives a unimodular T; the returned lattice has the
+    basis B*T and the form T^T (sG) T with the parent's scale and ring, and
+    is built without a dot product (:meth:`EuclideanLattice._changed_basis`).
     """
     try:
         a = as_fraction(a)
@@ -349,11 +391,7 @@ def reduce_bounded(lattice: EuclideanLattice, a, node_budget=None) -> EuclideanL
     syst, witness = systole_sq(lattice, node_budget)
     if not sign(syst * a * a - 1) > 0:
         raise ValueError("precondition failed: syst(L) > 1/a")
-    transform = _reduce(lattice.form, witness, node_budget)
-    n = lattice.rank
-    new_basis = [lattice.vector([transform[r][c] for r in range(n)])
-                 for c in range(n)]
-    return EuclideanLattice(new_basis)
+    return lattice._changed_basis(_reduce(lattice.form, witness, node_budget))
 
 
 def _reduce(form, witness, node_budget, pivot=None):

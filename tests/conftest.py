@@ -98,6 +98,16 @@ def apply_basis_change(lattice, transform):
     return EuclideanLattice(cols)
 
 
+def oracle_reduced_lattice(lattice, transform):
+    """The lattice on the basis B*T for an integer T (a list of rows), built
+    as reduce_bounded once built its result: each new vector summed by
+    ``lattice.vector`` in the field, then a new EuclideanLattice, which takes
+    its own dot products and clears them again."""
+    n = lattice.rank
+    return EuclideanLattice([lattice.vector([transform[r][c] for r in range(n)])
+                             for c in range(n)])
+
+
 # The field-division eliminations that ExactMatrix.det, inv and solve
 # replaced by one fraction-free adjugate, kept verbatim (first-nonzero
 # pivoting, exact Fraction or QuadScalar division): they share no code with

@@ -596,6 +596,32 @@ def test_integers_beyond_the_digit_limit_exit_one(tmp_path, write_doc, fmt):
         (1, "", _TOO_LONG % ("an integer in %s" % field, limit))
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_int_results_beyond_the_digit_limit_exit_one(write_doc, fmt):
+    """`arith index` and `arith commens` print plain ints: one longer than the
+    digit limit exits 1 with latlab's limit, one at the limit still prints as
+    a JSON number."""
+    limit = sys.get_int_max_str_digits()
+
+    def diag(x, y):
+        return write_doc({"dim": 2, "field": None, "basis": [[x, "0"], ["0", y]]})
+
+    z2 = diag("1", "1")
+    big = "1" + "0" * 2199
+    sub, tiny = diag(big, big), diag("1/" + big, "1/" + big)    # index, m: 10^4398
+    for argv in (["arith", "index", sub, z2], ["arith", "commens", tiny, sub]):
+        assert run_cli(["--format", fmt] + argv) == (1, "", _TOO_LONG % ("the result", limit))
+    half = (limit - 1) // 2
+    index = 10 ** (limit - 1)                          # exactly `limit` digits
+    code, out, err = run_cli(["--format", fmt, "arith", "index",
+                              diag("1" + "0" * half, "1" + "0" * (limit - 1 - half)), z2])
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert loads_strict(out) == {"index": index, "schema": 1}
+    else:
+        assert out == "sublattice index = %d\n" % index
+
+
 def test_error_paths_exit_one(tmp_path, write_doc):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latlab import (
     EuclideanLattice,
@@ -16,7 +16,8 @@ from latlab import (
     reduction_constant,
     systole_sq,
 )
-from latlab import _svp, euclid
+from latlab import _svp, documents, euclid
+from latlab.errors import DocumentError
 from latlab.euclid import coefficients_of, complete_primitive
 from latlab.matrices import ExactMatrix
 from latlab.rings import IntRing, QuadInt, QuadIntRing
@@ -26,6 +27,7 @@ from conftest import (
     apply_basis_change,
     gso_from_gram,
     oracle_det,
+    oracle_reduced_lattice,
     random_integer_basis,
     random_lattice,
     random_unimodular,
@@ -373,6 +375,99 @@ def test_reduce_entries_stay_minors(rnd, monkeypatch):
         assert transform.is_integral() and transform.det() in (1, -1)
     assert widest[7] <= 8 and sorted(widest) == [2, 3, 4, 5, 6, 7]
     assert max(widest.values()) <= 64
+
+
+def _typed_lattice(m, rows):
+    """The lattice of a document over Q (m None) or Q(sqrt(m)), its entries
+    typed as the CLI types them."""
+    field = None if m is None else {"m": m}
+    return documents.lattice_from_doc({"dim": len(rows), "field": field, "basis": rows})
+
+
+@st.composite
+def _document_lattice(draw):
+    """A full-rank lattice, n = 2..7, as `documents` types it: over Q with
+    integer or fractional entries, over Z[sqrt 2] or Z[sqrt 5] (rational
+    entries typed with b = 0), or sqrt(2) Z^n-type bases, whose Gram matrix
+    is rational but whose entries lie in Q(sqrt 2)."""
+    kind = draw(st.sampled_from(["int", "den", "sqrt2", "sqrt5", "sqrt2_times_int"]))
+    n = draw(st.integers(2, 7 if kind in ("int", "den") else 5))
+    small = st.integers(-4, 4)
+    if kind == "int":
+        entry, m = st.builds(str, small), None
+    elif kind == "den":
+        entry, m = st.builds("{}/{}".format, small, st.sampled_from([1, 2, 3, 6])), None
+    elif kind == "sqrt2_times_int":
+        entry, m = st.builds("0+{}*sqrt(2)".format, small), 2
+    else:
+        m = int(kind[-1])
+        entry = st.one_of(st.builds(str, small),
+                          st.builds(("{}+{}*sqrt(%d)" % m).format, small, st.integers(-2, 2)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    try:
+        return _typed_lattice(m, rows)
+    except DocumentError:       # dependent rows
+        assume(False)
+
+
+def _same_lattice_data(got, want):
+    for name in ("basis", "gram"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    for name in ("gram", "scale", "d", "lam"):
+        assert repr(getattr(got.form, name)) == repr(getattr(want.form, name)), name
+    assert (got.rank, got.ambient) == (want.rank, want.ambient)
+
+
+def _admissible_a(lattice):
+    """An integer a with covol(L) < a and syst(L) > 1/a."""
+    syst, _ = systole_sq(lattice)
+    return int(max(math.sqrt(float(covol_sq(lattice))), 1 / math.sqrt(float(syst)))) + 2
+
+
+_SQRT2_SHEAR = _typed_lattice(2, [["0+1*sqrt(2)", "0"], ["0+3*sqrt(2)", "0+1*sqrt(2)"]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_document_lattice(), st.integers(0, 2**32))
+@example(_SQRT2_SHEAR, 1)
+def test_reduced_lattice_matches_the_rebuild_oracle(lattice, seed):
+    """The lattice reduce_bounded returns, built from its parent's ring data,
+    has the reprs of basis, Gram matrix and form that rebuilding it from the
+    field vectors gives; so has any unimodular change of basis."""
+    n = lattice.rank
+    u = random_unimodular(random.Random(seed), n, steps=8, shear=3)
+    t = [[int(u[i, j]) for j in range(n)] for i in range(n)]
+    _same_lattice_data(lattice._changed_basis(t), oracle_reduced_lattice(lattice, t))
+    t = euclid._reduce(lattice.form, systole_sq(lattice)[1], None)
+    _same_lattice_data(reduce_bounded(lattice, _admissible_a(lattice)),
+                       oracle_reduced_lattice(lattice, t))
+
+
+def test_reduce_bounded_takes_no_dot_product(rnd, monkeypatch):
+    """The reduced lattice is built from its parent's ring Gram matrix and
+    cleared basis: no EuclideanLattice construction and no dot product."""
+    cases = [EuclideanLattice(random_integer_basis(rnd, n)) for n in range(1, 8)]
+    cases.append(EuclideanLattice([[Fraction(1, 2), 0, 1], [0, Fraction(1, 3), 0], [1, 1, 1]]))
+    cases.append(_typed_lattice(5, [["1+1*sqrt(5)", "0", "1"], ["0", "2", "0+1*sqrt(5)"],
+                                    ["1", "1", "3"]]))
+    cases.append(_SQRT2_SHEAR)
+    calls = {"__init__": 0, "_dot": 0}
+    init, dot = EuclideanLattice.__init__, euclid._dot
+
+    def counting_init(self, basis):
+        calls["__init__"] += 1
+        init(self, basis)
+
+    def counting_dot(u, v):
+        calls["_dot"] += 1
+        return dot(u, v)
+
+    admissible = [_admissible_a(lattice) for lattice in cases]
+    monkeypatch.setattr(EuclideanLattice, "__init__", counting_init)
+    monkeypatch.setattr(euclid, "_dot", counting_dot)
+    for lattice, a in zip(cases, admissible):
+        assert reduce_bounded(lattice, a).rank == lattice.rank
+    assert calls == {"__init__": 0, "_dot": 0}
 
 
 @settings(max_examples=80, deadline=None)
