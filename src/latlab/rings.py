@@ -5,8 +5,10 @@
 landed in, :class:`IntRing` or :class:`QuadIntRing`, whose ``exact_div``,
 ``nearest`` and ``quotient`` every caller then uses instead of deciding the
 ring again.  Over Z the elements are Python ints.  Over Z[sqrt(m)] they are
-:class:`QuadInt`: two ints and the ring's m, with none of the field
-validation and ``Fraction`` coercion a QuadScalar performs on every result.
+:class:`QuadInt`: two ints and the ring's m, whose sums and products are
+plain int arithmetic.  A QuadScalar result is built without validation too,
+but it still normalises one Fraction per coordinate (a gcd) and dispatches on
+its operands' types and fields; a QuadInt does neither.
 Its sign, order, ``==``, ``hash`` and conjugation are those of the base it
 shares with QuadScalar, ``scalars._Quad``; only its comparison reads the int
 difference inline.  A QuadInt never leaves this layer: ``quotient`` (and
@@ -20,7 +22,7 @@ import operator
 from fractions import Fraction
 
 from .scalars import (_NO_ORDER, QuadScalar, _floor_mul_sqrt, _int_le_sqrt, _Quad,
-                      denominator_lcm, quadratic_field_of, validate_field_param)
+                      _scalar, denominator_lcm, quadratic_field_of, validate_field_param)
 
 
 class QuadInt(_Quad):
@@ -130,7 +132,7 @@ class QuadIntRing:
 
     def lift(self, x: QuadInt) -> QuadScalar:
         """x as a value of Q(sqrt(m)): the QuadScalar of its coordinates."""
-        return QuadScalar(x.a, x.b, self.m)
+        return _scalar(x.a, x.b, self.m)
 
     def quotient(self, x: QuadInt, d) -> QuadScalar:
         """x / d back in Q(sqrt(m)), a QuadScalar; d an int or a QuadInt.
@@ -140,7 +142,7 @@ class QuadIntRing:
             if d.b:
                 return self.lift(x) / self.lift(d)
             d = d.a
-        return QuadScalar(Fraction(x.a, d), Fraction(x.b, d), self.m)
+        return _scalar(Fraction(x.a, d), Fraction(x.b, d), self.m)
 
     def nearest(self, num: QuadInt, den: QuadInt) -> int:
         """Nearest integer to num/den for den > 0 (ties round up): with

@@ -10,6 +10,14 @@ denominators of a and b and decides on integers (:func:`_int_le_sqrt`); it
 also holds their order, ``==``, ``hash`` and conjugation, and nothing here
 touches floating point.
 
+``QuadScalar(a, b, m)`` validates m and coerces a and b to int or Fraction.
+``+``, ``-`` and ``*`` compute each coordinate of the result from the
+operands' integer numerators and denominators and normalise it as one
+Fraction, or keep it an int exactly where Python's own ``+`` and ``*`` on the
+coordinates give one.  They, negation and conjugation build the result once
+with :func:`_scalar`, which skips validation and coercion: an operand's m is
+already valid.
+
 Exact integer work runs on the ring integers Z or Z[sqrt(m)] of these
 fields, in :mod:`latlab.rings`; :func:`denominator_lcm` and
 :func:`quadratic_field_of` are what it needs from here.
@@ -144,19 +152,67 @@ class _Quad:
     def __bool__(self):
         return bool(self.a or self.b)
 
+    @classmethod
+    def _of(cls, a, b, m):
+        """The element of coordinates known to be valid, for negation and
+        conjugation; QuadScalar's skips __init__."""
+        return cls(a, b, m)
+
     def __neg__(self):
-        return type(self)(-self.a, -self.b, self.m)
+        return self._of(-self.a, -self.b, self.m)
 
     def conjugate(self):
         """Image under the nontrivial field automorphism sqrt(m) -> -sqrt(m)."""
-        return type(self)(self.a, -self.b, self.m)
+        return self._of(self.a, -self.b, self.m)
+
+
+_new = object.__new__
+
+
+def _scalar(a, b, m):
+    """The QuadScalar a + b*sqrt(m) for int or Fraction a and b and an m
+    that an operand was validated with: the one constructor of arithmetic
+    results, which skips __init__."""
+    x = _new(QuadScalar)
+    x.a = a
+    x.b = b
+    x.m = m
+    return x
+
+
+def _plus(x, y, s):
+    """x + s*y for s = 1 or -1 on int or Fraction x and y: an int exactly
+    when both are ints.  Over one denominator it is one Fraction of the
+    numerators' sum.  Over two it is Fraction's own sum, which cancels
+    gcd(dx, dy) first and so never takes the gcd of the full cross products,
+    the dearer step on large denominators."""
+    if isinstance(x, int) and isinstance(y, int):
+        return x + s * y
+    d = x.denominator
+    if d == y.denominator:
+        return Fraction(x.numerator + s * y.numerator, d)
+    return x + y if s > 0 else x - y
+
+
+def _over_one_denominator(x, y):
+    """(p, q, s) with x = p/s and y = q/s, s the lcm of the denominators of
+    the int or Fraction x and y."""
+    dx, dy = x.denominator, y.denominator
+    if dx == dy:
+        return x.numerator, y.numerator, dx
+    s = lcm(dx, dy)
+    return x.numerator * (s // dx), y.numerator * (s // dy), s
 
 
 class QuadScalar(_Quad):
-    """An exact element a + b*sqrt(m) of the quadratic field Q(sqrt(m))."""
+    """An exact element a + b*sqrt(m) of the quadratic field Q(sqrt(m)).
+    Direct construction validates m and coerces a and b to int or Fraction.
+    The results of ``+``, ``-``, ``*``, negation and conjugation skip both:
+    :func:`_scalar` builds them."""
 
     __slots__ = ()
     _RATIONALS = (int, Fraction)
+    _of = staticmethod(_scalar)
 
     def __init__(self, a=0, b=0, m=None):
         if m is None:
@@ -194,7 +250,9 @@ class QuadScalar(_Quad):
         if op is None:
             return NotImplemented
         a, b, m = op
-        return QuadScalar(self.a + a, self.b + b if m == self.m else b, m)
+        if m != self.m:
+            return _scalar(self.a + a, b, m)
+        return _scalar(_plus(self.a, a, 1), _plus(self.b, b, 1), m)
 
     __radd__ = __add__
 
@@ -203,19 +261,33 @@ class QuadScalar(_Quad):
         if op is None:
             return NotImplemented
         a, b, m = op
-        return QuadScalar(self.a - a, self.b - b if m == self.m else -b, m)
+        if m != self.m:
+            return _scalar(self.a - a, -b, m)
+        return _scalar(_plus(self.a, a, -1), _plus(self.b, b, -1), m)
 
     def __rsub__(self, other):
-        return (-self) + other
+        # only a rational gets here: QuadScalar - QuadScalar is __sub__
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return _scalar(_plus(other, self.a, -1), -self.b, self.m)
 
     def __mul__(self, other):
         op = self._operand(other)
         if op is None:
             return NotImplemented
-        a, b, m = op
+        c, d, m = op
+        a, b = self.a, self.b
         if m != self.m:
-            return QuadScalar(self.a * a, self.a * b, m)
-        return QuadScalar(self.a * a + self.b * b * m, self.a * b + self.b * a, m)
+            return _scalar(a * c, a * d, m)
+        if isinstance(a, int) and isinstance(b, int) and isinstance(c, int) \
+                and isinstance(d, int):
+            return _scalar(a * c + b * d * m, a * d + b * c, m)
+        # (p + q*sqrt(m))/s times (p2 + q2*sqrt(m))/s2, each over the lcm of
+        # its two denominators; one Fraction per result coordinate
+        p, q, s = _over_one_denominator(a, b)
+        p2, q2, s2 = _over_one_denominator(c, d)
+        s *= s2
+        return _scalar(Fraction(p * p2 + q * q2 * m, s), Fraction(p * q2 + q * p2, s), m)
 
     __rmul__ = __mul__
 

@@ -12,8 +12,10 @@ integers, and the Fraction Gauss-Jordan eliminations
 that are the oracles of ExactMatrix.det, inv and solve, the
 two-inclusion stabilizer test that is the oracle of arith.stabilizes, and
 the Euclidean polynomial gcd that is the oracle of the squarefree test
-read off the Sturm chain, and the sign of a + b*sqrt(m) by squaring
-Fractions that is the oracle of the integer sign rule in latlab.scalars."""
+read off the Sturm chain, the sign of a + b*sqrt(m) by squaring
+Fractions that is the oracle of the integer sign rule in latlab.scalars,
+and the coordinate-wise int and Fraction formulas that are the oracle of
+QuadScalar's arithmetic on integer numerators."""
 
 import itertools
 import random
@@ -492,6 +494,39 @@ def oracle_quad_sign(a, b, m) -> int:
     if sa == 0 or sa == sb:
         return sb if sa == 0 else sa
     return sa if a * a > m * b * b else sb
+
+
+def oracle_quad_arith(op, x, y=None):
+    """The result of a QuadScalar operation by the formulas that
+    latlab.scalars ran before its arithmetic read integer numerators: Python's
+    own int and Fraction operations on the coordinates, then a validating
+    QuadScalar(...).  ``op`` is "+", "-" or "*" for x op y, "r+", "r-" or
+    "r*" for y op x with a rational y, "neg" for -x and "conj" for
+    x.conjugate().  A coordinate is an int exactly when these formulas give
+    one; two irrational operands of two fields raise ValueError."""
+    if op == "neg":
+        return QuadScalar(-x.a, -x.b, x.m)
+    if op == "conj":
+        return QuadScalar(x.a, -x.b, x.m)
+    if op == "r-":          # y - x was (-x) + y
+        return oracle_quad_arith("+", oracle_quad_arith("neg", x), y)
+    if isinstance(y, QuadScalar):
+        if y.m == x.m or not y.b:
+            a, b, m = y.a, y.b, x.m
+        elif x.b:
+            raise ValueError("cannot mix Q(sqrt(%d)) and Q(sqrt(%d))" % (x.m, y.m))
+        else:               # a rational x joins y's field
+            a, b, m = y.a, y.b, y.m
+    else:
+        a, b, m = y, 0, x.m
+    same = m == x.m
+    if op in ("+", "r+"):
+        return QuadScalar(x.a + a, x.b + b if same else b, m)
+    if op == "-":
+        return QuadScalar(x.a - a, x.b - b if same else -b, m)
+    if same:
+        return QuadScalar(x.a * a + x.b * b * m, x.a * b + x.b * a, m)
+    return QuadScalar(x.a * a, x.a * b, m)
 
 
 def oracle_isotropic_search(form, height):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latlab import _svp
 from latlab.enumeration import BudgetExceededError, IntegralGram, shortest_vector
@@ -503,6 +503,55 @@ def test_lll_skipped_with_box_accept_or_quadratic_ring(rnd, monkeypatch):
             shortest_vector(quad)] == expected
     with pytest.raises(AssertionError, match="LLL ran"):
         shortest_vector(form)
+
+
+def test_lll_runs_once_on_a_size_reduced_basis_that_fails_lovasz(monkeypatch):
+    """[[16, 8], [8, 11]] is size-reduced (2*8 <= 16) and fails the Lovasz
+    test, 4*112 = 448 < 3*16^2 - 4*8^2 = 512, while 448 = 3*16^2 - 5*8^2: the
+    search runs on its LLL-reduced basis, found by one call."""
+    calls = []
+    real = _svp.lll
+
+    def counted(gram, d, lam, ring):
+        calls.append(gram)
+        return real(gram, d, lam, ring)
+
+    monkeypatch.setattr(_svp, "lll", counted)
+    gram = [[16, 8], [8, 11]]
+    value, witness, _ = shortest_vector(IntegralGram(gram))
+    assert calls == [gram]
+    minimum, vectors = brute_force_minimum(gram)
+    assert value == minimum and tuple(witness) in map(tuple, vectors)
+
+
+@st.composite
+def _near_lovasz_gram(draw):
+    """A symmetric integer matrix whose block [[a, b], [b, c]] is
+    size-reduced, 2|b| <= a, with 4c near the Lovasz threshold 3a, alone or
+    below a first row (h, e, f)."""
+    a = draw(st.integers(1, 80))
+    b = draw(st.integers(-(a // 2), a // 2))
+    c = draw(st.integers(max(1, 3 * a // 4 - 3), 3 * a // 4 + 3))
+    if draw(st.booleans()):
+        return [[a, b], [b, c]]
+    h = draw(st.integers(1, 100))
+    e, f = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    return [[h, e, f], [e, a, b], [f, b, c]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_lovasz_gram())
+@example([[16, 8], [8, 11]])
+@example([[20, 0, 0], [0, 16, 8], [0, 8, 11]])
+def test_is_lll_reduced_matches_the_fraction_oracle(gram):
+    """is_lll_reduced on the integral data is |mu_ij| <= 1/2 and
+    B_i >= (3/4 - mu_(i,i-1)^2) B_(i-1) on the Fraction Gram-Schmidt data,
+    also near the Lovasz threshold, where a wrong coefficient flips it."""
+    try:
+        d, lam = _svp.integral_gso(gram, IntRing)
+    except NotPositiveDefiniteError:
+        return
+    assert _svp.is_lll_reduced(d, lam) == _oracle_lll_reduced(gram)
 
 
 def test_budget_error_best_in_callers_coordinates(rnd):

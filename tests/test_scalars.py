@@ -7,7 +7,8 @@ import operator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import oracle_quad_sign
+from conftest import oracle_quad_arith, oracle_quad_sign
+from latlab import scalars
 from latlab.rings import IntRing, QuadInt, QuadIntRing, to_ring
 from latlab.scalars import (
     QuadScalar,
@@ -255,6 +256,95 @@ def test_quad_scalar_hashes_like_the_quad_int(a, b, m):
 def test_order_against_another_type_raises():
     with pytest.raises(TypeError):
         QuadScalar(1, 1, 2) < object()
+
+
+_ARITH_FIELDS = [2, 3, 5, 13, -1, -3]
+_ARITH_COORD = st.one_of(st.integers(-3, 3), _HUGE, st.fractions(max_denominator=6),
+                         st.builds(Fraction, _HUGE, st.integers(1, 10**30)))
+
+
+@st.composite
+def _arith_case(draw):
+    """(x, y): x a QuadScalar with int or Fraction coordinates (b = int 0
+    too); y a value of x's field, an int, a Fraction, a rational QuadScalar
+    of another field or an irrational one."""
+    m = draw(st.sampled_from(_ARITH_FIELDS))
+    b = st.one_of(st.just(0), st.just(Fraction(0)), _ARITH_COORD)
+    x = QuadScalar(draw(_ARITH_COORD), draw(b), m)
+    kind = draw(st.sampled_from(["field", "int", "fraction", "rational", "other"]))
+    if kind == "int":
+        return x, draw(st.one_of(st.integers(-3, 3), _HUGE))
+    if kind == "fraction":
+        return x, draw(st.one_of(st.fractions(max_denominator=6),
+                                 st.builds(Fraction, _HUGE, st.integers(1, 10**30))))
+    y_m = m if kind == "field" else \
+        draw(st.sampled_from([k for k in _ARITH_FIELDS if k != m]))
+    y_b = st.sampled_from([0, Fraction(0)]) if kind == "rational" else b
+    return x, QuadScalar(draw(_ARITH_COORD), draw(y_b), y_m)
+
+
+def _repr_outcome(op):
+    try:
+        return repr(op())
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@settings(max_examples=500, deadline=None)
+@given(_arith_case())
+@example((QuadScalar(Fraction(1), 0, 2), 2))
+@example((QuadScalar(Fraction(3, 1), Fraction(0, 1), 2), 2))
+@example((QuadScalar(Fraction(3, 1), 0, 2), QuadScalar(1, 1, 2)))
+def test_arithmetic_matches_the_fraction_oracle(case):
+    """+, -, * both ways round, negation and conjugation give the repr of the
+    coordinate-wise int and Fraction formulas, so equal values and the same
+    coordinate types (an int exactly where those formulas give one), or the
+    same mixed-field error."""
+    x, y = case
+    quad = isinstance(y, QuadScalar)
+    checks = [(lambda: x + y, ("+", x, y)), (lambda: x - y, ("-", x, y)),
+              (lambda: x * y, ("*", x, y)),
+              (lambda: y + x, ("+", y, x) if quad else ("r+", x, y)),
+              (lambda: y - x, ("-", y, x) if quad else ("r-", x, y)),
+              (lambda: y * x, ("*", y, x) if quad else ("r*", x, y)),
+              (lambda: -x, ("neg", x)), (x.conjugate, ("conj", x))]
+    if quad:
+        checks += [(lambda: -y, ("neg", y)), (y.conjugate, ("conj", y))]
+    for op, args in checks:
+        assert _repr_outcome(op) == _repr_outcome(lambda: oracle_quad_arith(*args))
+
+
+def test_reflected_subtraction_of_a_non_scalar_names_minus():
+    with pytest.raises(TypeError, match="for -: 'float' and 'QuadScalar'"):
+        1.5 - QuadScalar(1, 1, 2)
+
+
+def test_arithmetic_does_not_revalidate_the_field(monkeypatch):
+    """Results of + - *, negation, conjugation and the ring lifts are built
+    from operands whose m was validated when they were constructed, so none
+    validates m again; QuadScalar(a, b, m) called directly still does."""
+    ring = QuadIntRing(5)
+    x, y = QuadScalar(Fraction(1, 2), 3, 5), QuadScalar(2, Fraction(-1, 3), 5)
+    other = QuadScalar(Fraction(2, 3), 0, 3)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return validate_field_param(m)
+
+    monkeypatch.setattr(scalars, "validate_field_param", counted)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x + 2,
+               lambda: 2 + x, lambda: x - Fraction(1, 3), lambda: Fraction(1, 3) - x,
+               lambda: x * 3, lambda: 3 * x, lambda: other * y, lambda: other - y,
+               lambda: -x, x.conjugate, lambda: ring.lift(QuadInt(3, -1, 5)),
+               lambda: ring.quotient(QuadInt(3, -1, 5), 4),
+               lambda: ring.quotient(QuadInt(3, -1, 5), QuadInt(6, 0, 5))):
+        op()
+    assert calls == []
+    for m in (4, 1):
+        with pytest.raises(ValueError):
+            QuadScalar(1, 1, m)
+    assert calls == [4, 1]
 
 
 _FRAC = st.fractions(min_value=-20, max_value=20, max_denominator=12)
