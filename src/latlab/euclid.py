@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING
 
 from . import enumeration
 from .errors import NotPositiveDefiniteError
-from .rings import QuadInt, to_ring
-from .scalars import QuadScalar, as_fraction, promote_entry, quadratic_field_of, sign
+from .rings import QuadInt, _typed_field, to_ring
+from .scalars import QuadScalar, as_fraction, promote_entry, sign
 
 if TYPE_CHECKING:   # imported where a matrix is built: lattice calls never load it
     from .matrices import ExactMatrix
@@ -80,10 +80,7 @@ class EuclideanLattice:
         """
         n, form = self.rank, self.form
         flat = [e for v in self.basis for e in v]
-        m = quadratic_field_of(flat)
-        if m is None:   # rational values typed in a field stay in it
-            m = next((e.m for e in flat if isinstance(e, QuadScalar)), None)
-        ring, scale, entries = to_ring(flat, m)
+        ring, scale, entries = to_ring(flat, _typed_field(flat))
         rows = [entries[r * self.ambient:(r + 1) * self.ambient] for r in range(n)]
         basis = tuple(
             tuple(ring.quotient(sum((t[r][c] * rows[r][i] for r in range(n) if t[r][c]),

@@ -7,6 +7,9 @@ and the verdict logic: a definite Galois conjugate proves a uniform lattice,
 a binary form is decided by whether its torus splits, an explicit isotropic
 vector produces a unipotent witness against uniformity, and anything else is
 reported as inconclusive rather than guessed.
+
+What the verdict needs of the field Q or Q(sqrt(m)) it reads from the form's
+ring (:mod:`latlab.rings`): embeddings, square roots, the height box of O_K.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ import itertools
 import operator
 import sys
 from fractions import Fraction
-from math import isqrt
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .matrices import ExactMatrix, fraction_free_adjugate
 from .rings import IntRing, to_ring
-from .scalars import QuadScalar, as_fraction, conjugate
+from .scalars import QuadScalar, conjugate
 
 if TYPE_CHECKING:
     from .numfield import NumberFieldDesc
@@ -35,11 +37,11 @@ class DiagForm:
     __slots__ = ("field", "coeffs", "ring", "scale", "ring_coeffs")
 
     def __init__(self, coeffs, field: NumberFieldDesc | None = None):
-        coeffs = tuple([c if type(c) is Fraction else self._coerce(c, field)
+        m = None if field is None else field.m
+        coeffs = tuple([c if type(c) is Fraction else self._coerce(c, m)
                         for c in coeffs])
         if len(coeffs) < 2:
             raise ValueError("a diagonal form needs at least two coefficients")
-        m = field.m if field is not None and field.is_quadratic else None
         self.ring, self.scale, self.ring_coeffs = to_ring(coeffs, m)
         if not all(self.ring_coeffs):
             raise ValueError("diagonal coefficients must be nonzero")
@@ -47,14 +49,13 @@ class DiagForm:
         self.coeffs = coeffs
 
     @staticmethod
-    def _coerce(c, field):
+    def _coerce(c, m):
         if isinstance(c, int):
             c = Fraction(c)
-        if isinstance(c, QuadScalar):
-            if field is None or not field.is_quadratic or c.m != field.m:
-                if c.b != 0:
-                    raise ValueError("coefficient %s does not live in the declared field" % c)
-                c = Fraction(c.a)
+        if isinstance(c, QuadScalar) and c.m != m:
+            if c.b != 0:
+                raise ValueError("coefficient %s does not live in the declared field" % c)
+            c = Fraction(c.a)
         return c
 
     @property
@@ -142,33 +143,19 @@ class Verdict:
 # -- Galois conjugates and definiteness --------------------------------------------
 
 
-def monomorphism_count(field: NumberFieldDesc | None) -> int:
-    if field is None or not field.is_quadratic:
-        return 1
-    return 2
-
-
-def sigma_name(field: NumberFieldDesc | None, index: int) -> str:
-    if index == 0:
-        return "identity"
-    return "sqrt(%d) -> -sqrt(%d)" % (field.m, field.m)
-
-
 def conjugate_form(form: DiagForm, sigma: int) -> DiagForm:
     """Apply the sigma-th monomorphism to every coefficient."""
-    if sigma == 0:
-        return form
-    if sigma != 1 or monomorphism_count(form.field) != 2:
+    if sigma not in range(len(form.ring.embeddings)):
         raise ValueError("invalid monomorphism index %r" % (sigma,))
-    return DiagForm([conjugate(c) for c in form.coeffs], form.field)
+    return DiagForm([conjugate(c) for c in form.coeffs], form.field) if sigma else form
 
 
 def is_definite(form: DiagForm, sigma: int = 0) -> bool:
     """All coefficient signs agree under the sigma-th real embedding, read
     on the ring coefficients C_k (or conj(C_k)): the scale is positive."""
-    if sigma != 0 and (sigma != 1 or monomorphism_count(form.field) != 2):
+    if sigma not in range(len(form.ring.embeddings)):
         raise ValueError("invalid monomorphism index %r" % (sigma,))
-    if form.ring.m is not None and form.ring.m < 0:
+    if sigma not in form.ring.real_embeddings:
         raise ValueError("definiteness needs a real embedding")
     return len({(c.conjugate() if sigma else c) > 0 for c in form.ring_coeffs}) == 1
 
@@ -176,24 +163,16 @@ def is_definite(form: DiagForm, sigma: int = 0) -> bool:
 def preserves_form(g: ExactMatrix, form: DiagForm) -> bool:
     """Exact test transpose(g) * A * g == A for A = diag(coeffs).
 
-    g = G/D as ``g.cleared()`` gives it and A = diag(C)/k as the form holds
-    it, so :func:`_ring_preserves` tests k D^2 (g^T A g - A) = 0.  ValueError
-    if both hold irrational entries, of different fields.
+    g and A are cleared together, G = s g and diag(C) = s A in the field of
+    their irrational entries (so a side with none is read in the other's),
+    and :func:`_ring_preserves` tests s^3 (g^T A g - A) = 0.  ValueError if
+    both hold irrational entries, of different fields (g's named first).
     """
     n = form.nvars
     if g.rows != n or g.cols != n:
         raise ValueError("matrix size does not match the form")
-    ring, scale, entries = g.cleared()
-    coeffs = form.ring_coeffs
-    if ring.m is not None and form.ring.m not in (None, ring.m):
-        # a side with no irrational entry is read as ints, whatever its field
-        if not any(e.b for e in entries):
-            entries = [e.a for e in entries]
-        elif not any(c.b for c in coeffs):
-            coeffs = [c.a for c in coeffs]
-        else:
-            raise ValueError("cannot mix Q(sqrt(%d)) and Q(sqrt(%d))" % (ring.m, form.ring.m))
-    return _ring_preserves(entries, coeffs, scale * scale)
+    _, scale, entries = to_ring(g.data + form.coeffs)
+    return _ring_preserves(entries[:n * n], entries[n * n:], scale * scale)
 
 
 def _ring_preserves(entries, coeffs, d2) -> bool:
@@ -395,14 +374,6 @@ def _adjoint_gram(g: ExactMatrix):
 # -- isotropic vectors and the transvection witness ----------------------------------
 
 
-def _as_field(c, m):
-    if m is None:
-        return as_fraction(c)
-    if isinstance(c, QuadScalar):
-        return c
-    return QuadScalar(Fraction(c), 0, m)
-
-
 def _packed(tables):
     """The n tables of pairs (A, B), each pair as the int A*K + B with
     K = 2*n*max|B| + 1.  The map is linear, and injective on the pairs with
@@ -416,15 +387,14 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     """A nonzero zero of the form with integer-ring coordinates of height <=
     ``height``, or None.
 
-    Each ring element x = p + q*omega of the height box (q = 0 over Q) is
-    written (u + w*sqrt(m))/2, so that for a coefficient c = e + f*sqrt(m)
-    cleared of denominators 4*c*x^2 = A + B*sqrt(m) with A = e*s + f*t*m,
-    B = e*t + f*s, s = u^2 + w^2*m and t = 2*u*w.  Each such value is kept
-    as the one integer key A*K + B, with K = 2*n*max|B| + 1 over the n tables
-    (K = 1 over Q, where B = 0).  The key is linear, so a sum of values is
-    the sum of their keys; and every sum of at most n table values, or its
-    negative, has |B| < K/2, so two distinct pairs in that range never share
-    a key: A*K + B = A'*K + B' gives (A - A')*K = B' - B with |B' - B| < K.
+    The form's ring gives the height box of ring integers x = p + q*omega
+    (q = 0 over Q) and, per coefficient c cleared of denominators, the ints
+    (A, B) of 4*c*x^2 = A + B*sqrt(m) (``ring.height_box``).  Each value is
+    kept as the one integer key A*K + B, with K = 2*n*max|B| + 1 over the n
+    tables (K = 1 over Q, where B = 0).  The key is linear, so a sum of
+    values is the sum of their keys; and every sum of at most n table values,
+    or its negative, has |B| < K/2, so two distinct pairs in that range never
+    share a key: A*K + B = A'*K + B' gives (A - A')*K = B' - B, |B' - B| < K.
 
     A root table maps every key of 4*c_0*x_0^2 over the box to its root x_0;
     the (n-1)-fold box of the other coordinates is scanned in lexicographic
@@ -451,9 +421,8 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     if budget < 1:
         raise ValueError("node budget must be positive")
-    m = form.ring.m
-    side = 2 * height + 1
-    width = side if m is None else side * side
+    ring = form.ring
+    width = (2 * height + 1) ** len(ring.embeddings)
     if width > budget:
         raise BudgetExceededError(
             "isotropic search box of %d points per coordinate exceeds the "
@@ -466,24 +435,9 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
     order = [0]
     for k in range(1, height + 1):
         order.extend((k, -k))
-    if m is None:
-        box = [(p, 0) for p in order]
-        sqm, half, omega = 0, False, 0
-    else:
-        from .numfield import ring_of_integers
-
-        ring = ring_of_integers(form.field)
-        box = [(p, q) for p in order for q in order]
-        sqm, half, omega = m, ring.omega_is_half, ring.omega
-    # (s, t) of x = (u + w*sqrt(m))/2: u = 2p + q, w = q if omega is half an
-    # integer, else u = 2p, w = 2q
-    squares = [(u * u + w * w * sqm, 2 * u * w)
-               for u, w in (((2 * p + q, q) if half else (2 * p, 2 * q))
-                            for p, q in box)]
     coeffs = form.ring_coeffs
-    pairs = [(c, 0) if m is None else (c.a, c.b) for c in coeffs]
-    tables = _packed([[(e * s + f * t * sqm, e * t + f * s) for s, t in squares]
-                      for e, f in pairs])
+    box, omega, tables = ring.height_box(coeffs, order)
+    tables = _packed(tables)
     roots = {}
     for k, key in enumerate(tables[0]):
         roots.setdefault(key, k)
@@ -501,9 +455,9 @@ def isotropic_search(form: DiagForm, height: int, node_budget=None):
         for j, t in enumerate(itertools.islice(last, start, stop), start):
             root = get(a - t)
             if root is not None:
-                vec = tuple(_as_field(p, m) + q * omega
+                vec = tuple(ring.typed(p) + q * omega
                             for p, q in (box[k] for k in (root,) + prefix + (j,)))
-                _, _, xs = to_ring(vec, m)
+                _, _, xs = to_ring(vec, ring.m)
                 if sum(c * x * x for c, x in zip(coeffs, xs)) != 0:
                     raise AssertionError("isotropic candidate does not vanish")
                 return vec
@@ -533,7 +487,7 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
     """
     n = form.nvars
     ring, kc, coeffs = form.ring, form.scale, form.ring_coeffs
-    vector = tuple(_as_field(v, ring.m) for v in vector)
+    vector = tuple(map(ring.typed, vector))
     if len(vector) != n:
         raise ValueError("vector length does not match the form")
     _, kv, vec = to_ring(vector, ring.m)
@@ -554,8 +508,8 @@ def unipotent_from_isotropic(form: DiagForm, vector) -> ExactMatrix:
     beta = cv[p]
     bar = beta.conjugate()
     bar2 = bar * bar
-    norm = beta * beta if ring.m is None else (beta * bar).a    # N(beta), an int
-    d = 2 * (kc * kv * norm) ** 2    # an int too: quotient divides once per entry
+    norm = beta * bar    # N(beta), rational: quotient divides once per entry
+    d = 2 * (kc * kv) ** 2 * norm * norm
     s = 2 * kc * kv * beta * bar2
     w = [ring.zero] * n
     w[k], w[p] = beta, -cv[k]
@@ -614,11 +568,9 @@ def uniformity_verdict(spec: GroupSpec, height: int = 10, node_budget=None) -> V
         )
 
     form = spec.form
-    m = form.ring.m
-    # the real embeddings: one over Q, two over a real quadratic field
-    for idx in range(1 if m is None else 2 if m > 0 else 0):
+    for idx in form.ring.real_embeddings:
         if is_definite(form, idx):
-            name = sigma_name(form.field, idx)
+            name = form.ring.embeddings[idx]
             return Verdict(
                 Verdict.UNIFORM,
                 "the conjugate form under %s is definite, its real orthogonal "
@@ -657,7 +609,7 @@ def _binary_verdict(form: DiagForm) -> Verdict:
     By the compactness criterion for reductive groups (Godement; Borel and
     Harish-Chandra, Mostow and Tamagawa) the quotient is compact iff the
     torus is K-anisotropic, iff the form has no zero, iff -c1 c2 is not a
-    square in K, tested on ring integers by :func:`_ring_square_root`.  When
+    square in K, tested on ring integers by the ring's ``square_root``.  When
     -c1 c2 = r^2, (r, c1) is isotropic and the witness is the element of
     eigenvalues t = 2 and 1/t on the two isotropic lines:
     [[p, q r / c1], [-q r / c2, p]] with p = (t + 1/t)/2, q = (t - 1/t)/2,
@@ -665,21 +617,20 @@ def _binary_verdict(form: DiagForm) -> Verdict:
     returned.
     """
     c1, c2 = form.coeffs
-    ring, k, m = form.ring, form.scale, form.ring.m
+    ring, k = form.ring, form.scale
     x = -form.ring_coeffs[0] * form.ring_coeffs[1]
     target = ring.quotient(x, k * k)
-    field = "Q" if m is None else "Q(sqrt(%d))" % m
-    root = _ring_square_root(x, k, m)
+    root = ring.square_root(x, k)
     if root is None:
         return Verdict(
             Verdict.UNIFORM,
             "SO of a binary form is a one-dimensional torus, and -c1*c2 = %s is "
             "not a square in %s, so the torus is anisotropic and has no "
-            "noncompact part" % (target, field),
+            "noncompact part" % (target, ring.field_name),
             criterion="Godement criterion (anisotropic torus)",
         )
-    vec = (_as_field(root, m), _as_field(c1, m))
-    p, q = _as_field(Fraction(5, 4), m), Fraction(3, 4)
+    vec = (ring.typed(root), ring.typed(c1))
+    p, q = ring.typed(Fraction(5, 4)), Fraction(3, 4)
     g = ExactMatrix(2, 2, [p, q * root / c1, -q * root / c2, p])
     _, d, entries = g.cleared()     # in the form's ring: p is typed in its field
     # g preserves the form exactly when r^2 = -c1 c2: (r, c1) is isotropic
@@ -691,39 +642,8 @@ def _binary_verdict(form: DiagForm) -> Verdict:
         Verdict.NOT_UNIFORM,
         "SO of a binary form is a one-dimensional torus, and -c1*c2 = %s is the "
         "square of %s in %s, so the torus splits; the witness preserves the "
-        "form with eigenvalues 2 and 1/2" % (target, root, field),
+        "form with eigenvalues 2 and 1/2" % (target, root, ring.field_name),
         criterion="Godement criterion (split torus)",
         witness=g,
         isotropic_vector=vec,
     )
-
-
-def _ring_square_root(x, scale: int, m):
-    """r in Q (m None) or Q(sqrt(m)) with r * r == x / scale^2, or None, for
-    x = A + B sqrt(m) an int or a QuadInt; r is a Fraction when rational.
-
-    A root of x is integral, so it lies in Z[sqrt(m)] ((u + v sqrt(m))/2
-    with u, v odd squares outside it).  For B = 0 it is sqrt(A) or
-    sqrt(A/m) sqrt(m).  For B != 0, u + v sqrt(m) needs u^2 + m v^2 = A and
-    2uv = B, so A^2 - m B^2 = s^2 and (2u)^2 = 2 (A + s), else 2 (A - s).
-    """
-    a, b = (x, 0) if m is None else (x.a, x.b)
-    if not b:
-        r = _exact_isqrt(a)
-        if r is not None:
-            return Fraction(r, scale)
-        r = None if m is None or a % m else _exact_isqrt(a // m)
-        return None if r is None else QuadScalar(0, Fraction(r, scale), m)
-    s = _exact_isqrt(a * a - m * b * b)
-    if s is None:
-        return None
-    for t in (_exact_isqrt(2 * (a + s)), _exact_isqrt(2 * (a - s))):
-        if t:   # t = 2u
-            return QuadScalar(Fraction(t, 2 * scale), Fraction(b, t * scale), m)
-    return None
-
-
-def _exact_isqrt(n: int):
-    """The nonnegative integer square root of n, or None."""
-    r = isqrt(max(n, 0))
-    return r if r * r == n else None

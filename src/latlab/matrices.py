@@ -19,8 +19,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .rings import to_ring
-from .scalars import QuadScalar, promote_entry, quadratic_field_of
+from .rings import _typed_field, to_ring
+from .scalars import QuadScalar, promote_entry
 
 
 class ExactMatrix:
@@ -174,14 +174,10 @@ class ExactMatrix:
 
     def cleared(self):
         """(ring, D, G) with self = G/D, G the row-major tuple of entries over
-        Z or Z[sqrt(m)], m that of the irrational entries, else of the first
-        QuadScalar, else None; ValueError if fields mix.  One ``to_ring`` on
-        first use, kept: data is a tuple, and readers copy G to change it."""
+        Z or Z[sqrt(m)] for the m of ``rings._typed_field``.  One ``to_ring``
+        on first use, kept: data is a tuple, and readers copy G to change it."""
         if self._cleared is None:
-            m = quadratic_field_of(self.data)
-            if m is None:  # all rational: a QuadScalar entry still sets the field
-                m = next((x.m for x in self.data if isinstance(x, QuadScalar)), None)
-            ring, scale, entries = to_ring(self.data, m)
+            ring, scale, entries = to_ring(self.data, _typed_field(self.data))
             self._cleared = ring, scale, tuple(entries)
         return self._cleared
 

@@ -14,15 +14,21 @@ shares with QuadScalar, ``scalars._Quad``; only its comparison reads the int
 difference inline.  A QuadInt never leaves this layer: ``quotient`` (and
 ``lift``) turn it back into a QuadScalar, and it neither equals nor combines
 with one.
+
+A ring also holds what :mod:`latlab.groups` asks of its field Q or Q(sqrt(m)):
+the name, the embeddings and which are real, typed scalars, square roots and
+the height box of O_K; none of it is computed when the ring is built.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import isqrt
 
 from .scalars import (_NO_ORDER, QuadScalar, _floor_mul_sqrt, _int_le_sqrt, _Quad,
-                      _scalar, denominator_lcm, quadratic_field_of, validate_field_param)
+                      _scalar, as_fraction, denominator_lcm, quadratic_field_of,
+                      validate_field_param)
 
 
 class QuadInt(_Quad):
@@ -100,6 +106,10 @@ class IntRing:
     exact_div = staticmethod(operator.floordiv)
     # x / d back in Q, a Fraction
     quotient = staticmethod(Fraction)
+    field_name = "Q"
+    embeddings = ("identity",)      # by index, named
+    real_embeddings = (0,)
+    typed = staticmethod(as_fraction)
 
     @staticmethod
     def lift(x):
@@ -111,6 +121,17 @@ class IntRing:
         """Nearest integer to num/den for den > 0 (ties round up)."""
         return (2 * num + den) // (2 * den)
 
+    @staticmethod
+    def height_box(coeffs, order):
+        """:meth:`QuadIntRing.height_box` over Z: x = p, omega = 0, B = 0."""
+        return ([(p, 0) for p in order], 0,
+                [[(4 * c * p * p, 0) for p in order] for c in coeffs])
+
+    @staticmethod
+    def square_root(x: int, scale: int):
+        r = _exact_isqrt(x)
+        return None if r is None else Fraction(r, scale)
+
 
 class QuadIntRing:
     """Coefficients in Z[sqrt(m)], :class:`QuadInt` elements.  ``nearest``
@@ -121,6 +142,22 @@ class QuadIntRing:
         self.m = validate_field_param(m)
         self.zero = QuadInt(0, 0, m)
         self.one = QuadInt(1, 0, m)
+
+    @property
+    def field_name(self) -> str:
+        return "Q(sqrt(%d))" % self.m
+
+    @property
+    def embeddings(self):
+        return ("identity", "sqrt(%d) -> -sqrt(%d)" % (self.m, self.m))
+
+    @property
+    def real_embeddings(self):
+        return (0, 1) if self.m > 0 else ()
+
+    def typed(self, c) -> QuadScalar:
+        """The scalar c as a value of Q(sqrt(m)); a QuadScalar passes as it is."""
+        return c if isinstance(c, QuadScalar) else QuadScalar(Fraction(c), 0, self.m)
 
     def exact_div(self, x: QuadInt, y: QuadInt) -> QuadInt:
         """x / y in Z[sqrt(m)] when the quotient is known to lie there:
@@ -136,11 +173,11 @@ class QuadIntRing:
 
     def quotient(self, x: QuadInt, d) -> QuadScalar:
         """x / d back in Q(sqrt(m)), a QuadScalar; d an int or a QuadInt.
-        A rational d divides each coordinate once; only an irrational d
-        takes the field division."""
+        A rational d divides each coordinate once, and an irrational one is
+        made rational first: x / d = x conj(d) / N(d)."""
         if type(d) is QuadInt:
             if d.b:
-                return self.lift(x) / self.lift(d)
+                return self.quotient(x * d.conjugate(), d.a * d.a - self.m * d.b * d.b)
             d = d.a
         return _scalar(Fraction(x.a, d), Fraction(x.b, d), self.m)
 
@@ -163,6 +200,54 @@ class QuadIntRing:
         for every real y and integer r > 0, and :func:`_floor_mul_sqrt` is
         exactly floor(q*sqrt(m))."""
         return (p + _floor_mul_sqrt(q, self.m)) // r
+
+    def height_box(self, coeffs, order):
+        """(box, omega, tables): x = p + q*omega in O_K = Z[omega] for p, q in
+        ``order`` as pairs (p, q), omega = (1 + sqrt(m))/2 if m = 1 mod 4, else
+        sqrt(m), and per c = e + f*sqrt(m) in ``coeffs`` the ints (A, B) of
+        4*c*x^2 = A + B*sqrt(m): s*e + t*f*m, t*e + s*f for 4*x^2 = s + t*sqrt(m)."""
+        m, half = self.m, self.m % 4 == 1
+        box = [(p, q) for p in order for q in order]
+        squares = [(u * u + w * w * m, 2 * u * w)
+                   for u, w in (((2 * p + q, q) if half else (2 * p, 2 * q))
+                                for p, q in box)]
+        omega = _scalar(Fraction(1, 2), Fraction(1, 2), m) if half else _scalar(0, 1, m)
+        return box, omega, [[(e * s + f * t * m, e * t + f * s) for s, t in squares]
+                            for e, f in ((c.a, c.b) for c in coeffs)]
+
+    def square_root(self, x: QuadInt, scale: int):
+        """r with r * r == x / scale^2 (a Fraction when rational), or None.
+
+        A root of x = A + B sqrt(m) is integral, so it lies in Z[sqrt(m)]
+        ((u + v sqrt(m))/2 with u, v odd squares outside it).  For B = 0 it
+        is sqrt(A) or sqrt(A/m) sqrt(m).  Else u^2 + m v^2 = A and 2uv = B,
+        so A^2 - m B^2 = s^2 and (2u)^2 = 2 (A + s) or 2 (A - s)."""
+        m, a, b = self.m, x.a, x.b
+        if not b:
+            r = _exact_isqrt(a)
+            if r is not None:
+                return Fraction(r, scale)
+            r = None if a % m else _exact_isqrt(a // m)
+            return None if r is None else _scalar(0, Fraction(r, scale), m)
+        s = _exact_isqrt(a * a - m * b * b)
+        if s is None:
+            return None
+        for t in (_exact_isqrt(2 * (a + s)), _exact_isqrt(2 * (a - s))):
+            if t:   # t = 2u
+                return _scalar(Fraction(t, 2 * scale), Fraction(b, t * scale), m)
+        return None
+
+
+def _exact_isqrt(n: int):
+    """The nonnegative integer square root of n, or None."""
+    r = isqrt(max(n, 0))
+    return r if r * r == n else None
+
+
+def _typed_field(values):
+    """The m of the irrational values, else of the first QuadScalar, else None."""
+    return quadratic_field_of(values) or next(
+        (x.m for x in values if isinstance(x, QuadScalar)), None)
 
 
 def to_ring(values, m=None):

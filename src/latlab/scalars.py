@@ -14,9 +14,9 @@ touches floating point.
 ``+``, ``-`` and ``*`` compute each coordinate of the result from the
 operands' integer numerators and denominators and normalise it as one
 Fraction, or keep it an int exactly where Python's own ``+`` and ``*`` on the
-coordinates give one.  They, negation and conjugation build the result once
-with :func:`_scalar`, which skips validation and coercion: an operand's m is
-already valid.
+coordinates give one.  They, negation, conjugation, inverses, ``/`` and
+``**`` build the result once with :func:`_scalar`, which skips validation and
+coercion: an operand's m is already valid.
 
 Exact integer work runs on the ring integers Z or Z[sqrt(m)] of these
 fields, in :mod:`latlab.rings`; :func:`denominator_lcm` and
@@ -207,7 +207,7 @@ def _over_one_denominator(x, y):
 class QuadScalar(_Quad):
     """An exact element a + b*sqrt(m) of the quadratic field Q(sqrt(m)).
     Direct construction validates m and coerces a and b to int or Fraction.
-    The results of ``+``, ``-``, ``*``, negation and conjugation skip both:
+    The results of arithmetic, negation and conjugation skip both:
     :func:`_scalar` builds them."""
 
     __slots__ = ()
@@ -304,7 +304,7 @@ class QuadScalar(_Quad):
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.m)
-        return QuadScalar(Fraction(self.a) / n, Fraction(-self.b) / n, self.m)
+        return _scalar(Fraction(self.a) / n, Fraction(-self.b) / n, self.m)
 
     def __truediv__(self, other):
         if isinstance(other, QuadScalar):
@@ -315,7 +315,7 @@ class QuadScalar(_Quad):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             q = Fraction(other)
-            return QuadScalar(self.a / q, self.b / q, self.m)
+            return _scalar(self.a / q, self.b / q, self.m)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -326,7 +326,7 @@ class QuadScalar(_Quad):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadScalar(1, 0, self.m)
+        out = _scalar(1, 0, self.m)
         base = self
         while k:
             if k & 1:

@@ -500,16 +500,43 @@ def oracle_quad_arith(op, x, y=None):
     """The result of a QuadScalar operation by the formulas that
     latlab.scalars ran before its arithmetic read integer numerators: Python's
     own int and Fraction operations on the coordinates, then a validating
-    QuadScalar(...).  ``op`` is "+", "-" or "*" for x op y, "r+", "r-" or
-    "r*" for y op x with a rational y, "neg" for -x and "conj" for
-    x.conjugate().  A coordinate is an int exactly when these formulas give
-    one; two irrational operands of two fields raise ValueError."""
+    QuadScalar(...).  ``op`` is "+", "-", "*" or "/" for x op y, "r+", "r-",
+    "r*" or "r/" for y op x with a rational y, "**" for x ** y with an int y,
+    "inv" for x.inverse(), "neg" for -x and "conj" for x.conjugate().  A
+    coordinate is an int exactly when these formulas give one; two irrational
+    operands of two fields raise ValueError, and division by zero
+    ZeroDivisionError."""
     if op == "neg":
         return QuadScalar(-x.a, -x.b, x.m)
     if op == "conj":
         return QuadScalar(x.a, -x.b, x.m)
     if op == "r-":          # y - x was (-x) + y
         return oracle_quad_arith("+", oracle_quad_arith("neg", x), y)
+    if op == "inv":
+        n = Fraction(x.a * x.a - x.m * x.b * x.b)
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % x.m)
+        return QuadScalar(Fraction(x.a) / n, Fraction(-x.b) / n, x.m)
+    if op == "r/":          # y / x was x.inverse() * y
+        return oracle_quad_arith("*", oracle_quad_arith("inv", x), y)
+    if op == "/":
+        if isinstance(y, QuadScalar):
+            if y.b:
+                return oracle_quad_arith("*", x, oracle_quad_arith("inv", y))
+            y = y.a
+        if y == 0:
+            raise ZeroDivisionError("division by zero")
+        return QuadScalar(x.a / Fraction(y), x.b / Fraction(y), x.m)
+    if op == "**":          # square and multiply from QuadScalar(1, 0, m)
+        if y < 0:
+            return oracle_quad_arith("**", oracle_quad_arith("inv", x), -y)
+        out = QuadScalar(1, 0, x.m)
+        while y:
+            if y & 1:
+                out = oracle_quad_arith("*", out, x)
+            x = oracle_quad_arith("*", x, x)
+            y >>= 1
+        return out
     if isinstance(y, QuadScalar):
         if y.m == x.m or not y.b:
             a, b, m = y.a, y.b, x.m

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from latlab import groups, matrices
+from latlab import groups, matrices, numfield
 from latlab.enumeration import IntegralGram, shortest_vector
 from latlab.errors import BudgetExceededError
 from latlab.groups import (
@@ -625,12 +625,12 @@ def _square_root_case(draw):
 @example((QuadScalar(Fraction(3, 2), Fraction(1, 2), 5), 5, 3))  # ((1 + sqrt 5)/2)^2
 @example((Fraction(-3), -3, 1))                                 # sqrt(-3)^2
 def test_ring_square_root_matches_the_field_oracle(case):
-    """The binary verdict's square root of x = X/k, taken on X*k*j^2 over
-    (k*j)^2 with integer square roots, has the value and type of the field
-    square root it replaced (None for a non-square)."""
+    """The binary verdict's square root of x = X/k, taken by the ring on
+    X*k*j^2 over (k*j)^2 with integer square roots, has the value and type
+    of the field square root it replaced (None for a non-square)."""
     x, m, j = case
-    _, k, (cleared,) = to_ring([x], m)
-    got = groups._ring_square_root(cleared * (k * j * j), k * j, m)
+    ring, k, (cleared,) = to_ring([x], m)
+    got = ring.square_root(cleared * (k * j * j), k * j)
     expected = oracle_square_root(x, m)
     assert repr(got) == repr(expected) and type(got) is type(expected)
     assert got is None or got * got == x
@@ -909,6 +909,77 @@ def test_isotropic_search_finds_omega_vectors(m):
     x = 1 + (Fraction(1) if m is None else ring_of_integers(field).omega)
     form = DiagForm([1, 3, -(x * x + 3)], field)
     assert _assert_search_matches_oracle(form, 2) is not None
+
+
+N, U, I = Verdict.NOT_UNIFORM, Verdict.UNIFORM, Verdict.INCONCLUSIVE
+
+
+# Q(x, y, m) and F(p, q) stand for QuadScalar and Fraction in the vector reprs
+@pytest.mark.parametrize("m, coeffs, status, vector", [
+    (-1, (1, 1, 1), N, "(Q(F(1, 1), 0, -1), Q(F(0, 1), 0, -1), Q(F(0, 1), 1, -1))"),
+    (-1, (1, 2, 5), I, "None"),
+    (-1, (1, 1), N, "(Q(0, F(1, 1), -1), Q(F(1, 1), 0, -1))"),
+    (-1, (1, 3), U, "None"),
+    (-1, (1, Fraction(1, 2), -3), N,
+     "(Q(F(0, 1), 1, -1), Q(F(0, 1), 2, -1), Q(F(0, 1), 1, -1))"),
+    (-3, (1, 1, 1), N,
+     "(Q(F(1, 2), F(-1, 2), -3), Q(F(1, 2), F(1, 2), -3), Q(F(1, 1), F(0, 1), -3))"),
+    (-3, (1, 2, 5), N,
+     "(Q(F(1, 2), F(-1, 2), -3), Q(F(3, 2), F(1, 2), -3), Q(F(1, 2), F(-1, 2), -3))"),
+    (-3, (1, 1), U, "None"),
+    (-3, (1, 3), N, "(Q(0, F(1, 1), -3), Q(F(1, 1), 0, -3))"),
+    (-3, (1, Fraction(1, 2), -3), N,
+     "(Q(F(1, 2), F(1, 2), -3), Q(F(1, 1), F(1, 1), -3), Q(F(1, 2), F(1, 2), -3))"),
+    (-7, (1, 1, 1), I, "None"),
+    (-7, (1, 2, 5), N,
+     "(Q(F(0, 1), F(-1, 1), -7), Q(F(1, 1), F(0, 1), -7), Q(F(1, 1), F(0, 1), -7))"),
+    (-7, (1, 1), U, "None"),
+    (-7, (1, 3), U, "None"),
+    (-7, (1, Fraction(1, 2), -3), N,
+     "(Q(F(1, 2), F(1, 2), -7), Q(F(1, 1), F(1, 1), -7), Q(F(1, 2), F(1, 2), -7))"),
+])
+def test_imaginary_field_verdicts_are_pinned(m, coeffs, status, vector):
+    """Q(sqrt(m)) for m < 0 has no real embedding, so no conjugate is
+    definite, yet the binary test and the isotropic search run (omega is
+    half an integer for -3 and -7).  conjugate_form still applies the
+    nontrivial monomorphism, while is_definite refuses."""
+    form = DiagForm(list(coeffs), NumberFieldDesc(m=m))
+    verdict = uniformity_verdict(GroupSpec("SO", form=form), 2)
+    assert verdict.status == status
+    assert repr(verdict.isotropic_vector) == \
+        vector.replace("Q(", "QuadScalar(").replace("F(", "Fraction(")
+    conj = conjugate_form(form, 1)
+    assert conj.coeffs == form.coeffs and conj.ring.m == m
+    for sigma in (0, 1):
+        with pytest.raises(ValueError, match="^definiteness needs a real embedding$"):
+            is_definite(form, sigma)
+
+
+def _verdict_fields(verdict):
+    return [repr(getattr(verdict, name)) for name in Verdict.__slots__]
+
+
+def test_verdict_and_search_read_no_number_field(monkeypatch):
+    """The ring of integers of the height box comes from the form's ring:
+    with numfield's ring of integers made to raise, the verdict and the
+    search on forms built around (1 + omega, 1, 1) return what they did."""
+    forms = []
+    for m in (2, 3, 5, 13, -3):
+        field = NumberFieldDesc(m=m)
+        x = 1 + ring_of_integers(field).omega
+        forms.append(DiagForm([1, 3, -(x * x + 3)], field))
+    expected = [(_verdict_fields(uniformity_verdict(GroupSpec("SO", form=f), 2)),
+                 repr(isotropic_search(f, 2))) for f in forms]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numfield's ring of integers was built")
+
+    monkeypatch.setattr(numfield, "ring_of_integers", refuse)
+    monkeypatch.setattr(numfield.IntegerRing, "__init__", refuse)
+    for f, (verdict, vector) in zip(forms, expected):
+        assert _verdict_fields(uniformity_verdict(GroupSpec("SO", form=f), 2)) == verdict
+        assert repr(isotropic_search(f, 2)) == vector
+        assert vector != "None"
 
 
 def test_isotropic_search_node_budget():

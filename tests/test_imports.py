@@ -57,6 +57,7 @@ DOCS = {
     "lattice.json": {"dim": 2, "field": None, "basis": [["2", "1"], ["1", "3"]]},
     "field.json": {"quad": 5},
     "so.json": {"kind": "SO", "coeffs": ["1", "1", "-1"], "field": {"quad": None}},
+    "so5.json": {"kind": "SO", "coeffs": ["1", "1+1*sqrt(5)", "-1"], "field": {"quad": 5}},
     "sl.json": {"kind": "SL", "n": 3, "field": {"quad": None}},
     "matrix.json": {"field": None, "matrix": [["2", "1"], ["1", "1"]]},
     "scalar.json": {"field": {"quad": 2}, "scalar": "1+2*sqrt(2)"},
@@ -76,7 +77,8 @@ CALLS = [
     # over Q a verdict needs no number field
     (["group", "verdict", "so.json"], 0, {"groups"} | MATRICES),
     (["group", "verdict", "sl.json"], 0, {"groups"} | MATRICES),
-    # groups loads numfield only for the ring of integers of a quadratic field
+    # over Q(sqrt 5) the document's field loads numfield; groups itself never does
+    (["group", "verdict", "so5.json"], 0, {"groups", "numfield"} | MATRICES),
     (["group", "unipotent", "matrix.json"], 0, {"groups"} | MATRICES),
     (["group", "adsys", "matrix.json"], 0, {"groups", "enumeration", "_svp"} | MATRICES),
     (["resk", "element", "scalar.json"], 0, {"resk", "numfield"} | MATRICES),

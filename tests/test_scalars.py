@@ -286,8 +286,8 @@ def _arith_case(draw):
 def _repr_outcome(op):
     try:
         return repr(op())
-    except ValueError as exc:
-        return "ValueError: %s" % exc
+    except (ValueError, ZeroDivisionError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
 
 
 @settings(max_examples=500, deadline=None)
@@ -295,21 +295,27 @@ def _repr_outcome(op):
 @example((QuadScalar(Fraction(1), 0, 2), 2))
 @example((QuadScalar(Fraction(3, 1), Fraction(0, 1), 2), 2))
 @example((QuadScalar(Fraction(3, 1), 0, 2), QuadScalar(1, 1, 2)))
+@example((QuadScalar(0, Fraction(0), 3), Fraction(0)))
+@example((QuadScalar(Fraction(2, 3), 0, 5), QuadScalar(1, Fraction(-1, 2), 13)))
 def test_arithmetic_matches_the_fraction_oracle(case):
-    """+, -, * both ways round, negation and conjugation give the repr of the
-    coordinate-wise int and Fraction formulas, so equal values and the same
-    coordinate types (an int exactly where those formulas give one), or the
-    same mixed-field error."""
+    """+, -, *, / both ways round, ** (k = -2..3), negation and conjugation
+    give the repr of the coordinate-wise int and Fraction formulas, so equal
+    values and the same coordinate types (an int exactly where those
+    formulas give one), or the same mixed-field or division-by-zero
+    error."""
     x, y = case
     quad = isinstance(y, QuadScalar)
     checks = [(lambda: x + y, ("+", x, y)), (lambda: x - y, ("-", x, y)),
-              (lambda: x * y, ("*", x, y)),
+              (lambda: x * y, ("*", x, y)), (lambda: x / y, ("/", x, y)),
               (lambda: y + x, ("+", y, x) if quad else ("r+", x, y)),
               (lambda: y - x, ("-", y, x) if quad else ("r-", x, y)),
               (lambda: y * x, ("*", y, x) if quad else ("r*", x, y)),
+              (lambda: y / x, ("/", y, x) if quad else ("r/", x, y)),
               (lambda: -x, ("neg", x)), (x.conjugate, ("conj", x))]
+    checks += [(lambda k=k: x ** k, ("**", x, k)) for k in range(-2, 4)]
     if quad:
         checks += [(lambda: -y, ("neg", y)), (y.conjugate, ("conj", y))]
+        checks += [(lambda k=k: y ** k, ("**", y, k)) for k in (-1, 2)]
     for op, args in checks:
         assert _repr_outcome(op) == _repr_outcome(lambda: oracle_quad_arith(*args))
 
@@ -320,9 +326,10 @@ def test_reflected_subtraction_of_a_non_scalar_names_minus():
 
 
 def test_arithmetic_does_not_revalidate_the_field(monkeypatch):
-    """Results of + - *, negation, conjugation and the ring lifts are built
-    from operands whose m was validated when they were constructed, so none
-    validates m again; QuadScalar(a, b, m) called directly still does."""
+    """Results of + - * /, inverses, powers, negation, conjugation and the
+    ring lifts and quotients are built from operands whose m was validated
+    when they were constructed, so none validates m again; QuadScalar(a, b,
+    m) called directly still does."""
     ring = QuadIntRing(5)
     x, y = QuadScalar(Fraction(1, 2), 3, 5), QuadScalar(2, Fraction(-1, 3), 5)
     other = QuadScalar(Fraction(2, 3), 0, 3)
@@ -338,7 +345,10 @@ def test_arithmetic_does_not_revalidate_the_field(monkeypatch):
                lambda: x * 3, lambda: 3 * x, lambda: other * y, lambda: other - y,
                lambda: -x, x.conjugate, lambda: ring.lift(QuadInt(3, -1, 5)),
                lambda: ring.quotient(QuadInt(3, -1, 5), 4),
-               lambda: ring.quotient(QuadInt(3, -1, 5), QuadInt(6, 0, 5))):
+               lambda: ring.quotient(QuadInt(3, -1, 5), QuadInt(6, 0, 5)),
+               lambda: x / 3, lambda: x / Fraction(2, 7), lambda: x / other,
+               lambda: x / y, x.inverse, lambda: x ** -2, lambda: x ** 0,
+               lambda: x ** 3, lambda: ring.quotient(QuadInt(3, -1, 5), QuadInt(6, 1, 5))):
         op()
     assert calls == []
     for m in (4, 1):
